@@ -24,7 +24,7 @@ USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.NilpotentS, err.ZeroDivisor
 VERIFY_ERRORS = (err.StepVerificationFailed, err.LocalWordMismatch, err.CoverNotComaximal,
                  err.NotHomotopy, err.StepBudgetExceeded, err.NoRuleFound,
                  err.NonZeroDet, err.NotE2Witnessed, err.ExponentTooSmall,
-                 err.UnsupportedBlock, err.RowConditionFailed, err.DimensionMismatch)
+                 err.RowConditionFailed, err.DimensionMismatch)
 
 
 def _parse_n_range(text):
@@ -58,7 +58,7 @@ def cmd_verify_tables(args):
 def cmd_decompose(args):
     ring = ring_from_descriptor(args.ring)
     word = word_from_text(ring, args.n, _read(args.infile))
-    cert = decompose_full(word, fuel=args.fuel, route=args.route)
+    cert = decompose_full(word)
     ok = cert.verified and cert.output_word.eval() == word.eval()
     print(f"{'PASS' if ok else 'FAIL'} decompose {cert.summary()}")
     if args.out:
@@ -187,8 +187,6 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
-    p.add_argument("--route", choices=("segmented", "staged"), default="segmented")
-    p.add_argument("--fuel", type=int, default=10_000)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("conj", help="conjugation decomposition over a localization")

@@ -58,10 +58,6 @@ class NotE2Witnessed(SympelemError):
     """A corner must come with an explicit transvection factorization."""
 
 
-class UnsupportedBlock(SympelemError):
-    """A diagonal block is not a product of the two unit shapes."""
-
-
 class ExponentTooSmall(SympelemError):
     """Conjugation decomposition requires m > k."""
 

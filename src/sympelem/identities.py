@@ -456,16 +456,21 @@ def unit_bracket_atoms(ring, n, shape, pos, param):
                                     ring.mul(param, quarter), ring.one)
 
 
+def unit_bracket_shapes(shape, pos):
+    """Shapes (g1, g2) whose same-position bracket [g1(u), g2(v)] is the
+    unit of this shape with parameter 4*u*v at pos (the +4 rows of the
+    _UNIT_AT_1 and _UNIT_AT_I tables)."""
+    if shape == "B":
+        return ("A", "B") if pos == 1 else ("D", "B")
+    if shape == "C":
+        return ("C", "D") if pos == 1 else ("C", "A")
+    raise BadIndices("unit shapes are B and C")
+
+
 def unit_bracket_atoms_split(ring, n, shape, pos, u, v):
     """Atoms for the unit with parameter 4*u*v at the given position."""
-    if shape == "B":
-        pair = ("A", "B") if pos == 1 else ("D", "B")
-    elif shape == "C":
-        pair = ("C", "D") if pos == 1 else ("C", "A")
-    else:
-        raise BadIndices("unit shapes are B and C")
+    g1, g2 = unit_bracket_shapes(shape, pos)
     gpos = 2 if pos == 1 else pos
-    g1, g2 = pair
     nu, nv = ring.neg(u), ring.neg(v)
     return [ABCDAtom(g1, gpos, u), ABCDAtom(g2, gpos, v),
             ABCDAtom(g1, gpos, nu), ABCDAtom(g2, gpos, nv)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    AlphabetViolation,
     BadIndices,
     CoverNotComaximal,
     ExponentTooSmall,
@@ -20,9 +21,10 @@ from .errors import (
     StepBudgetExceeded,
     StepVerificationFailed,
 )
+from .identities import _CROSSING, _UNIT_AT_1, unit_bracket_shapes
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, Word, atom_matrix
+from .words import ABCDAtom, CornerMatrixAtom, Word, atom_matrix, atom_to_text
 
 DEFAULT_FUEL = 64
 MAX_ATOMS = 200_000
@@ -126,36 +128,28 @@ class _Emitter:
             e1, e2 = e, 0
         quarter = num.mul(num.inv2, num.inv2)
         u = num.mul(c, quarter)
-        if sh == "B":
-            pair = (("A", i_for_corner), ("B", i_for_corner)) if pos == 1 else (("D", pos), ("B", pos))
-        else:
-            pair = (("C", i_for_corner), ("D", i_for_corner)) if pos == 1 else (("C", pos), ("A", pos))
-        (s1, p1), (s2, p2) = pair
-        self.shape(s1, p1, e1, u)
-        self.shape(s2, p2, e2, num.one)
-        self.shape(s1, p1, e1, num.neg(u))
-        self.shape(s2, p2, e2, num.neg(num.one))
+        s1, s2 = unit_bracket_shapes(sh, pos)
+        p = i_for_corner if pos == 1 else pos
+        self.shape(s1, p, e1, u)
+        self.shape(s2, p, e2, num.one)
+        self.shape(s1, p, e1, num.neg(u))
+        self.shape(s2, p, e2, num.neg(num.one))
 
     def emit_inverse_of(self, entries):
         for sh, pos, e, c in reversed(entries):
             self.shape(sh, pos, e, self.ctx.num.neg(c))
 
 
-# crossing pairs and the plain commutator shapes (the corrected table)
-_CROSS = {("A", "D"), ("D", "A"), ("B", "C"), ("C", "B")}
-_FREE_AT_DISTANCE = {("A", "B"), ("B", "A"), ("C", "D"), ("D", "C")}
-
-
-def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x, fuel=DEFAULT_FUEL):
+def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
     """Word for E(X_i)(a/s^k) E(Y_j)(s^m x) E(X_i)(a/s^k)^-1 over R_s,
     together with its valuation trace. Requires m > k."""
     if m <= k:
         raise ExponentTooSmall(f"need m > k, got m={m}, k={k}")
     ctx = context_for_localized(locring)
-    return _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x, fuel=fuel)
+    return _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x)
 
 
-def _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x, fuel=DEFAULT_FUEL, verify=True):
+def _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x, verify=True):
     if not (2 <= i <= n and 2 <= j <= n):
         raise BadIndices("positions must lie in 2..n")
     num = ctx.num
@@ -164,9 +158,10 @@ def _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x, fuel=DEFAULT_F
 
     if Xshape == Yshape or num.is_zero(a) or num.is_zero(x):
         em.shape(Yshape, j, m, x)
-    elif i != j and (Xshape, Yshape) in _FREE_AT_DISTANCE:
+    elif i != j and (Xshape, Yshape) in _UNIT_AT_1:
+        # these pairs commute at different positions
         em.shape(Yshape, j, m, x)
-    elif i != j or (Xshape, Yshape) not in _CROSS:
+    elif i != j or (Xshape, Yshape) not in _CROSSING:
         # the commutator word with the exponent split across the pair
         q = (m - k) // 2
         p = (m - k) - q
@@ -328,7 +323,8 @@ def dilate(base_ring, s, n, word, fuel=DEFAULT_FUEL, max_atoms=MAX_ATOMS):
     den_cap = 0
     for atom in word.atoms:
         if not isinstance(atom, ABCDAtom):
-            raise TypeError("dilate needs a pure shape word")
+            raise AlphabetViolation(
+                f"dilate needs a pure shape word, got {atom_to_text(RsX, atom)!r}")
         b0 = RsX.eval_at_zero(atom.e)
         bp = RsX.shift_down(atom.e)
         den_cap = max(den_cap, b0[1], max((v[1] for _, v in bp), default=0))

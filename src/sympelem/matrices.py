@@ -125,11 +125,6 @@ class Matrix:
     def __repr__(self):
         return f"<{self.nrows}x{self.ncols} over {self.ring.descriptor()}>"
 
-    def pretty(self):
-        shown = [[self.ring.show(v) for v in r] for r in self.rows]
-        width = max((len(s) for r in shown for s in r), default=1)
-        return "\n".join(" ".join(s.rjust(width) for s in r) for r in shown)
-
     def to_text(self, n=None):
         """Row-major golden-file format."""
         entries = " ".join(self.ring.show(v).replace(" ", "") for r in self.rows for v in r)

@@ -2,26 +2,20 @@
 
 Every rule application verifies, by exact matrix arithmetic on the spliced
 segment, that the evaluation is preserved; a failure raises
-StepVerificationFailed with the offending rule in the message. Stage
-boundaries re-verify the whole word. The final certificate records the
-step trace (rule name plus digests of the replaced segments).
+StepVerificationFailed with the offending rule in the message. The
+initial decomposition re-verifies its stage boundary on the whole word.
+The final certificate records the step trace (rule name plus digests of
+the replaced segments).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    AlphabetViolation,
-    NoRuleFound,
-    NotE2Witnessed,
-    StepBudgetExceeded,
-    StepVerificationFailed,
-    UnsupportedBlock,
-)
+from .errors import AlphabetViolation, NoRuleFound, NotE2Witnessed, StepVerificationFailed
 from .matrices import Matrix
 from .identities import (
     corner_correction,
@@ -30,7 +24,7 @@ from .identities import (
     split_b_form,
     unit_bracket_atoms,
 )
-from .symplectic import corner_embed, graded_block, pi_swap, shape_matrix, symp_inverse
+from .symplectic import corner_embed, graded_block, pi_swap, symp_inverse
 from .words import (
     ABCDAtom,
     CornerAtom,
@@ -41,8 +35,6 @@ from .words import (
     atom_to_text,
     eval_atoms,
 )
-
-DEFAULT_FUEL = 10_000
 
 
 def _digest(ring, items):
@@ -63,9 +55,6 @@ class Trace:
 
     def record(self, rule, before, after):
         self.steps.append((rule, before, after))
-
-    def extend(self, other):
-        self.steps.extend(other.steps)
 
 
 def _check(ring, n, rule, before_atoms, after_atoms, trace):
@@ -133,6 +122,9 @@ def discover_s_rules(n):
 
 
 def _rules_for(n):
+    """Reduction rules for n: the shipped rule file when there is one,
+    else discovered now and kept in memory only (scripts/regen_rules.py
+    is the one writer of rule files)."""
     if n in _RULES_CACHE:
         return _RULES_CACHE[n]
     path = _DATA_DIR / f"s_rules_n{n}.json"
@@ -142,13 +134,6 @@ def _rules_for(n):
                  for k, v in raw.items()}
     else:
         rules = discover_s_rules(n)
-        try:
-            _DATA_DIR.mkdir(exist_ok=True)
-            path.write_text(json.dumps(
-                {f"{i},{j}": [list(g), list(h), c] for (i, j), (g, h, c) in sorted(rules.items())},
-                indent=0, sort_keys=True))
-        except OSError:
-            pass
     _RULES_CACHE[n] = rules
     return rules
 
@@ -397,188 +382,6 @@ def decompose_initial(word, trace=None):
 
 
 # ---------------------------------------------------------------------------
-# stage two: move units to the left
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiagBlocks:
-    """Block-diagonal collection of units, kept as factorizations."""
-    ring: object
-    n: int
-    factors: dict = field(default_factory=dict)  # pos -> [(shape, param), ...]
-
-    def push(self, shape, pos, param):
-        self.factors.setdefault(pos, []).append((shape, param))
-
-    def block(self, pos):
-        ring = self.ring
-        M = Matrix.identity(ring, 2)
-        for shape, param in self.factors.get(pos, []):
-            M = M.mul(Matrix.identity(ring, 2).add(shape_matrix(ring, shape, param)))
-        return M
-
-    def matrix(self):
-        M = Matrix.identity(self.ring, 2 * self.n)
-        for pos in self.factors:
-            M = M.paste(2 * (pos - 1), 2 * (pos - 1), self.block(pos))
-        return M
-
-
-_SHAPE_GRADING = {
-    # shape -> (mu sign, x sign, y sign): matrix block = (1, mu)^t (sx*v, sy*v)
-    "A": (1, 1, 1),
-    "B": (1, 1, -1),
-    "C": (-1, 1, 1),
-    "D": (-1, -1, 1),
-}
-
-
-def _shape_to_graded(ring, atom):
-    mus, sx, sy = _SHAPE_GRADING[atom.shape]
-    one = ring.one
-    return GradedForm(one, ring.from_int(mus),
-                      atom.e if sx == 1 else ring.neg(atom.e),
-                      atom.e if sy == 1 else ring.neg(atom.e), atom.pos)
-
-
-def _graded_to_pure(ring, g):
-    """Recognize a graded form as a single shape atom, else None."""
-    one = ring.one
-    mu_plus = g.mu == one
-    mu_minus = g.mu == ring.neg(one)
-    if g.lam != one or not (mu_plus or mu_minus):
-        return None
-    if mu_plus and g.y == g.x:
-        return ABCDAtom("A", g.pos, g.x)
-    if mu_plus and g.y == ring.neg(g.x):
-        return ABCDAtom("B", g.pos, g.x)
-    if mu_minus and g.y == g.x:
-        return ABCDAtom("C", g.pos, g.x)
-    if mu_minus and g.y == ring.neg(g.x):
-        return ABCDAtom("D", g.pos, g.y)
-    return None
-
-
-def _expand_pos1_unit(ring, n, atom, trace):
-    """A unit at the leading corner is a 4-atom shape commutator."""
-    rep = unit_bracket_atoms(ring, n, atom.shape, 1, atom.e)
-    _check(ring, n, "corner-unit-to-bracket", [atom], rep, trace)
-    return rep
-
-
-def push_units_left(body, trace=None, fuel=DEFAULT_FUEL):
-    """Collect placed units to the left of the shape atoms.
-
-    Realization: scanning right to left, units at positions >= 2 merge
-    into a block-diagonal accumulator; each shape atom crossing the
-    accumulator is conjugated by it, which only transforms its parameter
-    pair (the grading is untouched because block 1 stays trivial). The
-    transformed blocks are then re-split; the corner corrections this
-    produces are themselves position-1 units, which are eliminated in
-    place as 4-atom shape commutators. Every conjugation and split is
-    verified by matrix arithmetic. (Pairwise adjacent swapping via the
-    unit commutators does not terminate: its correction terms re-interact
-    and breed; the collection pass is the terminating realization.)
-    """
-    ring, n = body.ring, body.n
-    trace = trace if trace is not None else Trace()
-    atoms = []
-    for a in body.atoms:
-        if isinstance(a, ABCDAtom):
-            atoms.append(a)
-        elif isinstance(a, UnitAtom):
-            if ring.is_zero(a.e):
-                continue
-            if a.pos == 1:
-                atoms.extend(_expand_pos1_unit(ring, n, a, trace))
-            else:
-                atoms.append(a)
-        else:
-            raise AlphabetViolation(f"atom {a!r} outside the shape/unit alphabet")
-
-    # right-to-left collection: suffix == diag * tail_blocks
-    diag = DiagBlocks(ring, n)
-    diag_mat = Matrix.identity(ring, 2 * n)
-    diag_inv = Matrix.identity(ring, 2 * n)
-    blocks = []
-    budget = fuel
-    for a in reversed(atoms):
-        budget -= 1
-        if budget < 0:
-            raise StepBudgetExceeded(f"unit collection exceeded {fuel} steps")
-        if isinstance(a, UnitAtom):
-            diag.factors.setdefault(a.pos, []).insert(0, (a.shape, a.e))
-            umat = atom_matrix(ring, n, a)
-            diag_mat = umat.mul(diag_mat)
-            diag_inv = diag_inv.mul(symp_inverse(umat))
-            trace.record("unit-collect", _atoms_digest(ring, [a]), _digest(ring, ["diag"]))
-            continue
-        g = _shape_to_graded(ring, a)
-        if not diag.factors:
-            blocks.insert(0, g)
-            continue
-        delta_p = diag.block(g.pos)
-        row = Matrix(ring, [(g.x, g.y)]).mul(delta_p)
-        g2 = GradedForm(g.lam, g.mu, row.rows[0][0], row.rows[0][1], g.pos)
-        if diag_inv.mul(g.matrix(ring, n)).mul(diag_mat) != g2.matrix(ring, n):
-            raise StepVerificationFailed("diagonal conjugation mismatch")
-        trace.record("diag-conjugate", _atoms_digest(ring, [a]), _digest(ring, [g2.text(ring)]))
-        blocks.insert(0, g2)
-
-    # split the conjugated blocks back into shapes; corner corrections
-    # are position-1 units and expand in place
-    tail = []
-    for g in blocks:
-        if ring.is_zero(g.x) and ring.is_zero(g.y):
-            continue
-        pure = _graded_to_pure(ring, g)
-        if pure is not None:
-            tail.append(pure)
-            continue
-        a_half = ring.half(ring.add(g.x, g.y))
-        b_half = ring.half(ring.sub(g.x, g.y))
-        ab2 = ring.scale_int(2, ring.mul(a_half, b_half))
-        if g.mu == ring.one:
-            ch_unit = UnitAtom("B", 1, ring.neg(ab2))
-            part1 = ABCDAtom("A", g.pos, a_half)
-            part2 = ABCDAtom("B", g.pos, b_half)
-        else:
-            ch_unit = UnitAtom("C", 1, ab2)
-            part1 = ABCDAtom("C", g.pos, a_half)
-            part2 = ABCDAtom("D", g.pos, ring.neg(b_half))
-        rep = [] if ring.is_zero(ch_unit.e) else _expand_pos1_unit(ring, n, ch_unit, Trace())
-        rep += [p for p in (part1, part2) if not ring.is_zero(p.e)]
-        if g.matrix(ring, n) != eval_atoms(ring, n, rep):
-            raise StepVerificationFailed("graded re-split mismatch")
-        trace.record("block-resplit", _digest(ring, [g.text(ring)]), _atoms_digest(ring, rep))
-        tail.extend(rep)
-
-    if diag.matrix().mul(eval_atoms(ring, n, tail)) != body.eval():
-        raise StepVerificationFailed("stage boundary: unit collection is off")
-    trace.record("collect-diagonal", _digest(ring, ["body"]), _digest(ring, ["diag+tail"]))
-    return diag, Word(ring, n, tail), trace
-
-
-def units_to_abcd(diag, trace=None):
-    """Express blocks 2..n of a unit diagonal as shape words (block 1 must
-    be trivial; fold it into a corner first)."""
-    ring, n = diag.ring, diag.n
-    trace = trace if trace is not None else Trace()
-    if diag.factors.get(1):
-        raise UnsupportedBlock("block 1 must be identity here")
-    out = []
-    for pos in sorted(diag.factors):
-        for shape, param in diag.factors[pos]:
-            if ring.is_zero(param):
-                continue
-            atoms = unit_bracket_atoms(ring, n, shape, pos, param)
-            before = [UnitAtom(shape, pos, param)]
-            _check(ring, n, "unit-to-bracket", before, atoms, trace)
-            out.extend(atoms)
-    return Word(ring, n, out), trace
-
-
-# ---------------------------------------------------------------------------
 # conjugation of shape atoms by det-1 corners, and corner elimination
 # ---------------------------------------------------------------------------
 
@@ -644,19 +447,6 @@ class DecompositionCertificate:
     def summary(self):
         return (f"in={len(self.input_word)} atoms, out={len(self.output_word)} atoms, "
                 f"steps={len(self.trace)}, verified={self.verified}")
-
-
-def _pos1_unit_corner_word(ring, shape, c):
-    """Transvection factorization of I_2 + shape(c) for the corner block."""
-    one = ring.one
-    if shape == "B":
-        atoms = [CornerAtom("E21", one), CornerAtom("E12", ring.neg(c)), CornerAtom("E21", ring.neg(one))]
-    else:
-        atoms = [CornerAtom("E21", ring.neg(one)), CornerAtom("E12", c), CornerAtom("E21", one)]
-    unit = Matrix.identity(ring, 2).add(shape_matrix(ring, shape, c))
-    if _corner2_matrix(ring, atoms) != unit:
-        raise StepVerificationFailed("unit corner factorization mismatch")
-    return atoms
 
 
 def simplify_shape_word(word, trace=None):
@@ -725,7 +515,7 @@ def eliminate_units_inplace(word, trace=None):
 
 
 def _convert_segment(ring, n, s_atoms, trace):
-    """One corner-free transvection run through the staged pipeline:
+    """One corner-free transvection run through the rewrite stages:
     initial decomposition, in-place unit elimination, corner elimination.
     With no corners in the run, every correction factor is a single
     transvection, so nothing here inflates parameters."""
@@ -738,69 +528,47 @@ def _convert_segment(ring, n, s_atoms, trace):
     return list(corner_word.atoms) + list(flat.atoms)
 
 
-def decompose_full(word, fuel=DEFAULT_FUEL, route="segmented"):
+def decompose_full(word):
     """Rewrite any generator word into a pure shape word, with a verified
     certificate.
 
-    route="segmented" (default): corner atoms are eliminated where they
-    stand and each corner-free transvection run goes through the staged
-    pipeline. Folding corners leftward instead (route="staged": initial
-    decomposition of the whole word, unit collection, then corner
-    elimination) regrades every downstream block, which makes the
-    correction factors carry conjugated witness words and inflates the
-    output; the segmented order keeps every correction a single
-    transvection. Both routes verify every step.
+    Corner atoms are eliminated where they stand, and each corner-free
+    run of transvections between them is converted on its own. Folding
+    the corners leftward through the whole word instead would regrade
+    every later block, so the correction factors would carry conjugated
+    witness words and inflate the output; converting run by run keeps
+    every correction a single transvection. Every step is verified.
     """
     ring, n = word.ring, word.n
     if n < 2:
         raise AlphabetViolation("decomposition needs n >= 2")
     trace = Trace()
     out_atoms = []
-    if route == "segmented":
-        # shape and unit atoms (e.g. a previous output) pass straight
-        # through, which makes the decomposition idempotent on its image
-        run = []
-        for atom in word.atoms:
-            if isinstance(atom, SAtom) and atom.i in (1, 2):
-                run.append(atom)
-                continue
-            if isinstance(atom, SAtom):
-                run.extend(reduce_to_row12(Word(ring, n, [atom]), trace).atoms)
-                continue
-            out_atoms.extend(_convert_segment(ring, n, run, trace))
-            run = []
-            if isinstance(atom, CornerAtom):
-                cw, _ = corner_to_abcd(ring, n, [atom], trace)
-                out_atoms.extend(cw.atoms)
-            elif isinstance(atom, ABCDAtom):
-                out_atoms.append(atom)
-            elif isinstance(atom, UnitAtom):
-                if not ring.is_zero(atom.e):
-                    rep = unit_bracket_atoms(ring, n, atom.shape, atom.pos, atom.e)
-                    _check(ring, n, "unit-to-bracket", [atom], rep, trace)
-                    out_atoms.extend(rep)
-            else:
-                raise AlphabetViolation(f"cannot decompose atom {atom!r}")
+    # shape and unit atoms (e.g. a previous output) pass straight
+    # through, which makes the decomposition idempotent on its image
+    run = []
+    for atom in word.atoms:
+        if isinstance(atom, SAtom) and atom.i in (1, 2):
+            run.append(atom)
+            continue
+        if isinstance(atom, SAtom):
+            run.extend(reduce_to_row12(Word(ring, n, [atom]), trace).atoms)
+            continue
         out_atoms.extend(_convert_segment(ring, n, run, trace))
-    elif route == "staged":
-        reduced = reduce_to_row12(word, trace)
-        witness, body, _ = decompose_initial(reduced, trace)
-        delta_atoms = list(witness.word)
-        diag, tail, _ = push_units_left(body, trace, fuel=fuel)
-        # block-1 units become corner factors on the right of delta
-        for shape, param in diag.factors.pop(1, []):
-            if ring.is_zero(param):
-                continue
-            extra = _pos1_unit_corner_word(ring, shape, param)
-            trace.record("unit-to-corner", _atoms_digest(ring, [UnitAtom(shape, 1, param)]),
-                         _atoms_digest(ring, extra))
-            delta_atoms.extend(extra)
-        delta_atoms = merge_corner_atoms(ring, delta_atoms, trace)
-        units_word, _ = units_to_abcd(diag, trace)
-        corner_word, _ = corner_to_abcd(ring, n, delta_atoms, trace)
-        out_atoms = list(corner_word.atoms) + list(units_word.atoms) + list(tail.atoms)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+        run = []
+        if isinstance(atom, CornerAtom):
+            cw, _ = corner_to_abcd(ring, n, [atom], trace)
+            out_atoms.extend(cw.atoms)
+        elif isinstance(atom, ABCDAtom):
+            out_atoms.append(atom)
+        elif isinstance(atom, UnitAtom):
+            if not ring.is_zero(atom.e):
+                rep = unit_bracket_atoms(ring, n, atom.shape, atom.pos, atom.e)
+                _check(ring, n, "unit-to-bracket", [atom], rep, trace)
+                out_atoms.extend(rep)
+        else:
+            raise AlphabetViolation(f"cannot decompose atom {atom!r}")
+    out_atoms.extend(_convert_segment(ring, n, run, trace))
     out, _ = simplify_shape_word(Word(ring, n, out_atoms), trace)
     # soundness is the composition of the per-step checks above; the
     # output alphabet is checked outright

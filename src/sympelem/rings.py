@@ -347,15 +347,6 @@ class PolyRing(Ring):
             acc = self.add(acc, term)
         return acc
 
-    def map_coeffs(self, a, f, target):
-        """Apply base-hom f to coefficients, rebuilding in target PolyRing."""
-        d = {}
-        for e, c in a:
-            fc = f(c)
-            if not target.base.is_zero(fc):
-                d[e] = target.base.add(d[e], fc) if e in d else fc
-        return target.freeze(d)
-
     def eval_at(self, a, point):
         """Evaluate a univariate polynomial at a base-ring point."""
         if self.nvars != 1:
@@ -378,15 +369,6 @@ class PolyRing(Ring):
         if self.nvars != 1:
             raise ValueError("shift_down needs a univariate ring")
         return tuple(((e - 1,), c) for (e,), c in a if e > 0)
-
-    def coeff(self, a, e):
-        for ee, c in a:
-            if ee == e:
-                return c
-        return self.base.zero
-
-    def leading(self, a):
-        return a[0] if a else (None, None)
 
     def try_exact_div(self, a, d):
         if not d:
@@ -560,12 +542,17 @@ class Localized(Ring):
 
     def try_invert(self, a):
         num, k = a
+        if self.base.is_zero(num):
+            return None
         j = 0
-        while True:
-            q = self.base.try_exact_div(num, self.s)
-            if q is None:
-                break
-            num, j = q, j + 1
+        # a unit s divides every element, so dividing it out would never
+        # stop; then R_s = R, and a is invertible exactly when num is
+        if self.base.try_invert(self.s) is None:
+            while True:
+                q = self.base.try_exact_div(num, self.s)
+                if q is None:
+                    break
+                num, j = q, j + 1
         inv = self.base.try_invert(num)
         if inv is None:
             return None

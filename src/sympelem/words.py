@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import BadIndices, NonZeroDet, ParseError
+from .errors import NonZeroDet, ParseError
 from .matrices import Matrix
 from .symplectic import (
     gen_abcd,
@@ -52,11 +52,6 @@ class UnitAtom:
 @dataclass(frozen=True)
 class CornerMatrixAtom:
     rows: tuple  # ((a,b),(c,d)), det 1
-
-
-@dataclass(frozen=True)
-class DiagBlocksAtom:
-    blocks: tuple  # one ((a,b),(c,d)) per position 1..n, each det 1
 
 
 @dataclass(frozen=True)
@@ -103,16 +98,6 @@ def _atom_matrix(ring, n, atom):
         if not ring.is_one(blk.det2()):
             raise NonZeroDet("corner block must have determinant 1")
         return blk.perp(Matrix.identity(ring, 2 * n - 2))
-    if isinstance(atom, DiagBlocksAtom):
-        if len(atom.blocks) != n:
-            raise BadIndices(f"need {n} diagonal blocks")
-        M = Matrix.identity(ring, 2 * n)
-        for p, rows in enumerate(atom.blocks):
-            blk = Matrix(ring, rows)
-            if not ring.is_one(blk.det2()):
-                raise NonZeroDet(f"diagonal block {p + 1} must have determinant 1")
-            M = M.paste(2 * p, 2 * p, blk)
-        return M
     if isinstance(atom, PlacedAtom):
         return placed_abcd(ring, n, atom.offset, atom.shape, atom.pos, atom.e)
     if isinstance(atom, DenseAtom):
@@ -131,8 +116,6 @@ def atom_inverse(ring, n, atom):
         return UnitAtom(atom.shape, atom.pos, ring.neg(atom.e))
     if isinstance(atom, CornerMatrixAtom):
         return CornerMatrixAtom(Matrix(ring, atom.rows).adj2().rows)
-    if isinstance(atom, DiagBlocksAtom):
-        return DiagBlocksAtom(tuple(Matrix(ring, b).adj2().rows for b in atom.blocks))
     if isinstance(atom, PlacedAtom):
         return PlacedAtom(atom.offset, atom.shape, atom.pos, ring.neg(atom.e))
     if isinstance(atom, DenseAtom):
@@ -190,8 +173,6 @@ class Word:
                 out.append(UnitAtom(a.shape, a.pos, f(a.e)))
             elif isinstance(a, CornerMatrixAtom):
                 out.append(CornerMatrixAtom(tuple(tuple(f(v) for v in r) for r in a.rows)))
-            elif isinstance(a, DiagBlocksAtom):
-                out.append(DiagBlocksAtom(tuple(tuple(tuple(f(v) for v in r) for r in b) for b in a.blocks)))
             elif isinstance(a, PlacedAtom):
                 out.append(PlacedAtom(a.offset, a.shape, a.pos, f(a.e)))
             elif isinstance(a, DenseAtom):
@@ -231,9 +212,6 @@ def atom_to_text(ring, atom):
     if isinstance(atom, CornerMatrixAtom):
         (a, b), (c, d) = atom.rows
         return "CORNER " + " ".join(_fmt(ring, v) for v in (a, b, c, d))
-    if isinstance(atom, DiagBlocksAtom):
-        flat = [v for blk in atom.blocks for r in blk for v in r]
-        return "DIAG " + " ".join(_fmt(ring, v) for v in flat)
     if isinstance(atom, PlacedAtom):
         return f"PLACED {atom.offset} {atom.shape} {atom.pos} {_fmt(ring, atom.e)}"
     if isinstance(atom, DenseAtom):

@@ -1,6 +1,8 @@
 import json
 
 from sympelem.cli import main
+from sympelem.rings import ring_from_descriptor
+from sympelem.words import word_from_text
 
 
 def run(argv):
@@ -98,6 +100,26 @@ def test_dilate_command(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "PASS dilate m=1" in stdout
     assert out.read_text().startswith("A 2 3*X")
+
+
+def test_dilate_rejects_non_shape_word(tmp_path, capsys):
+    src = tmp_path / "w.txt"
+    src.write_text("S 1 3 X\n")
+    assert run(["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2",
+                "--in", str(src)]) == 2
+    assert "pure shape word" in capsys.readouterr().err
+
+
+def test_decompose_over_localization_at_a_unit(tmp_path, capsys):
+    src = tmp_path / "w.txt"
+    src.write_text("A 2 1/7\n")
+    out = tmp_path / "out.txt"
+    assert run(["decompose", "--ring", "loc:zmod:15:s=2", "--n", "2",
+                "--in", str(src), "--out", str(out)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    ring = ring_from_descriptor("loc:zmod:15:s=2")
+    got = word_from_text(ring, 2, out.read_text())
+    assert got.eval() == word_from_text(ring, 2, src.read_text()).eval()
 
 
 def test_patch_command(tmp_path, capsys):

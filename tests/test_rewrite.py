@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sympelem import rewrite as rw
-from sympelem.errors import AlphabetViolation, NotE2Witnessed, UnsupportedBlock
+from sympelem.errors import AlphabetViolation, NotE2Witnessed
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod
 from sympelem.symplectic import corner_embed, gen_corner, pi_swap
@@ -33,6 +33,15 @@ def test_rule_files_match_discovery():
         shipped = rw._rules_for(n)
         fresh = rw.discover_s_rules(n)
         assert shipped == fresh
+
+
+def test_rules_beyond_shipped_files_stay_in_memory(monkeypatch):
+    monkeypatch.setattr(rw, "_RULES_CACHE", {})
+    listing = sorted(p.name for p in rw._DATA_DIR.iterdir())
+    rules = rw._rules_for(5)
+    assert sorted(p.name for p in rw._DATA_DIR.iterdir()) == listing
+    assert rules == rw.discover_s_rules(5)
+    assert rw._rules_for(5) is rules
 
 
 def test_reduce_to_row12():
@@ -91,47 +100,6 @@ def test_decompose_initial_rejects_high_rows():
         rw.decompose_initial(Word(Z15, 3, [SAtom(3, 5, 1)]))
 
 
-def test_push_units_left():
-    rng = random.Random(33)
-    # structured bodies from the initial decomposition
-    for n in (2, 3):
-        for _ in range(10):
-            w = rand_gen_word(Z15, n, rng.randint(1, 6), rng)
-            reduced = rw.reduce_to_row12(w)
-            _, body, _ = rw.decompose_initial(reduced)
-            diag, tail, _ = rw.push_units_left(body)
-            assert all(isinstance(a, ABCDAtom) for a in tail.atoms)
-            assert diag.matrix().mul(tail.eval()) == body.eval()
-            assert 1 not in diag.factors
-    # unit already on the left stays
-    body = Word(Z15, 2, [UnitAtom("B", 2, 4), ABCDAtom("A", 2, 3)])
-    diag, tail, _ = rw.push_units_left(body)
-    assert diag.matrix().mul(tail.eval()) == body.eval()
-    # no units: nothing to do
-    body = Word(Z15, 2, [ABCDAtom("A", 2, 3), ABCDAtom("D", 2, 5)])
-    diag, tail, _ = rw.push_units_left(body)
-    assert not diag.factors and list(tail.atoms) == list(body.atoms)
-
-
-def test_units_to_abcd():
-    rng = random.Random(34)
-    diag = rw.DiagBlocks(Z15, 3)
-    diag.push("C", 2, 7)
-    diag.push("B", 3, 4)
-    diag.push("C", 3, 2)
-    word, _ = rw.units_to_abcd(diag)
-    assert word.eval() == diag.matrix()
-    assert all(isinstance(a, ABCDAtom) for a in word.atoms)
-    # block 1 must be trivial
-    bad = rw.DiagBlocks(Z15, 2)
-    bad.push("B", 1, 3)
-    with pytest.raises(UnsupportedBlock):
-        rw.units_to_abcd(bad)
-    # empty diagonal gives the empty word
-    word, _ = rw.units_to_abcd(rw.DiagBlocks(Z15, 2))
-    assert len(word) == 0
-
-
 def test_corner_to_abcd():
     rng = random.Random(35)
     for n in (2, 3):
@@ -166,13 +134,12 @@ def test_conj_abcd_atom():
             assert eval_atoms(Z15, n, out) == want
 
 
-@pytest.mark.parametrize("route", ["segmented", "staged"])
-def test_decompose_full_routes(route):
+def test_decompose_full_round_trip():
     rng = random.Random(37)
     for n in (2, 3):
         for _ in range(8):
             w = rand_gen_word(Z15, n, rng.randint(0, 5), rng)
-            cert = rw.decompose_full(w, route=route)
+            cert = rw.decompose_full(w)
             assert cert.verified
             assert all(isinstance(a, ABCDAtom) for a in cert.output_word.atoms)
             assert cert.output_word.eval() == w.eval()

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,24 @@ def test_localize_zmod_unit():
     assert loc.frac(1, 1) == (8, 0)
     assert loc.embed(7) == (7, 0)
     assert loc.mul(loc.embed(2), loc.frac(1, 1)) == loc.one
+
+
+def test_localized_try_invert_terminates():
+    # a unit s divides everything; the inverse comes from the numerator
+    z15 = Zmod(15)
+    u = Localized(z15, 2)
+    assert u.try_invert(u.embed(7)) == u.embed(13)
+    assert u.try_invert(u.embed(3)) is None
+    assert u.try_invert(u.zero) is None
+    # a non-unit s is divided out of the numerator first
+    qx = PolyRing(Rationals(), ("x",))
+    x = qx.var("x")
+    loc = Localized(qx, x)
+    assert loc.try_invert(loc.embed(qx.scale_int(3, x))) == loc.frac(qx.const(Fraction(1, 3)), 1)
+    assert loc.try_invert(loc.embed(qx.add(x, qx.one))) is None
+    assert loc.try_invert(loc.zero) is None
+    with pytest.raises(ParseError):
+        parse_element(loc, "1/0")
 
 
 def test_localize_rejects_zero_divisor_and_nilpotent():

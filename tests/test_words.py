@@ -10,7 +10,6 @@ from sympelem.words import (
     ABCDAtom,
     CornerAtom,
     CornerMatrixAtom,
-    DiagBlocksAtom,
     PlacedAtom,
     SAtom,
     UnitAtom,
@@ -91,9 +90,6 @@ def test_comment_and_blank_lines_skipped():
 
 
 def test_special_atoms_evaluate():
-    diag = DiagBlocksAtom((((1, 0), (0, 1)), ((1, 7), (0, 1))))
-    m = atom_matrix(Z15, 2, diag)
-    assert m.rows[2][3] == 7
     placed = PlacedAtom(1, "C", 2, 5)
     assert atom_matrix(Z15, 3, placed).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
     w = Word(Z15, 3, [placed])
