@@ -18,6 +18,7 @@ from .errors import (
     ExponentTooSmall,
     LocalWordMismatch,
     NotHomotopy,
+    ParseError,
     StepBudgetExceeded,
     StepVerificationFailed,
 )
@@ -439,14 +440,23 @@ class CoverData:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = dict(tok.split("=", 1) for tok in line.split())
+            fields = {}
+            for tok in line.split():
+                key, eq, value = tok.partition("=")
+                if not eq:
+                    raise ParseError(f"cover token {tok!r} is not key=value", line=lineno)
+                fields[key] = value
+            missing = [key for key in ("s", "c", "b", "N") if key not in fields]
+            if missing:
+                raise ParseError(f"cover line needs s=, c=, b= and N=; missing "
+                                 f"{', '.join(missing)}", line=lineno)
             try:
                 entries.append((parse_element(ring, fields["s"]),
                                 parse_element(ring, fields["c"]),
                                 parse_element(ring, fields["b"]),
                                 int(fields["N"])))
-            except KeyError as exc:
-                raise CoverNotComaximal(f"cover line {lineno}: missing {exc}") from None
+            except (ParseError, ValueError) as exc:
+                raise ParseError(str(exc), line=lineno) from None
         return CoverData(entries)
 
     def to_text(self, ring):

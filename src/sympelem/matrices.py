@@ -1,9 +1,10 @@
 """Dense immutable matrices over a ring.
 
-Rows are tuples of raw ring representations; a matrix is hashable, so
-generator matrices can be memoized. The sizes here are tiny (2n <= 12),
-dense storage is fine; the inner product is delegated to the ring so
-residue rings can use plain int arithmetic.
+Rows are tuples of raw ring representations, and a matrix is hashable.
+The sizes here are tiny (2n <= 12), so dense storage is fine; the inner
+product is delegated to the ring so residue rings can use plain int
+arithmetic. Words of generators are evaluated in ``words`` by sparse
+column updates, not by products of these matrices.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .symplectic import corner_embed, graded_block, pi_swap, symp_inverse
 from .words import (
     ABCDAtom,
     CornerAtom,
+    CornerMatrixAtom,
     SAtom,
     UnitAtom,
     Word,
@@ -55,6 +56,12 @@ class Trace:
 
     def record(self, rule, before, after):
         self.steps.append((rule, before, after))
+
+
+def _alphabet_error(ring, what, atom):
+    hint = (" (a CORNER atom is accepted only by normality-demo --gamma)"
+            if isinstance(atom, CornerMatrixAtom) else "")
+    return AlphabetViolation(f"{what} {atom_to_text(ring, atom)!r}{hint}")
 
 
 def _check(ring, n, rule, before_atoms, after_atoms, trace):
@@ -153,7 +160,7 @@ def reduce_to_row12(word, trace=None):
             out.append(atom)
             continue
         if not isinstance(atom, SAtom):
-            raise AlphabetViolation(f"cannot reduce atom {atom!r}")
+            raise _alphabet_error(ring, "cannot reduce atom", atom)
         if atom.i in (1, 2):
             out.append(atom)
             continue
@@ -202,15 +209,7 @@ class GradedForm:
     witness: tuple = ()  # corner atoms with first column (lam, mu)
 
     def matrix(self, ring, n):
-        cache = getattr(ring, "_atom_cache", None)
-        if cache is None:
-            cache = ring._atom_cache = {}
-        key = (n, "graded", self.lam, self.mu, self.x, self.y, self.pos)
-        hit = cache.get(key)
-        if hit is None:
-            hit = graded_block(ring, n, self.lam, self.mu, self.x, self.y, self.pos)
-            cache[key] = hit
-        return hit
+        return graded_block(ring, n, self.lam, self.mu, self.x, self.y, self.pos)
 
     def text(self, ring):
         return "GRADED " + " ".join(ring.show(v) for v in (self.lam, self.mu, self.x, self.y)) \
@@ -249,13 +248,6 @@ def _corner_apply_inv(ring, kind, v, lam, mu):
     return lam, ring.sub(mu, ring.mul(v, lam))
 
 
-def _corner2_matrix(ring, atoms):
-    M = Matrix.identity(ring, 2)
-    for a in atoms:
-        M = M.mul(atom_matrix(ring, 1, a))
-    return M
-
-
 def _invert_corner_atoms(ring, atoms):
     return tuple(CornerAtom(a.kind, ring.neg(a.e)) for a in reversed(atoms))
 
@@ -273,7 +265,7 @@ def decompose_initial(word, trace=None):
             continue
         if isinstance(atom, SAtom) and atom.i in (1, 2) and atom.j >= 3:
             continue
-        raise AlphabetViolation(f"atom {atom!r} outside the row-1/2 alphabet")
+        raise _alphabet_error(ring, "outside the row-1/2 alphabet: atom", atom)
 
     # stage (a): fold corners left through graded blocks
     delta_word = []
@@ -322,7 +314,7 @@ def decompose_initial(word, trace=None):
         else:
             eps = list(g.witness)
             ch_word = eps + [CornerAtom("E12", ab2)] + list(_invert_corner_atoms(ring, eps))
-        if ch_word and _corner2_matrix(ring, ch_word) != ch:
+        if ch_word and eval_atoms(ring, 1, ch_word) != ch:
             raise StepVerificationFailed("corner-correction witness mismatch")
         # graded = ch * A-form * B-form
         af = GradedForm(g.lam, g.mu, a, a, g.pos)
@@ -374,7 +366,7 @@ def decompose_initial(word, trace=None):
         trace.record("form-split", _digest(ring, [before.text(ring)]), _atoms_digest(ring, atoms))
         body.extend(atoms)
 
-    witness = CornerWitness(_corner2_matrix(ring, delta_word), tuple(delta_word))
+    witness = CornerWitness(eval_atoms(ring, 1, delta_word), tuple(delta_word))
     body_word = Word(ring, n, body)
     if witness.embed(n).mul(body_word.eval()) != word.eval():
         raise StepVerificationFailed("stage boundary: initial decomposition is off")
@@ -482,7 +474,7 @@ def merge_corner_atoms(ring, atoms, trace=None):
             prev = out.pop()
             merged = CornerAtom(a.kind, ring.add(prev.e, a.e))
             rep = [] if ring.is_zero(merged.e) else [merged]
-            if _corner2_matrix(ring, [prev, a]) != _corner2_matrix(ring, rep):
+            if eval_atoms(ring, 1, [prev, a]) != eval_atoms(ring, 1, rep):
                 raise StepVerificationFailed("corner merge mismatch")
             trace.record("corner-merge", _atoms_digest(ring, [prev, a]), _atoms_digest(ring, rep))
             out.extend(rep)
@@ -510,7 +502,7 @@ def eliminate_units_inplace(word, trace=None):
             _check(ring, n, "unit-to-bracket", [a], rep, trace)
             out.extend(rep)
         else:
-            raise AlphabetViolation(f"atom {a!r} outside the shape/unit alphabet")
+            raise _alphabet_error(ring, "outside the shape/unit alphabet: atom", a)
     return Word(ring, n, out), trace
 
 
@@ -567,7 +559,7 @@ def decompose_full(word):
                 _check(ring, n, "unit-to-bracket", [atom], rep, trace)
                 out_atoms.extend(rep)
         else:
-            raise AlphabetViolation(f"cannot decompose atom {atom!r}")
+            raise _alphabet_error(ring, "cannot decompose atom", atom)
     out_atoms.extend(_convert_segment(ring, n, run, trace))
     out, _ = simplify_shape_word(Word(ring, n, out_atoms), trace)
     # soundness is the composition of the per-step checks above; the

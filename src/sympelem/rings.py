@@ -12,8 +12,8 @@ on representations:
 * ``Localized``    -- pairs ``(numerator, k)`` standing for ``num / s^k``
                       with ``k`` minimal
 
-Representations are immutable and hashable, which lets matrices over them
-be cached. Rings are immutable after construction and safe to share.
+Representations are immutable and hashable. Rings are immutable after
+construction and safe to share: nothing is cached on a ring object.
 """
 
 from __future__ import annotations

@@ -200,6 +200,8 @@ def gen_small(ring, n, shape, j, y):
 
 def placed_abcd(ring, n, offset, shape, p, c):
     """I_{2 offset} perp E(shape_p)(c) perp I, the inner E in Sp_{2(n-offset)}."""
+    if offset < 0:
+        raise BadIndices(f"offset {offset} is negative")
     inner = gen_abcd(ring, n - offset, shape, p, c)
     M = Matrix.identity(ring, 2 * n)
     return M.paste(2 * offset, 2 * offset, inner)

@@ -1,8 +1,12 @@
 """Words over the generator alphabet and their evaluation.
 
-Atoms are immutable and hashable; the matrix of an atom is memoized on
-the ring object, which makes the step-by-step verification done by the
-rewriting engine cheap.
+Atoms are immutable and hashable. Each atom G knows G - I as a short
+sum of rank-one terms, written out from its parameter in closed form:
+every generator here differs from the identity by one or two rank-one
+pieces whose row and column vectors are sign vectors. Evaluating a word
+applies those terms to the running product column by column, so an atom
+costs one ring multiplication per matrix row and term instead of a dense
+2n x 2n product. The rewriting engine checks every step this way.
 """
 
 from __future__ import annotations
@@ -10,16 +14,45 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import NonZeroDet, ParseError
+from .errors import BadIndices, DimensionMismatch, NonZeroDet, ParseError
 from .matrices import Matrix
-from .symplectic import (
-    gen_abcd,
-    gen_corner,
-    gen_s,
-    gen_small,
-    placed_abcd,
-    symp_inverse,
-)
+from .symplectic import SHAPES, pi_swap, symp_inverse
+
+# shape(v) = v * u w^t for the sign vectors (u, w) of each 2x2 shape
+_SHAPE_SIGNS = {
+    "A": ((1, 1), (1, 1)),
+    "B": ((1, 1), (1, -1)),
+    "C": ((1, -1), (1, 1)),
+    "D": ((1, -1), (-1, 1)),
+}
+
+# A term (lam, rows, cols) stands for lam * u w^t, where u is the sum of
+# sign * e_row over ``rows`` and w the sum of sign * e_col over ``cols``;
+# indices are 0-based. An atom's terms add up to its matrix minus I.
+
+
+def _block_terms(n, offset, shape, pos, x, zero):
+    """Terms of I_{2 offset} perp E(shape_pos)(x) perp I.
+
+    E(X) - I is X in rows 1-2 plus W = psi X^t psi in the block's rows;
+    for X = x u w^t at the block, W = x (psi w)(u^t psi)."""
+    if offset < 0 or not 2 <= pos <= n - offset:
+        raise BadIndices(f"position {pos} out of 2..{n - offset} for n={n}"
+                         + (f" at offset {offset}" if offset else ""))
+    if shape not in SHAPES:
+        raise BadIndices(f"unknown shape {shape!r}")
+    if x == zero:
+        return ()
+    (u0, u1), (w0, w1) = _SHAPE_SIGNS[shape]
+    top = 2 * offset
+    b = top + 2 * (pos - 1)
+    return ((x, ((top, u0), (top + 1, u1)), ((b, w0), (b + 1, w1))),
+            (x, ((b, w1), (b + 1, -w0)), ((top, -u1), (top + 1, u0))))
+
+
+def _single_terms(entries, zero):
+    """One term per nonzero (row, col, value) entry of G - I."""
+    return tuple((v, ((r, 1),), ((c, 1),)) for r, c, v in entries if v != zero)
 
 
 @dataclass(frozen=True)
@@ -28,11 +61,30 @@ class SAtom:
     j: int
     e: object
 
+    def _terms(self, ring, n):
+        """I + e e_ij - (-1)^(i+j) e e_(pi(j) pi(i)), 1-indexed."""
+        i, j = self.i, self.j
+        if not (1 <= i <= 2 * n and 1 <= j <= 2 * n):
+            raise BadIndices(f"indices {i}, {j} out of 1..{2 * n} for n={n}")
+        if i == j or j == pi_swap(i):
+            raise BadIndices(f"S_{i},{j} is not a generator for n={n}: needs i != j and j != pi(i)")
+        if self.e == ring.zero:
+            return ()
+        sign = -1 if (i + j) % 2 == 0 else 1
+        return ((self.e, ((i - 1, 1),), ((j - 1, 1),)),
+                (self.e, ((pi_swap(j) - 1, sign),), ((pi_swap(i) - 1, 1),)))
+
 
 @dataclass(frozen=True)
 class CornerAtom:
     kind: str  # E12 | E21
     e: object
+
+    def _terms(self, ring, n):
+        if self.kind not in ("E12", "E21"):
+            raise BadIndices(f"unknown corner kind {self.kind!r}")
+        r, c = (0, 1) if self.kind == "E12" else (1, 0)
+        return _single_terms([(r, c, self.e)], ring.zero)
 
 
 @dataclass(frozen=True)
@@ -41,6 +93,9 @@ class ABCDAtom:
     pos: int
     e: object
 
+    def _terms(self, ring, n):
+        return _block_terms(n, 0, self.shape, self.pos, self.e, ring.zero)
+
 
 @dataclass(frozen=True)
 class UnitAtom:
@@ -48,10 +103,30 @@ class UnitAtom:
     pos: int
     e: object
 
+    def _terms(self, ring, n):
+        """I perp (I_2 + shape(e)) perp I at position pos in 1..n."""
+        if self.shape not in ("B", "C"):
+            raise BadIndices("unit shapes are B and C")
+        if not 1 <= self.pos <= n:
+            raise BadIndices(f"position {self.pos} out of 1..{n} for n={n}")
+        if self.e == ring.zero:
+            return ()
+        (u0, u1), (w0, w1) = _SHAPE_SIGNS[self.shape]
+        b = 2 * (self.pos - 1)
+        return ((self.e, ((b, u0), (b + 1, u1)), ((b, w0), (b + 1, w1))),)
+
 
 @dataclass(frozen=True)
 class CornerMatrixAtom:
     rows: tuple  # ((a,b),(c,d)), det 1
+
+    def _terms(self, ring, n):
+        (a, b), (c, d) = self.rows
+        if not ring.is_one(ring.sub(ring.mul(a, d), ring.mul(b, c))):
+            raise NonZeroDet("corner block must have determinant 1")
+        one = ring.one
+        return _single_terms([(0, 0, ring.sub(a, one)), (0, 1, b),
+                              (1, 0, c), (1, 1, ring.sub(d, one))], ring.zero)
 
 
 @dataclass(frozen=True)
@@ -64,45 +139,64 @@ class PlacedAtom:
     pos: int
     e: object
 
+    def _terms(self, ring, n):
+        return _block_terms(n, self.offset, self.shape, self.pos, self.e, ring.zero)
+
 
 @dataclass(frozen=True)
 class DenseAtom:
     rows: tuple  # full 2n x 2n entries; must be symplectic
 
+    def _terms(self, ring, n):
+        size = 2 * n
+        if len(self.rows) != size or any(len(r) != size for r in self.rows):
+            raise DimensionMismatch(f"dense atom is not {size}x{size}")
+        one = ring.one
+        return _single_terms([(r, c, ring.sub(v, one) if r == c else v)
+                              for r, row in enumerate(self.rows)
+                              for c, v in enumerate(row)], ring.zero)
+
+
+def _combine(ring, a, b, plus):
+    """a + b (or a - b) entrywise, skipping the zeros of b and of a."""
+    zero = ring.zero
+    if plus:
+        add = ring.add
+        return [x if y == zero else y if x == zero else add(x, y) for x, y in zip(a, b)]
+    neg, sub = ring.neg, ring.sub
+    return [x if y == zero else neg(y) if x == zero else sub(x, y) for x, y in zip(a, b)]
+
+
+def _apply_terms(ring, cols, terms):
+    """Replace the matrix with columns ``cols`` by its product with G,
+    where G - I is the sum of ``terms``: for each term lam u w^t the
+    column y = lam * (M u) is added, with the signs of w, to the columns
+    of w. Every y is read off the old columns before any column changes."""
+    zero, mul = ring.zero, ring.mul
+    updates = []
+    for lam, rows, targets in terms:
+        (r0, s0), *rest = rows
+        z = cols[r0]
+        for r, s in rest:
+            z = _combine(ring, z, cols[r], s == s0)
+        y = [zero if v == zero else mul(lam, v) for v in z]
+        updates.append((y, s0, targets))
+    for y, s0, targets in updates:
+        for c, s in targets:
+            cols[c] = _combine(ring, cols[c], y, s == s0)
+
+
+def _eval(ring, n, atoms):
+    size = 2 * n
+    zero, one = ring.zero, ring.one
+    cols = [[one if r == c else zero for r in range(size)] for c in range(size)]
+    for atom in atoms:
+        _apply_terms(ring, cols, atom._terms(ring, n))
+    return Matrix(ring, zip(*cols))
+
 
 def atom_matrix(ring, n, atom):
-    cache = getattr(ring, "_atom_cache", None)
-    if cache is None:
-        cache = {}
-        ring._atom_cache = cache
-    key = (n, atom)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    M = _atom_matrix(ring, n, atom)
-    cache[key] = M
-    return M
-
-
-def _atom_matrix(ring, n, atom):
-    if isinstance(atom, SAtom):
-        return gen_s(ring, n, atom.i, atom.j, atom.e)
-    if isinstance(atom, CornerAtom):
-        return gen_corner(ring, n, atom.kind, atom.e)
-    if isinstance(atom, ABCDAtom):
-        return gen_abcd(ring, n, atom.shape, atom.pos, atom.e)
-    if isinstance(atom, UnitAtom):
-        return gen_small(ring, n, atom.shape, atom.pos, atom.e)
-    if isinstance(atom, CornerMatrixAtom):
-        blk = Matrix(ring, atom.rows)
-        if not ring.is_one(blk.det2()):
-            raise NonZeroDet("corner block must have determinant 1")
-        return blk.perp(Matrix.identity(ring, 2 * n - 2))
-    if isinstance(atom, PlacedAtom):
-        return placed_abcd(ring, n, atom.offset, atom.shape, atom.pos, atom.e)
-    if isinstance(atom, DenseAtom):
-        return Matrix(ring, atom.rows)
-    raise TypeError(f"not an atom: {atom!r}")
+    return _eval(ring, n, (atom,))
 
 
 def atom_inverse(ring, n, atom):
@@ -134,10 +228,7 @@ class Word:
         self.atoms = tuple(atoms)
 
     def eval(self):
-        M = Matrix.identity(self.ring, 2 * self.n)
-        for a in self.atoms:
-            M = M.mul(atom_matrix(self.ring, self.n, a))
-        return M
+        return _eval(self.ring, self.n, self.atoms)
 
     def inverse(self):
         inv = [atom_inverse(self.ring, self.n, a) for a in reversed(self.atoms)]
@@ -254,6 +345,10 @@ def word_from_text(ring, n, text):
                 atoms.append(CornerMatrixAtom(((a, b), (c, d))))
             else:
                 raise ParseError(f"unknown atom kind {toks[0]!r}")
+            if head != "CORNER":  # a corner block has no indices to check
+                atoms[-1]._terms(ring, n)
+        except BadIndices as exc:
+            raise ParseError(f"{line}: {exc}", line=lineno) from None
         except ParseError as exc:
             if exc.line is None:
                 raise ParseError(str(exc), line=lineno) from None
@@ -264,7 +359,4 @@ def word_from_text(ring, n, text):
 
 
 def eval_atoms(ring, n, atoms):
-    M = Matrix.identity(ring, 2 * n)
-    for a in atoms:
-        M = M.mul(atom_matrix(ring, n, a))
-    return M
+    return _eval(ring, n, atoms)

@@ -183,3 +183,33 @@ def test_verify_tables_localized_ring(capsys):
     assert run(["verify-tables", "--ring", "loc:zmod:15:s=2", "--n", "2..2",
                 "--seed", "4", "--trials", "1"]) == 0
     assert "items passed" in capsys.readouterr().out
+
+
+def test_decompose_rejects_bad_indices_at_parse(tmp_path, capsys):
+    src = tmp_path / "w.txt"
+    for text in ("S 1 9 4", "S 1 2 4", "S 1 1 4"):
+        src.write_text(text + "\n")
+        assert run(["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and text in err and "n=2" in err
+
+
+def test_decompose_names_corner_atom_by_text(tmp_path, capsys):
+    src = tmp_path / "w.txt"
+    src.write_text("CORNER 1 1 0 1\n")
+    assert run(["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "CORNER 1 1 0 1" in err and "normality-demo --gamma" in err and "Atom(" not in err
+
+
+def test_malformed_cover_is_a_parse_error(tmp_path, capsys):
+    gamma = tmp_path / "gamma.txt"
+    gamma.write_text("S 1 3 4\n")
+    h = tmp_path / "h.txt"
+    h.write_text("A 2 3\n")
+    cover = tmp_path / "cover.txt"
+    for text in ("s=2 c=1 b=2\n", "s=2 c=1 b=2 N=1 junk\n"):
+        cover.write_text(text)
+        assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
+                    "--h", str(h), "--cover", str(cover)]) == 2
+        assert "line 1" in capsys.readouterr().err

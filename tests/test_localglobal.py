@@ -264,3 +264,18 @@ def test_normality_demo_corner_gamma():
     out = lg.normality_demo(Z15, 2, gamma, h, cov)
     g = gamma.eval()
     assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
+
+
+def test_no_caches_hang_off_ring_objects():
+    import gc
+
+    from sympelem.rewrite import decompose_full
+    from sympelem.rings import Ring
+
+    before = {id(r): set(vars(r)) for r in (QT, Z15)}
+    cert = decompose_full(Word(QT, 3, [SAtom(3, 5, T), CornerAtom("E21", QT.one), SAtom(1, 4, T)]))
+    assert cert.output_word.eval() == cert.input_word.eval()
+    h = Word(Z15, 2, [ABCDAtom("A", 2, 3)])
+    lg.normality_demo(Z15, 2, Word(Z15, 2, [SAtom(1, 3, 4)]), h, _z15_cover())
+    assert {id(r): set(vars(r)) for r in (QT, Z15)} == before
+    assert not [r for r in gc.get_objects() if isinstance(r, Ring) and hasattr(r, "_atom_cache")]

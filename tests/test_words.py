@@ -1,24 +1,60 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympelem.errors import ParseError
+from sympelem.errors import BadIndices, ParseError
 from sympelem.matrices import Matrix
-from sympelem.rings import PolyRing, Rationals, Zmod
-from sympelem.symplectic import pi_swap
+from sympelem.rings import Localized, PolyRing, Rationals, Zmod, ring_from_descriptor
+from sympelem.symplectic import (
+    corner_embed,
+    gen_abcd,
+    gen_corner,
+    gen_s,
+    gen_small,
+    pi_swap,
+    placed_abcd,
+)
 from sympelem.words import (
     ABCDAtom,
     CornerAtom,
     CornerMatrixAtom,
+    DenseAtom,
     PlacedAtom,
     SAtom,
     UnitAtom,
     Word,
     atom_matrix,
+    eval_atoms,
     word_from_text,
 )
 
 Z15 = Zmod(15)
+
+
+def gen_matrix(ring, n, atom):
+    """The atom's matrix from the definitions in ``symplectic``."""
+    if isinstance(atom, SAtom):
+        return gen_s(ring, n, atom.i, atom.j, atom.e)
+    if isinstance(atom, CornerAtom):
+        return gen_corner(ring, n, atom.kind, atom.e)
+    if isinstance(atom, ABCDAtom):
+        return gen_abcd(ring, n, atom.shape, atom.pos, atom.e)
+    if isinstance(atom, UnitAtom):
+        return gen_small(ring, n, atom.shape, atom.pos, atom.e)
+    if isinstance(atom, PlacedAtom):
+        return placed_abcd(ring, n, atom.offset, atom.shape, atom.pos, atom.e)
+    if isinstance(atom, CornerMatrixAtom):
+        return corner_embed(Matrix(ring, atom.rows), n)
+    return Matrix(ring, atom.rows)
+
+
+def dense_product(ring, n, atoms):
+    prod = Matrix.identity(ring, 2 * n)
+    for a in atoms:
+        prod = prod.mul(gen_matrix(ring, n, a))
+    return prod
 
 
 def rand_atom(ring, n, rng):
@@ -53,10 +89,113 @@ def test_eval_matches_naive_product():
     rng = random.Random(18)
     for _ in range(10):
         w = Word(Z15, 3, [rand_atom(Z15, 3, rng) for _ in range(6)])
-        prod = Matrix.identity(Z15, 6)
-        for a in w.atoms:
-            prod = prod.mul(atom_matrix(Z15, 3, a))
-        assert w.eval() == prod
+        assert w.eval() == dense_product(Z15, 3, w.atoms)
+
+
+def _tower():
+    """(Z/15[Y])_s[X], the ring ``patch`` works over, at the cover's s = 2."""
+    ry = PolyRing(Z15, ("Y",))
+    return PolyRing(Localized(ry, ry.const(2)), ("X",))
+
+
+EVAL_RINGS = {
+    "zmod:15": Z15,
+    "poly:q:t": ring_from_descriptor("poly:q:t"),
+    "loc:poly:q:t:s=t": ring_from_descriptor("loc:poly:q:t:s=t"),
+    "tower": _tower(),
+}
+
+
+def _element(ring, c0, c1, k):
+    """c0 + c1 * v / s^k for the ring's variable v and localization s,
+    built up the ring's tower; over Z/15 or Q just c0 + 4 c1."""
+    if isinstance(ring, (Zmod, Rationals)):
+        return ring.from_int(c0 + 4 * c1)
+    if isinstance(ring, Localized):
+        return ring.frac(_element(ring.base, c0, c1, 0), k)
+    var = ring.var(ring.names[0])
+    inner = _element(ring.base, c1, c0, k)
+    return ring.add(ring.from_int(c0), ring.mul(ring.const(inner), var))
+
+
+@st.composite
+def atoms_for(draw, ring, n):
+    elem = st.builds(lambda c: _element(ring, *c),
+                     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)))
+    kinds = ["E12", "E21", "CORNER"] if n == 1 else \
+        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "PLACED", "DENSE"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("E12", "E21"):
+        return CornerAtom(kind, draw(elem))
+    if kind == "S":
+        i = draw(st.integers(1, 2 * n))
+        j = draw(st.integers(1, 2 * n).filter(lambda j: j != i and j != pi_swap(i)))
+        return SAtom(i, j, draw(elem))
+    if kind == "ABCD":
+        return ABCDAtom(draw(st.sampled_from("ABCD")), draw(st.integers(2, n)), draw(elem))
+    if kind == "UNIT":
+        return UnitAtom(draw(st.sampled_from("BC")), draw(st.integers(1, n)), draw(elem))
+    if kind == "PLACED":
+        offset = draw(st.integers(0, n - 2))
+        return PlacedAtom(offset, draw(st.sampled_from("ABCD")),
+                          draw(st.integers(2, n - offset)), draw(elem))
+    if kind == "CORNER":
+        rows = gen_corner(ring, 1, "E12", draw(elem)).mul(gen_corner(ring, 1, "E21", draw(elem)))
+        return CornerMatrixAtom(rows.rows)
+    # a dense symplectic matrix: a transvection times a shape generator
+    i = draw(st.integers(3, 2 * n))
+    g = gen_s(ring, n, 1, i, draw(elem)).mul(gen_abcd(ring, n, "D", n, draw(elem)))
+    return DenseAtom(g.rows)
+
+
+@st.composite
+def words_for(draw, ring):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.lists(atoms_for(ring, n), max_size=4))
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_RINGS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_eval_atoms_matches_generator_product(name, data):
+    ring = EVAL_RINGS[name]
+    n, atoms = data.draw(words_for(ring))
+    want = dense_product(ring, n, atoms)
+    assert eval_atoms(ring, n, atoms) == want
+    assert Word(ring, n, atoms).eval() == want
+
+
+def test_atom_indices_rejected_like_the_generators():
+    """Evaluating an atom raises BadIndices exactly where its generator
+    in ``symplectic`` does, whatever the parameter."""
+    for n in (1, 2, 3):
+        span = range(-1, 2 * n + 2)
+        atoms = [SAtom(i, j, e) for i in span for j in span for e in (0, 4)]
+        atoms += [ABCDAtom(sh, p, 4) for sh in "ABCDE" for p in span]
+        atoms += [UnitAtom(sh, p, e) for sh in "ABC" for p in span for e in (0, 4)]
+        atoms += [CornerAtom(k, 4) for k in ("E12", "E21", "E11")]
+        atoms += [PlacedAtom(o, sh, p, 4) for o in range(-1, n + 1) for sh in "AD" for p in span]
+        for atom in atoms:
+            try:
+                gen_matrix(Z15, n, atom)
+                rejected = False
+            except BadIndices:
+                rejected = True
+            if rejected:
+                with pytest.raises(BadIndices):
+                    atom_matrix(Z15, n, atom)
+                with pytest.raises(BadIndices):
+                    Word(Z15, n, [atom]).eval()
+            else:
+                assert atom_matrix(Z15, n, atom) == gen_matrix(Z15, n, atom)
+
+
+def test_parse_rejects_bad_indices():
+    for text in ("S 1 9 4", "S 1 2 4", "S 1 1 4", "A 1 3", "D 3 3", "UB 0 2", "UC 3 2"):
+        with pytest.raises(ParseError) as exc:
+            word_from_text(Z15, 2, "# heading\n" + text + "\n")
+        msg = str(exc.value)
+        assert msg.startswith("line 2:") and text in msg and "n=2" in msg
 
 
 def test_text_round_trip():
