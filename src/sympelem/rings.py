@@ -14,11 +14,20 @@ on representations:
 
 Representations are immutable and hashable. Rings are immutable after
 construction and safe to share: nothing is cached on a ring object.
+
+``PolyRing`` arithmetic relies on its term-order invariant: the exponents
+of a polynomial are strictly descending in graded-lex order (total degree
+first, then the exponent tuple; univariate, the exponent alone) and no
+coefficient is zero. ``add`` and ``sub`` merge two such tuples in one pass,
+and ``mul`` by a single term shifts the other operand's exponents, which
+keeps the order because graded-lex is a monomial order; neither sorts.
+Every operation must return a tuple with the same invariant.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import EvenModulus, NilpotentS, ParseError, ZeroDivisorS
@@ -126,8 +135,14 @@ class Zmod(Ring):
     def add(self, a, b):
         return (a + b) % self.m
 
+    def sub(self, a, b):
+        return (a - b) % self.m
+
     def neg(self, a):
         return (-a) % self.m
+
+    def is_zero(self, a):
+        return not a
 
     def mul(self, a, b):
         return (a * b) % self.m
@@ -144,14 +159,14 @@ class Zmod(Ring):
         return pow(a, -1, self.m)
 
     def try_exact_div(self, a, d):
-        inv = self.try_invert(d)
-        if inv is not None:
-            return a * inv % self.m
-        if self.m <= 10**5:
-            for q in range(self.m):
-                if q * d % self.m == a:
-                    return q
-        return None
+        """Least q in [0, m) with q*d == a, or None. With g = gcd(d, m) a
+        solution exists iff g divides a, and the solutions are
+        (a/g) * (d/g)^-1 modulo m/g."""
+        g = math.gcd(d, self.m)
+        if a % g:
+            return None
+        mg = self.m // g
+        return (a // g) * pow(d // g, -1, mg) % mg
 
     def is_nilpotent_elem(self, a):
         x = a % self.m
@@ -193,6 +208,9 @@ class Rationals(Ring):
 
     def from_int(self, k):
         return Fraction(k)
+
+    def is_zero(self, a):
+        return not a
 
     def dot(self, row, col):
         acc = Fraction(0)
@@ -273,14 +291,50 @@ class PolyRing(Ring):
             return b
         if not b:
             return a
-        d = dict(a)
-        badd = self.base.add
-        for e, c in b:
-            if e in d:
-                d[e] = badd(d[e], c)
+        return self._merge(a, b, self.base.add, None)
+
+    def sub(self, a, b):
+        if not b:
+            return a
+        if not a:
+            return self.neg(b)
+        return self._merge(a, b, self.base.sub, self.base.neg)
+
+    def _merge(self, a, b, combine, bneg):
+        """Terms of a + b, or of a - b when ``bneg`` negates b's
+        coefficients, by one two-pointer pass over both descending tuples.
+        Only coinciding exponents combine, and only their sums can be 0."""
+        if self.nvars == 1:
+            # univariate grlex is the order of the exponents themselves;
+            # the first tuple zip(*terms) yields holds every exponent
+            ka = next(zip(*a))
+            kb = next(zip(*b))
+        else:
+            ka = [(sum(e), e) for e, _ in a]
+            kb = [(sum(e), e) for e, _ in b]
+        is_zero = self.base.is_zero
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            x, y = ka[i], kb[j]
+            if x > y:
+                out.append(a[i])
+                i += 1
+            elif x < y:
+                out.append(b[j] if bneg is None else (b[j][0], bneg(b[j][1])))
+                j += 1
             else:
-                d[e] = c
-        return self.freeze(d)
+                c = combine(a[i][1], b[j][1])
+                if not is_zero(c):
+                    out.append((a[i][0], c))
+                i += 1
+                j += 1
+        if i < na:
+            out.extend(a[i:])
+        if j < nb:
+            out.extend(b[j:] if bneg is None else ((e, bneg(c)) for e, c in b[j:]))
+        return tuple(out)
 
     def neg(self, a):
         bneg = self.base.neg
@@ -293,6 +347,8 @@ class PolyRing(Ring):
             return b
         if b == self.one:
             return a
+        if len(a) == 1 or len(b) == 1:
+            return self._mul_monomial(a, b)
         d = {}
         badd = self.base.add
         bmul = self.base.mul
@@ -305,6 +361,29 @@ class PolyRing(Ring):
                 else:
                     d[e] = c
         return self.freeze(d)
+
+    def _mul_monomial(self, a, b):
+        """a * b where one operand is a single term: shift the other by its
+        exponent and scale by its coefficient. Multiplying by a monomial
+        keeps grlex order, so the result needs no sort; products that
+        vanish over a zero-divisor base are dropped."""
+        if len(a) == 1:
+            a, b = b, a
+        (em, cm), = b
+        bmul, is_zero = self.base.mul, self.base.is_zero
+        out = []
+        if self.nvars == 1:
+            (k,) = em
+            for (e,), c in a:
+                c = bmul(c, cm)
+                if not is_zero(c):
+                    out.append(((e + k,), c))
+        else:
+            for e, c in a:
+                c = bmul(c, cm)
+                if not is_zero(c):
+                    out.append((tuple(map(operator.add, e, em)), c))
+        return tuple(out)
 
     def from_int(self, k):
         return self.const(self.base.from_int(k))
@@ -398,17 +477,20 @@ class PolyRing(Ring):
         return all(self.base.is_nilpotent_elem(c) for _, c in a) if a else True
 
     def is_zero_divisor_elem(self, a):
+        """Exact, by McCoy's theorem: a polynomial is a zero divisor iff a
+        nonzero constant annihilates it. Over a tower rooted at Z/m that
+        means m shares a factor p with every root-level coefficient (the
+        polynomial vanishes mod p); localized numerators count as they
+        stand, because an s that is no zero divisor is nonzero mod every
+        such p. A tower rooted at Q is a domain."""
         if not a:
             return True
-        if isinstance(self.base, Zmod) and self.base.m <= 10**5:
-            # a constant annihilator suffices to witness a zero divisor
-            for c in range(1, self.base.m):
-                if all(self.base.mul(c, coef) == 0 for _, coef in a):
-                    return True
+        root = self.base
+        while isinstance(root, (PolyRing, Localized)):
+            root = root.base
+        if not isinstance(root, Zmod):
             return False
-        if isinstance(self.base, (Rationals, PolyRing)):
-            return False
-        return False
+        return math.gcd(root.m, *_root_coefficients(self, a)) > 1
 
     def sample(self, rng, small=False):
         nterms = rng.randint(0, 2)
@@ -451,6 +533,18 @@ class PolyRing(Ring):
 
     def descriptor(self):
         return f"poly:{self.base.descriptor()}:{','.join(self.names)}"
+
+
+def _root_coefficients(ring, a):
+    """The coefficients of ``a`` in the ring at the root of its tower, read
+    through every polynomial coefficient and localized numerator."""
+    if isinstance(ring, PolyRing):
+        for _, c in a:
+            yield from _root_coefficients(ring.base, c)
+    elif isinstance(ring, Localized):
+        yield from _root_coefficients(ring.base, a[0])
+    else:
+        yield a
 
 
 def _is_simple(s):
@@ -501,10 +595,17 @@ class Localized(Ring):
 
     def add(self, a, b):
         (na, ka), (nb, kb) = a, b
+        if ka == kb:
+            return self.normalize(self.base.add(na, nb), ka)
         k = max(ka, kb)
         sa = self.base.mul(na, self.base.pow_int(self.s, k - ka))
         sb = self.base.mul(nb, self.base.pow_int(self.s, k - kb))
         return self.normalize(self.base.add(sa, sb), k)
+
+    def sub(self, a, b):
+        if a[1] == b[1]:
+            return self.normalize(self.base.sub(a[0], b[0]), a[1])
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
         return (self.base.neg(a[0]), a[1])
@@ -561,7 +662,8 @@ class Localized(Ring):
         return self.normalize(inv, j - k)
 
     def is_zero_divisor_elem(self, a):
-        return self.base.is_zero(a[0])
+        # s^k is a unit and s is no zero divisor, so a/s^k is one iff a is
+        return self.base.is_zero_divisor_elem(a[0])
 
     def sample(self, rng, small=False):
         num = self.base.sample(rng, small=small)

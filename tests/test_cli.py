@@ -213,3 +213,11 @@ def test_malformed_cover_is_a_parse_error(tmp_path, capsys):
         assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
                     "--h", str(h), "--cover", str(cover)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+def test_localization_at_a_zero_divisor_in_a_tower(tmp_path, capsys):
+    src = tmp_path / "w.txt"
+    src.write_text("A 2 1\n")
+    for ring in ("loc:poly:zmod:200001:t:s=3*t", "loc:poly:poly:zmod:15:y:x:s=3"):
+        assert run(["decompose", "--ring", ring, "--n", "2", "--in", str(src)]) == 2
+        assert "zero divisor" in capsys.readouterr().err

@@ -220,3 +220,163 @@ def test_valuation_floor():
     z15 = Zmod(15)
     u = Localized(z15, 2)
     assert u.valuation_floor(u.embed(7), cap=16) == 16
+
+
+def test_zmod_exact_div_matches_brute_force():
+    for m in (3, 9, 15, 21, 25, 27, 45, 105):
+        ring = Zmod(m)
+        for d in range(m):
+            least = {}
+            for q in range(m - 1, -1, -1):
+                least[q * d % m] = q
+            for a in range(m):
+                assert ring.try_exact_div(a, d) == least.get(a), (m, a, d)
+    # beyond the old scan's 10^5 cutoff: 6q = 3 (mod 300009) is solvable
+    big = Zmod(300009)
+    q = big.try_exact_div(3, 6)
+    assert q is not None and q * 6 % big.m == 3
+    assert not any(r * 6 % big.m == 3 for r in range(q))
+    assert big.try_exact_div(4, 6) is None
+
+
+@pytest.mark.parametrize("text", ["loc:poly:zmod:200001:t:s=3*t",
+                                  "loc:poly:poly:zmod:15:y:x:s=3",
+                                  "loc:loc:zmod:15:s=2:s=3"])
+def test_localize_rejects_zero_divisor_in_towers(text):
+    with pytest.raises(ZeroDivisorS):
+        ring_from_descriptor(text)
+
+
+def test_localize_accepts_non_zero_divisor_in_towers():
+    # 3t + 1 has a unit constant term mod 15; t is monic
+    for text in ("loc:poly:zmod:15:t:s=1+3*t", "loc:poly:zmod:200001:t:s=t",
+                 "loc:poly:poly:zmod:15:y:x:s=x+3*y", "loc:poly:q:t:s=t"):
+        ring_from_descriptor(text)
+
+
+def _annihilated(ring, f, candidates):
+    return any(not ring.is_zero(g) and ring.is_zero(ring.mul(f, g)) for g in candidates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 9, 15, 21, 25, 27]), st.data())
+def test_mccoy_matches_annihilator_search(m, data):
+    """The gcd test agrees with a search for a nonzero annihilator of degree
+    <= 1 over Z/m[x], Z/m[y][x] and (Z/m[y])_y[x]."""
+    zm = Zmod(m)
+    coeffs = st.lists(st.sampled_from(range(m)), min_size=1, max_size=3)
+
+    zx = PolyRing(zm, ("x",))
+    f = zx.freeze({(e,): c for e, c in enumerate(data.draw(coeffs))})
+    lin = [zx.freeze({(0,): c0, (1,): c1}) for c0 in range(m) for c1 in range(m)]
+    assert zx.is_zero_divisor_elem(f) == _annihilated(zx, f, lin)
+
+    zy = PolyRing(zm, ("y",))
+    zyx = PolyRing(zy, ("x",))
+    inner = [zy.freeze({(e,): c for e, c in enumerate(data.draw(coeffs))})
+             for _ in range(data.draw(st.integers(1, 2)))]
+    g = zyx.freeze({(e,): c for e, c in enumerate(inner)})
+    lin = [zyx.freeze({(0,): zy.freeze({(0,): c0, (1,): c1})})
+           for c0 in range(m) for c1 in range(m)]
+    lin += [zyx.freeze({(0,): zy.const(c0), (1,): zy.const(c1)})
+            for c0 in range(m) for c1 in range(m)]
+    assert zyx.is_zero_divisor_elem(g) == _annihilated(zyx, g, lin)
+
+    loc = Localized(zy, zy.var("y"))
+    lx = PolyRing(loc, ("x",))
+    k = data.draw(st.integers(0, 2))
+    h = lx.freeze({(e,): loc.frac(c, k) for e, c in enumerate(inner)})
+    lin = [lx.freeze({(0,): loc.embed(zy.const(c0)), (1,): loc.embed(zy.const(c1))})
+           for c0 in range(m) for c1 in range(m)]
+    assert lx.is_zero_divisor_elem(h) == _annihilated(lx, h, lin)
+
+
+# -- the polynomial kernels against the dict-and-sort arithmetic they replace --
+
+class DictSortPolyRing(PolyRing):
+    """Reference arithmetic: collect the terms in a dict, drop the zero
+    coefficients and sort the rest, on every operation."""
+
+    def _freeze(self, d):
+        items = [(e, c) for e, c in d.items() if not self.base.is_zero(c)]
+        items.sort(key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return tuple(items)
+
+    def add(self, a, b):
+        d = dict(a)
+        for e, c in b:
+            d[e] = self.base.add(d[e], c) if e in d else c
+        return self._freeze(d)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        d = {}
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(sum, zip(e1, e2)))
+                c = self.base.mul(c1, c2)
+                d[e] = self.base.add(d[e], c) if e in d else c
+        return self._freeze(d)
+
+
+def _assert_canonical(ring, p):
+    keys = [(sum(e), e) for e, _ in p]
+    assert all(x > y for x, y in zip(keys, keys[1:])), p
+    assert not any(ring.base.is_zero(c) for _, c in p), p
+
+
+def test_monomial_mul_drops_vanishing_products():
+    # 3 * 5 = 0 in Z/15, with the single term on either side
+    zxy = PolyRing(Zmod(15), ("x", "y"))
+    x, y = zxy.var("x"), zxy.var("y")
+    three_x = zxy.scale_int(3, x)
+    five_y_plus_x = zxy.add(zxy.scale_int(5, y), x)
+    assert zxy.mul(three_x, five_y_plus_x) == zxy.mul(five_y_plus_x, three_x) \
+        == zxy.scale_int(3, zxy.mul(x, x))
+    zt = PolyRing(Zmod(15), ("t",))
+    t = zt.var("t")
+    assert zt.mul(zt.add(zt.scale_int(5, t), zt.one), zt.scale_int(3, t)) == zt.scale_int(3, t)
+
+
+def _kernel_towers():
+    """(name, ring, reference ring, coefficient strategy) for
+    poly:zmod:15:x,y, poly:q:t and the (Z/15[Y])_s[X] towers of patch,
+    with s a unit (2) and a non-unit (Y)."""
+    z15 = Zmod(15)
+    residues = st.integers(0, 14)
+    out = [("zmod15-xy", PolyRing(z15, ("x", "y")), DictSortPolyRing(z15, ("x", "y")),
+            residues),
+           ("q-t", PolyRing(Rationals(), ("t",)), DictSortPolyRing(Rationals(), ("t",)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3))]
+    for label in ("2", "Y"):
+        rings = []
+        for cls in (PolyRing, DictSortPolyRing):
+            ry = cls(z15, ("Y",))
+            s = ry.const(2) if label == "2" else ry.var("Y")
+            rings.append(cls(Localized(ry, s), ("X",)))
+        inner = st.dictionaries(st.tuples(st.integers(0, 2)), residues, max_size=3)
+        coeff = st.builds(lambda d, k, loc=rings[1].base: loc.frac(loc.base._freeze(d), k),
+                          inner, st.integers(0, 2))
+        out.append((f"z15-Y-s={label}-X", rings[0], rings[1], coeff))
+    return out
+
+
+_TOWERS = _kernel_towers()
+
+
+@pytest.mark.parametrize("name,ring,ref,coeff", _TOWERS, ids=[t[0] for t in _TOWERS])
+def test_poly_kernels_match_dict_sort_reference(name, ring, ref, coeff):
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    elems = st.dictionaries(exps, coeff, max_size=4).map(ref._freeze)
+
+    @settings(max_examples=300, deadline=None)
+    @given(elems, elems)
+    def check(a, b):
+        for op in ("add", "sub", "mul"):
+            got = getattr(ring, op)(a, b)
+            assert got == getattr(ref, op)(a, b), (op, a, b)
+            _assert_canonical(ring, got)
+
+    check()
