@@ -21,10 +21,6 @@ from .words import Word, word_from_text
 
 USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.NilpotentS, err.ZeroDivisorS,
                 err.BadIndices, err.AlphabetViolation, FileNotFoundError, ValueError)
-VERIFY_ERRORS = (err.StepVerificationFailed, err.LocalWordMismatch, err.CoverNotComaximal,
-                 err.NotHomotopy, err.StepBudgetExceeded, err.NoRuleFound,
-                 err.NonZeroDet, err.NotE2Witnessed, err.ExponentTooSmall,
-                 err.RowConditionFailed, err.DimensionMismatch)
 
 
 def _parse_n_range(text):
@@ -250,7 +246,7 @@ def main(argv=None):
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VERIFY_ERRORS as exc:
+    except err.SympelemError as exc:  # every other failure is a verification one
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from .errors import (
 from .identities import _CROSSING, _UNIT_AT_1, unit_bracket_shapes
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, Word, atom_matrix, atom_to_text
+from .words import ABCDAtom, CornerMatrixAtom, Word, atom_matrix
 
 DEFAULT_FUEL = 64
 MAX_ATOMS = 200_000
@@ -325,7 +325,7 @@ def dilate(base_ring, s, n, word, fuel=DEFAULT_FUEL, max_atoms=MAX_ATOMS):
     for atom in word.atoms:
         if not isinstance(atom, ABCDAtom):
             raise AlphabetViolation(
-                f"dilate needs a pure shape word, got {atom_to_text(RsX, atom)!r}")
+                f"dilate needs a pure shape word, got {atom._text(RsX)!r}")
         b0 = RsX.eval_at_zero(atom.e)
         bp = RsX.shift_down(atom.e)
         den_cap = max(den_cap, b0[1], max((v[1] for _, v in bp), default=0))

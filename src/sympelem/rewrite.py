@@ -15,7 +15,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AlphabetViolation, NoRuleFound, NotE2Witnessed, StepVerificationFailed
+from .errors import (
+    AlphabetViolation,
+    BadIndices,
+    NoRuleFound,
+    NotE2Witnessed,
+    StepVerificationFailed,
+)
 from .matrices import Matrix
 from .identities import (
     corner_correction,
@@ -24,7 +30,7 @@ from .identities import (
     split_b_form,
     unit_bracket_atoms,
 )
-from .symplectic import corner_embed, graded_block, pi_swap, symp_inverse
+from .symplectic import pi_swap, symp_inverse
 from .words import (
     ABCDAtom,
     CornerAtom,
@@ -32,8 +38,8 @@ from .words import (
     SAtom,
     UnitAtom,
     Word,
+    _single_terms,
     atom_matrix,
-    atom_to_text,
     eval_atoms,
 )
 
@@ -47,7 +53,7 @@ def _digest(ring, items):
 
 
 def _atoms_digest(ring, atoms):
-    return _digest(ring, [atom_to_text(ring, a) for a in atoms])
+    return _digest(ring, [a._text(ring) for a in atoms])
 
 
 class Trace:
@@ -61,14 +67,17 @@ class Trace:
 def _alphabet_error(ring, what, atom):
     hint = (" (a CORNER atom is accepted only by normality-demo --gamma)"
             if isinstance(atom, CornerMatrixAtom) else "")
-    return AlphabetViolation(f"{what} {atom_to_text(ring, atom)!r}{hint}")
+    return AlphabetViolation(f"{what} {atom._text(ring)!r}{hint}")
+
+
+def _same(ring, n, rule, before_atoms, after_atoms):
+    """Raise unless the two atom lists evaluate to the same matrix."""
+    if eval_atoms(ring, n, before_atoms) != eval_atoms(ring, n, after_atoms):
+        raise StepVerificationFailed(f"rule {rule!r} changed the evaluation")
 
 
 def _check(ring, n, rule, before_atoms, after_atoms, trace):
-    lhs = eval_atoms(ring, n, before_atoms)
-    rhs = eval_atoms(ring, n, after_atoms)
-    if lhs != rhs:
-        raise StepVerificationFailed(f"rule {rule!r} changed the evaluation")
+    _same(ring, n, rule, before_atoms, after_atoms)
     trace.record(rule, _atoms_digest(ring, before_atoms), _atoms_digest(ring, after_atoms))
 
 
@@ -200,7 +209,8 @@ def reduce_to_row12(word, trace=None):
 
 @dataclass
 class GradedForm:
-    """A one-block graded matrix [[lam x, lam y],[mu x, mu y]] at pos."""
+    """A one-block graded matrix [[lam x, lam y],[mu x, mu y]] at pos,
+    evaluable like any atom."""
     lam: object
     mu: object
     x: object
@@ -208,10 +218,20 @@ class GradedForm:
     pos: int
     witness: tuple = ()  # corner atoms with first column (lam, mu)
 
-    def matrix(self, ring, n):
-        return graded_block(ring, n, self.lam, self.mu, self.x, self.y, self.pos)
+    def _terms(self, ring, n):
+        """E(X) - I for X = (lam, mu)^t (x, y): X in rows 1-2 and
+        W = psi X^t psi = [[-mu y, lam y], [mu x, -lam x]] in the block's rows."""
+        if not 2 <= self.pos <= n:
+            raise BadIndices(f"position {self.pos} out of 2..{n} for n={n}")
+        mul, neg = ring.mul, ring.neg
+        lx, ly = mul(self.lam, self.x), mul(self.lam, self.y)
+        mx, my = mul(self.mu, self.x), mul(self.mu, self.y)
+        b = 2 * (self.pos - 1)
+        return _single_terms([(0, b, lx), (0, b + 1, ly), (1, b, mx), (1, b + 1, my),
+                              (b, 0, neg(my)), (b, 1, ly), (b + 1, 0, mx), (b + 1, 1, neg(lx))],
+                             ring.zero)
 
-    def text(self, ring):
+    def _text(self, ring):
         return "GRADED " + " ".join(ring.show(v) for v in (self.lam, self.mu, self.x, self.y)) \
             + f" @{self.pos}"
 
@@ -221,9 +241,6 @@ class CornerWitness:
     """A 2x2 corner together with its explicit transvection word."""
     matrix: Matrix
     word: tuple  # CornerAtoms
-
-    def embed(self, n):
-        return corner_embed(self.matrix, n)
 
 
 _OMEGA_WITNESS = ("E21", 1), ("E12", -1), ("E21", 1)
@@ -248,10 +265,6 @@ def _corner_apply_inv(ring, kind, v, lam, mu):
     return lam, ring.sub(mu, ring.mul(v, lam))
 
 
-def _invert_corner_atoms(ring, atoms):
-    return tuple(CornerAtom(a.kind, ring.neg(a.e)) for a in reversed(atoms))
-
-
 def decompose_initial(word, trace=None):
     """Split a row-1/2 word as (corner delta, body over shapes and units).
 
@@ -273,25 +286,17 @@ def decompose_initial(word, trace=None):
     for atom in word.atoms:
         if isinstance(atom, SAtom):
             g = _s_to_graded(ring, atom)
-            if g.matrix(ring, n) != atom_matrix(ring, n, atom):
-                raise StepVerificationFailed("transvection-to-block mismatch")
-            trace.record("transvection-to-block", _atoms_digest(ring, [atom]),
-                         _digest(ring, [g.text(ring)]))
+            _check(ring, n, "transvection-to-block", [atom], [g], trace)
             blocks.append(g)
         else:
-            inv_kind, inv_v = atom.kind, ring.neg(atom.e)
+            inv = atom._inverse(ring)
             new_blocks = []
             for g in blocks:
                 lam2, mu2 = _corner_apply_inv(ring, atom.kind, atom.e, g.lam, g.mu)
-                g2 = GradedForm(lam2, mu2, g.x, g.y, g.pos,
-                                (CornerAtom(inv_kind, inv_v),) + g.witness)
-                lhs = atom_matrix(ring, n, CornerAtom(inv_kind, inv_v)) \
-                    .mul(g.matrix(ring, n)).mul(atom_matrix(ring, n, atom))
-                if lhs != g2.matrix(ring, n):
-                    raise StepVerificationFailed("corner-fold mismatch")
+                g2 = GradedForm(lam2, mu2, g.x, g.y, g.pos, (inv,) + g.witness)
+                _same(ring, n, "corner-fold", [inv, g, atom], [g2])
                 new_blocks.append(g2)
-            trace.record("corner-fold", _atoms_digest(ring, [atom]),
-                         _digest(ring, [g.text(ring) for g in new_blocks]))
+            trace.record("corner-fold", _atoms_digest(ring, [atom]), _atoms_digest(ring, new_blocks))
             blocks = new_blocks
             delta_word.append(atom)
 
@@ -303,7 +308,7 @@ def decompose_initial(word, trace=None):
         a = ring.half(ring.add(g.x, g.y))
         b = ring.half(ring.sub(g.x, g.y))
         ab2 = ring.scale_int(2, ring.mul(a, b))
-        ch = corner_correction(ring, g.lam, g.mu, a, b)
+        ch = CornerMatrixAtom(corner_correction(ring, g.lam, g.mu, a, b).rows)
         one, zero = ring.one, ring.zero
         if ring.is_zero(ab2):
             ch_word = []
@@ -313,32 +318,25 @@ def decompose_initial(word, trace=None):
             ch_word = [CornerAtom("E21", ring.neg(ab2))]
         else:
             eps = list(g.witness)
-            ch_word = eps + [CornerAtom("E12", ab2)] + list(_invert_corner_atoms(ring, eps))
-        if ch_word and eval_atoms(ring, 1, ch_word) != ch:
-            raise StepVerificationFailed("corner-correction witness mismatch")
+            ch_word = eps + [CornerAtom("E12", ab2)] + [e._inverse(ring) for e in reversed(eps)]
+        if ch_word:
+            _same(ring, 1, "corner-correction witness", ch_word, [ch])
         # graded = ch * A-form * B-form
         af = GradedForm(g.lam, g.mu, a, a, g.pos)
         bf = GradedForm(g.lam, g.mu, b, ring.neg(b), g.pos)
-        lhs = g.matrix(ring, n)
-        rhs = corner_embed(ch, n).mul(af.matrix(ring, n)).mul(bf.matrix(ring, n))
-        if lhs != rhs:
-            raise StepVerificationFailed("graded-split mismatch")
-        trace.record("graded-split", _digest(ring, [g.text(ring)]),
-                     _digest(ring, [af.text(ring), bf.text(ring)]))
+        _same(ring, n, "graded-split", [g], [ch, af, bf])
+        trace.record("graded-split", _atoms_digest(ring, [g]), _atoms_digest(ring, [af, bf]))
         # fold ch left across the pending forms
         if ch_word:
-            ch_inv = ch.adj2()
+            ch_inv = ch._inverse(ring)
+            top, bottom = ch_inv.rows
             new_forms = []
             for (kind, lam, mu, val, pos) in forms:
-                col = Matrix(ring, [(lam,), (mu,)])
-                col2 = ch_inv.mul(col)
-                lam2, mu2 = col2.rows[0][0], col2.rows[1][0]
+                lam2, mu2 = ring.dot(top, (lam, mu)), ring.dot(bottom, (lam, mu))
                 y_old = val if kind == "A" else ring.neg(val)
                 before = GradedForm(lam, mu, val, y_old, pos)
                 after = GradedForm(lam2, mu2, val, y_old, pos)
-                lhs = corner_embed(ch_inv, n).mul(before.matrix(ring, n)).mul(corner_embed(ch, n))
-                if lhs != after.matrix(ring, n):
-                    raise StepVerificationFailed("correction-fold mismatch")
+                _same(ring, n, "correction-fold", [ch_inv, before, ch], [after])
                 new_forms.append((kind, lam2, mu2, val, pos))
             trace.record("correction-fold", _digest(ring, [ring.show(ab2)]),
                          _digest(ring, [f[0] for f in new_forms]))
@@ -361,16 +359,12 @@ def decompose_initial(word, trace=None):
             atoms = [ABCDAtom("B", pos, x2), ABCDAtom("D", pos, y2), UnitAtom("B", pos, up)]
             before = GradedForm(lam, mu, val, ring.neg(val), pos)
         atoms = [a for a in atoms if not ring.is_zero(a.e)]
-        if before.matrix(ring, n) != eval_atoms(ring, n, atoms):
-            raise StepVerificationFailed("form-split mismatch")
-        trace.record("form-split", _digest(ring, [before.text(ring)]), _atoms_digest(ring, atoms))
+        _check(ring, n, "form-split", [before], atoms, trace)
         body.extend(atoms)
 
     witness = CornerWitness(eval_atoms(ring, 1, delta_word), tuple(delta_word))
-    body_word = Word(ring, n, body)
-    if witness.embed(n).mul(body_word.eval()) != word.eval():
-        raise StepVerificationFailed("stage boundary: initial decomposition is off")
-    return witness, body_word, trace
+    _same(ring, n, "stage boundary", [CornerMatrixAtom(witness.matrix.rows)] + body, word.atoms)
+    return witness, Word(ring, n, body), trace
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +395,7 @@ def conj_abcd_atom(ring, n, delta_rows, atom):
 
 
 def corner_to_abcd(ring, n, corner_atoms, trace=None):
-    """Rewrite a transvection-факторed corner into a pure shape word."""
+    """Rewrite a transvection-factored corner into a pure shape word."""
     trace = trace if trace is not None else Trace()
     out = []
     one = ring.one
@@ -474,9 +468,7 @@ def merge_corner_atoms(ring, atoms, trace=None):
             prev = out.pop()
             merged = CornerAtom(a.kind, ring.add(prev.e, a.e))
             rep = [] if ring.is_zero(merged.e) else [merged]
-            if eval_atoms(ring, 1, [prev, a]) != eval_atoms(ring, 1, rep):
-                raise StepVerificationFailed("corner merge mismatch")
-            trace.record("corner-merge", _atoms_digest(ring, [prev, a]), _atoms_digest(ring, rep))
+            _check(ring, 1, "corner-merge", [prev, a], rep, trace)
             out.extend(rep)
         else:
             out.append(a)

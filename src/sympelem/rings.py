@@ -661,6 +661,10 @@ class Localized(Ring):
             return self.normalize(self.base.mul(inv, self.base.pow_int(self.s, k - j)), 0)
         return self.normalize(inv, j - k)
 
+    def is_nilpotent_elem(self, a):
+        # s is not a zero divisor, so a/s^k is nilpotent iff a is
+        return self.base.is_nilpotent_elem(a[0])
+
     def is_zero_divisor_elem(self, a):
         # s^k is a unit and s is no zero divisor, so a/s^k is one iff a is
         return self.base.is_zero_divisor_elem(a[0])

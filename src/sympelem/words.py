@@ -7,12 +7,16 @@ pieces whose row and column vectors are sign vectors. Evaluating a word
 applies those terms to the running product column by column, so an atom
 costs one ring multiplication per matrix row and term instead of a dense
 2n x 2n product. The rewriting engine checks every step this way.
+
+Every atom class answers one protocol: ``_terms(ring, n)``,
+``_inverse(ring)``, ``_map(f)`` (a ring map applied to every parameter)
+and ``_text(ring)`` (its line in a word file).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BadIndices, DimensionMismatch, NonZeroDet, ParseError
 from .matrices import Matrix
@@ -55,8 +59,27 @@ def _single_terms(entries, zero):
     return tuple((v, ((r, 1),), ((c, 1),)) for r, c, v in entries if v != zero)
 
 
+def _fmt(ring, e):
+    return ring.show(e).replace(" ", "")
+
+
+def _map_rows(rows, f):
+    return tuple(tuple(f(v) for v in r) for r in rows)
+
+
+class _OneParam:
+    """An atom whose only ring parameter is ``e`` and whose inverse is the
+    same atom at -e."""
+
+    def _inverse(self, ring):
+        return replace(self, e=ring.neg(self.e))
+
+    def _map(self, f):
+        return replace(self, e=f(self.e))
+
+
 @dataclass(frozen=True)
-class SAtom:
+class SAtom(_OneParam):
     i: int
     j: int
     e: object
@@ -74,9 +97,12 @@ class SAtom:
         return ((self.e, ((i - 1, 1),), ((j - 1, 1),)),
                 (self.e, ((pi_swap(j) - 1, sign),), ((pi_swap(i) - 1, 1),)))
 
+    def _text(self, ring):
+        return f"S {self.i} {self.j} {_fmt(ring, self.e)}"
+
 
 @dataclass(frozen=True)
-class CornerAtom:
+class CornerAtom(_OneParam):
     kind: str  # E12 | E21
     e: object
 
@@ -86,9 +112,12 @@ class CornerAtom:
         r, c = (0, 1) if self.kind == "E12" else (1, 0)
         return _single_terms([(r, c, self.e)], ring.zero)
 
+    def _text(self, ring):
+        return f"{self.kind} {_fmt(ring, self.e)}"
+
 
 @dataclass(frozen=True)
-class ABCDAtom:
+class ABCDAtom(_OneParam):
     shape: str  # A | B | C | D
     pos: int
     e: object
@@ -96,9 +125,12 @@ class ABCDAtom:
     def _terms(self, ring, n):
         return _block_terms(n, 0, self.shape, self.pos, self.e, ring.zero)
 
+    def _text(self, ring):
+        return f"{self.shape} {self.pos} {_fmt(ring, self.e)}"
+
 
 @dataclass(frozen=True)
-class UnitAtom:
+class UnitAtom(_OneParam):
     shape: str  # B | C
     pos: int
     e: object
@@ -115,6 +147,9 @@ class UnitAtom:
         b = 2 * (self.pos - 1)
         return ((self.e, ((b, u0), (b + 1, u1)), ((b, w0), (b + 1, w1))),)
 
+    def _text(self, ring):
+        return f"U{self.shape} {self.pos} {_fmt(ring, self.e)}"
+
 
 @dataclass(frozen=True)
 class CornerMatrixAtom:
@@ -128,9 +163,18 @@ class CornerMatrixAtom:
         return _single_terms([(0, 0, ring.sub(a, one)), (0, 1, b),
                               (1, 0, c), (1, 1, ring.sub(d, one))], ring.zero)
 
+    def _inverse(self, ring):
+        return CornerMatrixAtom(Matrix(ring, self.rows).adj2().rows)
+
+    def _map(self, f):
+        return CornerMatrixAtom(_map_rows(self.rows, f))
+
+    def _text(self, ring):
+        return "CORNER " + " ".join(_fmt(ring, v) for r in self.rows for v in r)
+
 
 @dataclass(frozen=True)
-class PlacedAtom:
+class PlacedAtom(_OneParam):
     """I_{2 offset} perp E(shape_pos)(e) perp I: a block generator of a
     smaller symplectic group sitting below the leading corner."""
 
@@ -141,6 +185,9 @@ class PlacedAtom:
 
     def _terms(self, ring, n):
         return _block_terms(n, self.offset, self.shape, self.pos, self.e, ring.zero)
+
+    def _text(self, ring):
+        return f"PLACED {self.offset} {self.shape} {self.pos} {_fmt(ring, self.e)}"
 
 
 @dataclass(frozen=True)
@@ -155,6 +202,15 @@ class DenseAtom:
         return _single_terms([(r, c, ring.sub(v, one) if r == c else v)
                               for r, row in enumerate(self.rows)
                               for c, v in enumerate(row)], ring.zero)
+
+    def _inverse(self, ring):
+        return DenseAtom(symp_inverse(Matrix(ring, self.rows)).rows)
+
+    def _map(self, f):
+        return DenseAtom(_map_rows(self.rows, f))
+
+    def _text(self, ring):
+        return "DENSE " + " ".join(_fmt(ring, v) for r in self.rows for v in r)
 
 
 def _combine(ring, a, b, plus):
@@ -199,24 +255,6 @@ def atom_matrix(ring, n, atom):
     return _eval(ring, n, (atom,))
 
 
-def atom_inverse(ring, n, atom):
-    if isinstance(atom, SAtom):
-        return SAtom(atom.i, atom.j, ring.neg(atom.e))
-    if isinstance(atom, CornerAtom):
-        return CornerAtom(atom.kind, ring.neg(atom.e))
-    if isinstance(atom, ABCDAtom):
-        return ABCDAtom(atom.shape, atom.pos, ring.neg(atom.e))
-    if isinstance(atom, UnitAtom):
-        return UnitAtom(atom.shape, atom.pos, ring.neg(atom.e))
-    if isinstance(atom, CornerMatrixAtom):
-        return CornerMatrixAtom(Matrix(ring, atom.rows).adj2().rows)
-    if isinstance(atom, PlacedAtom):
-        return PlacedAtom(atom.offset, atom.shape, atom.pos, ring.neg(atom.e))
-    if isinstance(atom, DenseAtom):
-        return DenseAtom(symp_inverse(Matrix(ring, atom.rows)).rows)
-    raise TypeError(f"not an atom: {atom!r}")
-
-
 class Word:
     """An ordered product of generator atoms in Sp_{2n}(R)."""
 
@@ -231,8 +269,7 @@ class Word:
         return _eval(self.ring, self.n, self.atoms)
 
     def inverse(self):
-        inv = [atom_inverse(self.ring, self.n, a) for a in reversed(self.atoms)]
-        return Word(self.ring, self.n, inv)
+        return Word(self.ring, self.n, [a._inverse(self.ring) for a in reversed(self.atoms)])
 
     def concat(self, other):
         return Word(self.ring, self.n, self.atoms + other.atoms)
@@ -251,64 +288,16 @@ class Word:
 
     def map_params(self, f, target_ring=None, target_n=None):
         """Apply a ring map to every atom parameter."""
-        ring = target_ring or self.ring
-        out = []
-        for a in self.atoms:
-            if isinstance(a, SAtom):
-                out.append(SAtom(a.i, a.j, f(a.e)))
-            elif isinstance(a, CornerAtom):
-                out.append(CornerAtom(a.kind, f(a.e)))
-            elif isinstance(a, ABCDAtom):
-                out.append(ABCDAtom(a.shape, a.pos, f(a.e)))
-            elif isinstance(a, UnitAtom):
-                out.append(UnitAtom(a.shape, a.pos, f(a.e)))
-            elif isinstance(a, CornerMatrixAtom):
-                out.append(CornerMatrixAtom(tuple(tuple(f(v) for v in r) for r in a.rows)))
-            elif isinstance(a, PlacedAtom):
-                out.append(PlacedAtom(a.offset, a.shape, a.pos, f(a.e)))
-            elif isinstance(a, DenseAtom):
-                out.append(DenseAtom(tuple(tuple(f(v) for v in r) for r in a.rows)))
-            else:
-                raise TypeError(f"not an atom: {a!r}")
-        return Word(ring, target_n or self.n, out)
+        return Word(target_ring or self.ring, target_n or self.n, [a._map(f) for a in self.atoms])
 
     def to_text(self):
-        return "\n".join(atom_to_text(self.ring, a) for a in self.atoms) + ("\n" if self.atoms else "")
+        return "".join(a._text(self.ring) + "\n" for a in self.atoms)
 
     def digest(self):
-        h = hashlib.sha256()
-        h.update(f"n={self.n};".encode())
-        for a in self.atoms:
-            h.update(atom_to_text(self.ring, a).encode())
-            h.update(b"\n")
-        return h.hexdigest()[:16]
+        return hashlib.sha256(f"n={self.n};{self.to_text()}".encode()).hexdigest()[:16]
 
     def __repr__(self):
         return f"<word n={self.n} len={len(self.atoms)}>"
-
-
-def _fmt(ring, e):
-    return ring.show(e).replace(" ", "")
-
-
-def atom_to_text(ring, atom):
-    if isinstance(atom, SAtom):
-        return f"S {atom.i} {atom.j} {_fmt(ring, atom.e)}"
-    if isinstance(atom, CornerAtom):
-        return f"{atom.kind} {_fmt(ring, atom.e)}"
-    if isinstance(atom, ABCDAtom):
-        return f"{atom.shape} {atom.pos} {_fmt(ring, atom.e)}"
-    if isinstance(atom, UnitAtom):
-        return f"U{atom.shape} {atom.pos} {_fmt(ring, atom.e)}"
-    if isinstance(atom, CornerMatrixAtom):
-        (a, b), (c, d) = atom.rows
-        return "CORNER " + " ".join(_fmt(ring, v) for v in (a, b, c, d))
-    if isinstance(atom, PlacedAtom):
-        return f"PLACED {atom.offset} {atom.shape} {atom.pos} {_fmt(ring, atom.e)}"
-    if isinstance(atom, DenseAtom):
-        flat = [v for r in atom.rows for v in r]
-        return "DENSE " + " ".join(_fmt(ring, v) for v in flat)
-    raise TypeError(f"not an atom: {atom!r}")
 
 
 def word_from_text(ring, n, text):

@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+from sympelem import cli
+from sympelem import errors as err
 from sympelem.cli import main
 from sympelem.rings import ring_from_descriptor
 from sympelem.words import word_from_text
@@ -177,6 +181,32 @@ def test_report_command(tmp_path, capsys):
     ok = tmp_path / "ok.jsonl"
     ok.write_text(json.dumps({"name": "a", "ring": "q", "n": 2, "status": "PASS"}) + "\n")
     assert run(["report", "--in", str(ok)]) == 0
+
+
+def test_verify_tables_names_the_ring_checked_over(tmp_path, capsys):
+    # identities over a polynomial ring are checked over Q[symbols]
+    out = tmp_path / "r.jsonl"
+    assert run(["verify-tables", "--ring", "poly:zmod:15:x", "--n", "2..2",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    rings = {json.loads(line)["ring"] for line in out.read_text().splitlines()}
+    assert rings and all(r.startswith("poly:q:") for r in rings)
+
+
+ERROR_CLASSES = sorted((c for c in vars(err).values()
+                        if isinstance(c, type) and issubclass(c, err.SympelemError)),
+                       key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_maps_to_an_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("injected")
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    code = run(["report", "--in", "unused.jsonl"])
+    assert code == (2 if issubclass(cls, cli.USAGE_ERRORS) else 1)
+    assert "injected" in capsys.readouterr().err
 
 
 def test_verify_tables_localized_ring(capsys):

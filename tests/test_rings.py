@@ -104,6 +104,9 @@ def test_localize_rejects_zero_divisor_and_nilpotent():
     # nilpotent detection fires before the zero-divisor scan
     with pytest.raises(NilpotentS):
         Localized(z27, 0)
+    # 3 is nilpotent in Z/27, so also in (Z/27)_2
+    with pytest.raises(NilpotentS):
+        ring_from_descriptor("loc:loc:zmod:27:s=2:s=3")
 
 
 def test_localize_polynomial():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sympelem.errors import BadIndices, ParseError
 from sympelem.matrices import Matrix
+from sympelem.rewrite import GradedForm
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import (
     corner_embed,
@@ -13,8 +14,10 @@ from sympelem.symplectic import (
     gen_corner,
     gen_s,
     gen_small,
+    graded_block,
     pi_swap,
     placed_abcd,
+    symp_inverse,
 )
 from sympelem.words import (
     ABCDAtom,
@@ -47,6 +50,8 @@ def gen_matrix(ring, n, atom):
         return placed_abcd(ring, n, atom.offset, atom.shape, atom.pos, atom.e)
     if isinstance(atom, CornerMatrixAtom):
         return corner_embed(Matrix(ring, atom.rows), n)
+    if isinstance(atom, GradedForm):
+        return graded_block(ring, n, atom.lam, atom.mu, atom.x, atom.y, atom.pos)
     return Matrix(ring, atom.rows)
 
 
@@ -123,7 +128,7 @@ def atoms_for(draw, ring, n):
     elem = st.builds(lambda c: _element(ring, *c),
                      st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)))
     kinds = ["E12", "E21", "CORNER"] if n == 1 else \
-        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "PLACED", "DENSE"]
+        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "PLACED", "DENSE", "GRADED"]
     kind = draw(st.sampled_from(kinds))
     if kind in ("E12", "E21"):
         return CornerAtom(kind, draw(elem))
@@ -139,6 +144,9 @@ def atoms_for(draw, ring, n):
         offset = draw(st.integers(0, n - 2))
         return PlacedAtom(offset, draw(st.sampled_from("ABCD")),
                           draw(st.integers(2, n - offset)), draw(elem))
+    if kind == "GRADED":
+        lam, mu, x, y = (draw(elem) for _ in range(4))
+        return GradedForm(lam, mu, x, y, draw(st.integers(2, n)))
     if kind == "CORNER":
         rows = gen_corner(ring, 1, "E12", draw(elem)).mul(gen_corner(ring, 1, "E21", draw(elem)))
         return CornerMatrixAtom(rows.rows)
@@ -158,11 +166,19 @@ def words_for(draw, ring):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_eval_atoms_matches_generator_product(name, data):
+    """Every atom evaluates to its generator's matrix (a graded block to
+    ``graded_block``), inverts to the symplectic inverse, and is left as
+    it is by the identity map on parameters."""
     ring = EVAL_RINGS[name]
     n, atoms = data.draw(words_for(ring))
     want = dense_product(ring, n, atoms)
     assert eval_atoms(ring, n, atoms) == want
     assert Word(ring, n, atoms).eval() == want
+    for atom in atoms:
+        if isinstance(atom, GradedForm):  # a rewrite-stage form, never inverted or mapped
+            continue
+        assert Word(ring, n, [atom]).inverse().eval() == symp_inverse(gen_matrix(ring, n, atom))
+        assert atom._map(lambda v: v) == atom
 
 
 def test_atom_indices_rejected_like_the_generators():
@@ -212,6 +228,11 @@ def test_text_round_trip():
     back = word_from_text(ring, 2, text)
     assert back == w
     assert back.digest() == w.digest()
+    # placed and dense atoms are written only, never parsed
+    w = Word(ring, 2, [PlacedAtom(0, "C", 2, ring.add(ring.one, t)),
+                       DenseAtom(gen_s(ring, 2, 1, 3, ring.neg(t)).rows)])
+    assert w.to_text() == "PLACED 0 C 2 t+1\nDENSE 1 0 -t 0 0 1 0 0 0 0 1 0 0 t 0 1\n"
+    assert w.digest() == "288142a95b3f938c"
 
 
 def test_parse_errors_name_lines():
@@ -232,5 +253,4 @@ def test_special_atoms_evaluate():
     placed = PlacedAtom(1, "C", 2, 5)
     assert atom_matrix(Z15, 3, placed).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
     w = Word(Z15, 3, [placed])
-    from sympelem.symplectic import symp_inverse
     assert w.inverse().eval() == symp_inverse(w.eval())
