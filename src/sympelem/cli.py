@@ -75,7 +75,7 @@ def cmd_conj(args):
                                  args.yshape, args.j, args.m, x)
     print(f"PASS conj length={len(word)} min_exponent={trace.min_exponent()}")
     for (sh, pos, e, c) in trace.entries:
-        print(f"  {sh}@{pos} exponent={e} coeff={base.show(c) if c is not None else '?'}")
+        print(f"  {sh}@{pos} exponent={e} coeff={base.show(c)}")
     if args.out:
         _write(args.out, word.to_text())
     return 0
@@ -87,7 +87,7 @@ def cmd_dilate(args):
     loc = Localized(base, s)
     ring_sx = PolyRing(loc, (args.var,))
     word = word_from_text(ring_sx, args.n, _read(args.infile))
-    m, out = dilate(base, s, args.n, word, fuel=args.fuel)
+    m, out = dilate(base, s, args.n, word)
     print(f"PASS dilate m={m} output_atoms={len(out)}")
     if args.out:
         _write(args.out, out.to_text())
@@ -105,7 +105,7 @@ def cmd_patch(args):
         loc = Localized(base, entry[0])
         ring_sx = PolyRing(loc, (args.var,))
         local_words.append(word_from_text(ring_sx, args.n, _read(path)))
-    out = patch(base, args.n, alpha, cover, local_words, fuel=args.fuel)
+    out = patch(base, args.n, alpha, cover, local_words)
     print(f"PASS patch output_atoms={len(out)}")
     if args.out:
         _write(args.out, out.to_text())
@@ -135,7 +135,7 @@ def cmd_normality(args):
     cover = CoverData.from_text(base, _read(args.cover))
     gamma_word = _gamma_word_from_file(base, args.n, _read(args.gamma))
     h_word = word_from_text(base, args.n, _read(args.h))
-    out = normality_demo(base, args.n, gamma_word, h_word, cover, fuel=args.fuel)
+    out = normality_demo(base, args.n, gamma_word, h_word, cover)
     print(f"PASS normality-demo output_atoms={len(out)}")
     if args.out:
         _write(args.out, out.to_text())
@@ -206,7 +206,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--var", default="X")
-    p.add_argument("--fuel", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dilate)
 
@@ -217,7 +216,6 @@ def build_parser():
     p.add_argument("--alpha", required=True, help="word file over R[X] defining alpha")
     p.add_argument("--locals", nargs="+", required=True)
     p.add_argument("--var", default="X")
-    p.add_argument("--fuel", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_patch)
 
@@ -227,7 +225,6 @@ def build_parser():
     p.add_argument("--gamma", required=True, help="generator word file")
     p.add_argument("--h", required=True, help="shape word file")
     p.add_argument("--cover", required=True)
-    p.add_argument("--fuel", type=int, default=64)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_normality)
 

@@ -9,7 +9,7 @@ produced word is verified against its defining matrix identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AlphabetViolation,
@@ -27,99 +27,38 @@ from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
 from .words import ABCDAtom, CornerMatrixAtom, Word, atom_matrix
 
-DEFAULT_FUEL = 64
-MAX_ATOMS = 200_000
+DEFAULT_FUEL = 64      # largest dilation exponent m that dilate tries
+MAX_ATOMS = 200_000    # longest conjugation chain dilate builds for one step
 
 
 # ---------------------------------------------------------------------------
-# parameter bookkeeping: s^e * c with c in a numerator ring
+# conjugation decompositions: entries s^e * c with c in a numerator ring
 # ---------------------------------------------------------------------------
-
-class SContext:
-    """A working ring containing R_s together with the numerator ring R
-    (or R[X], ...) and the s-power action connecting them."""
-
-    def __init__(self, work, num, embed, scale, integral, s_num):
-        self.work = work          # ring of atom parameters
-        self.num = num            # numerator ring
-        self.embed = embed        # num rep -> work rep
-        self.scale = scale        # (work rep, e) -> work rep * s^e
-        self.integral = integral  # work rep -> num rep or None
-        self.s_num = s_num        # s as an element of the numerator ring
-
-    def param(self, e, c):
-        """s^e * c as a working-ring element, c in the numerator ring."""
-        return self.scale(self.embed(c), e)
-
-
-def context_for_localized(loc):
-    return SContext(
-        work=loc,
-        num=loc.base,
-        embed=loc.embed,
-        scale=loc.s_power_mul,
-        integral=lambda a: a[0] if a[1] == 0 else None,
-        s_num=loc.s,
-    )
-
-
-def context_for_poly_over_localized(polyring):
-    loc = polyring.base
-    if not isinstance(loc, Localized):
-        raise TypeError("need a polynomial ring over a localization")
-    num = PolyRing(loc.base, polyring.names)
-
-    def embed(c):
-        return c and tuple((e, loc.embed(v)) for e, v in c) or ()
-
-    def scale(p, e):
-        return tuple((ee, loc.s_power_mul(v, e)) for ee, v in p)
-
-    def integral(p):
-        out = []
-        for ee, v in p:
-            if v[1] != 0:
-                return None
-            out.append((ee, v[0]))
-        return tuple(out)
-
-    return SContext(polyring, num, embed, scale, integral, num.const(loc.s))
-
 
 @dataclass
 class ValuationTrace:
-    k: int
-    m: int
-    entries: list = field(default_factory=list)  # (shape, pos, exponent, coeff)
-
-    def record(self, shape, pos, e, c):
-        self.entries.append((shape, pos, e, c))
+    entries: list  # (shape, pos, exponent, coeff)
 
     def min_exponent(self):
         return min((e for _, _, e, _ in self.entries), default=None)
 
-    def __len__(self):
-        return len(self.entries)
-
 
 class _Emitter:
-    def __init__(self, ctx, trace):
-        self.ctx = ctx
-        self.trace = trace
-        self.atoms = []
-        self.entries = []  # mirrors self.atoms as (shape, pos, e, c)
+    """Collects the (shape, pos, exponent, coeff) entries of a shape word
+    whose parameters are s^exponent * coeff, coeff in the numerator ring."""
+
+    def __init__(self, num):
+        self.num = num
+        self.entries = []
 
     def shape(self, sh, pos, e, c):
-        if self.ctx.num.is_zero(c):
-            return
-        self.atoms.append(ABCDAtom(sh, pos, self.ctx.param(e, c)))
-        self.trace.record(sh, pos, e, c)
-        self.entries.append((sh, pos, e, c))
+        if not self.num.is_zero(c):
+            self.entries.append((sh, pos, e, c))
 
     def unit(self, sh, pos, i_for_corner, e, c):
         """Expand I perp (I_2 + sh(s^e c)) perp I as a 4-atom commutator,
         splitting the exponent between the two bracket parameters."""
-        num = self.ctx.num
+        num = self.num
         if num.is_zero(c):
             return
         if e >= 2:
@@ -138,7 +77,7 @@ class _Emitter:
 
     def emit_inverse_of(self, entries):
         for sh, pos, e, c in reversed(entries):
-            self.shape(sh, pos, e, self.ctx.num.neg(c))
+            self.shape(sh, pos, e, self.num.neg(c))
 
 
 def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
@@ -146,16 +85,25 @@ def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
     together with its valuation trace. Requires m > k."""
     if m <= k:
         raise ExponentTooSmall(f"need m > k, got m={m}, k={k}")
-    ctx = context_for_localized(locring)
-    return _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x)
+    entries = _conj_decompose_ctx(locring.base, locring.s, n, Xshape, i, a, k, Yshape, j, m, x)
+
+    def atom(sh, pos, e, c):
+        return ABCDAtom(sh, pos, locring.s_power_mul(locring.embed(c), e))
+
+    word = Word(locring, n, [atom(*entry) for entry in entries])
+    g = atom_matrix(locring, n, atom(Xshape, i, -k, a))
+    h = atom_matrix(locring, n, atom(Yshape, j, m, x))
+    if word.eval() != g.mul(h).mul(symp_inverse(g)):
+        raise StepVerificationFailed("conjugation decomposition is off")
+    return word, ValuationTrace(entries)
 
 
-def _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x, verify=True):
+def _conj_decompose_ctx(num, s_num, n, Xshape, i, a, k, Yshape, j, m, x):
+    """Entries (shape, pos, exponent, coeff) of the conjugation word, with
+    a, x and every coeff in the numerator ring ``num`` and s = ``s_num``."""
     if not (2 <= i <= n and 2 <= j <= n):
         raise BadIndices("positions must lie in 2..n")
-    num = ctx.num
-    trace = ValuationTrace(k, m)
-    em = _Emitter(ctx, trace)
+    em = _Emitter(num)
 
     if Xshape == Yshape or num.is_zero(a) or num.is_zero(x):
         em.shape(Yshape, j, m, x)
@@ -172,20 +120,14 @@ def _conj_decompose_ctx(ctx, n, Xshape, i, a, k, Yshape, j, m, x, verify=True):
         em.shape(Yshape, j, q, num.neg(x))
         em.shape(Yshape, j, m, x)
     else:
-        _case3_same_position(ctx, em, n, Xshape, Yshape, i, a, k, m, x)
+        _case3_same_position(num, s_num, em, Xshape, Yshape, i, a, k, m, x)
 
-    word = Word(ctx.work, n, em.atoms)
-    if len(word) > 45:
-        raise StepVerificationFailed(f"decomposition length {len(word)} exceeds 45")
-    if verify:
-        g = atom_matrix(ctx.work, n, ABCDAtom(Xshape, i, ctx.param(-k, a)))
-        h = atom_matrix(ctx.work, n, ABCDAtom(Yshape, j, ctx.param(m, x)))
-        if word.eval() != g.mul(h).mul(symp_inverse(g)):
-            raise StepVerificationFailed("conjugation decomposition is off")
-    return word, trace
+    if len(em.entries) > 45:
+        raise StepVerificationFailed(f"decomposition length {len(em.entries)} exceeds 45")
+    return em.entries
 
 
-def _case3_same_position(ctx, em, n, X, Y, i, a, k, m, x):
+def _case3_same_position(num, s_num, em, X, Y, i, a, k, m, x):
     """Same-position crossing pairs, via the composite commutator route.
 
     The conjugated element is rewritten as y_g [z_g, w_g] with y_g, w_g
@@ -194,11 +136,10 @@ def _case3_same_position(ctx, em, n, X, Y, i, a, k, m, x):
     conjugation into commutators with tabulated closed forms, and the
     final [l,k] h^-1 h [k,l] cancellation leaves [g,h] h [[g,k]k, [g,l]l].
     """
-    num = ctx.num
     m3 = m // 3
     rem = m - 3 * m3
     inv8 = num.pow_int(num.inv2, 3)
-    u = num.mul(num.mul(inv8, x), num.pow_int(ctx.s_num, rem))
+    u = num.mul(num.mul(inv8, x), num.pow_int(s_num, rem))
     a2 = num.mul(a, a)
     a2u = num.mul(a2, u)
     au = num.mul(a, u)
@@ -252,64 +193,44 @@ def _case3_same_position(ctx, em, n, X, Y, i, a, k, m, x):
 
 
 # ---------------------------------------------------------------------------
-# group identity rearrangement
-# ---------------------------------------------------------------------------
-
-def group_identity_shuffle(pairs):
-    """Given pairs (a_i, b_i) of words, return the word
-    prod_i (r_i b_i r_i^-1) * prod_i a_i with r_i = a_1 ... a_i;
-    it evaluates to prod_i (a_i b_i)."""
-    if not pairs:
-        raise ValueError("need at least one pair")
-    ring, n = pairs[0][0].ring, pairs[0][0].n
-    out = []
-    prefix = []
-    for a_word, b_word in pairs:
-        prefix = prefix + list(a_word.atoms)
-        r_inv = list(Word(ring, n, prefix).inverse().atoms)
-        out.extend(prefix + list(b_word.atoms) + r_inv)
-    for a_word, _ in pairs:
-        out.extend(a_word.atoms)
-    return Word(ring, n, out)
-
-
-# ---------------------------------------------------------------------------
 # dilation
 # ---------------------------------------------------------------------------
 
-def _param_valuation(ctx, c, cap):
-    """Exponent e and numerator x with c = s^e x, x integral; None if the
-    parameter cannot be cleared at this cap."""
-    if ctx.work.is_zero(c):
-        return 0, ctx.num.zero
-    lo, hi = -cap, cap
-    best = None
-    e = hi
-    while e >= lo:
-        x = ctx.integral(ctx.scale(c, -e))
-        if x is not None:
-            best = (e, x)
-            break
-        e -= 1
-    return best
+def _param_valuation(Rs, c, cap):
+    """Exponent e and numerator x with c = s^e x for c in R_s[X], where e is
+    the largest exponent up to cap that leaves x in R[X]; None if that e is
+    below -cap. c s^-e is integral exactly when e is at most the valuation
+    of every coefficient."""
+    if not c:
+        return 0, ()
+    e = min(Rs.valuation_floor(v, cap) for _, v in c)
+    if e < -cap:
+        return None
+    return e, tuple((ee, Rs.s_power_mul(v, -e)[0]) for ee, v in c)
 
 
-def dilate(base_ring, s, n, word, fuel=DEFAULT_FUEL, max_atoms=MAX_ATOMS):
+def _embed_poly(RsX, p):
+    """Map an R[X] polynomial representation into R_s[X]."""
+    Rs = RsX.base
+    return tuple((e, Rs.embed(c)) for e, c in p)
+
+
+def dilate(base_ring, s, n, word):
     """Clear the localization denominators of a homotopy word.
 
     ``word`` is over R_s[X] and must evaluate to the identity at X = 0.
     Returns (m, word over R[X]) with the output evaluating (embedded) to
-    the input at X replaced by s^m X. The smallest working m is found by
-    search; each candidate m is accepted only if every parameter of the
-    reassembled word lands in R[X].
+    the input at X replaced by s^m X. The smallest working m up to
+    DEFAULT_FUEL is found by search; each candidate m is accepted only if
+    every parameter of the reassembled word lands in R[X].
     """
     RsX = word.ring
     if not (isinstance(RsX, PolyRing) and RsX.nvars == 1 and isinstance(RsX.base, Localized)):
         raise TypeError("dilate needs a word over R_s[X]")
     Rs = RsX.base
-    ctx = context_for_poly_over_localized(RsX)
-    RX = ctx.num
     Xvar = RsX.names[0]
+    RX = PolyRing(Rs.base, RsX.names)
+    s_num = RX.const(Rs.s)
 
     # homotopy check at X = 0
     at_zero = word.map_params(RsX.eval_at_zero, Rs)
@@ -339,13 +260,13 @@ def dilate(base_ring, s, n, word, fuel=DEFAULT_FUEL, max_atoms=MAX_ATOMS):
                 sh_m, pos_m, _ = prefix[-2]
                 prefix[-2:] = [] if Rs.is_zero(merged) else [(sh_m, pos_m, merged)]
 
-    for m in range(0, fuel + 1):
+    for m in range(DEFAULT_FUEL + 1):
+        smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
         try:
             out_atoms = []
             for (shape, pos, pre, bp) in steps:
-                smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
                 param = RsX.mul(smx, RsX.subst(bp, {Xvar: smx}))
-                got = _param_valuation(ctx, param, m + den_cap + 4)
+                got = _param_valuation(Rs, param, m + den_cap + 4)
                 if got is None:
                     raise ExponentTooSmall("parameter does not clear")
                 e0, x0 = got
@@ -353,26 +274,22 @@ def dilate(base_ring, s, n, word, fuel=DEFAULT_FUEL, max_atoms=MAX_ATOMS):
                 if pre and all(b0[1] == 0 for (_, _, b0) in pre):
                     # denominator-free prefix: keep the conjugation
                     # syntactic, no decomposition needed
-                    wrap = [(bsh, bpos, 0, ctx.num.const(b0[0])) for (bsh, bpos, b0) in pre]
-                    unwrap = [(bsh, bpos, be, ctx.num.neg(bx))
+                    wrap = [(bsh, bpos, 0, RX.const(b0[0])) for (bsh, bpos, b0) in pre]
+                    unwrap = [(bsh, bpos, be, RX.neg(bx))
                               for (bsh, bpos, be, bx) in reversed(wrap)]
                     chain = wrap + chain + unwrap
                 else:
                     # conjugate through the constant prefix, innermost first
-                    for (bsh, bpos, b0) in reversed(pre):
-                        a_num, k_den = b0
-                        a_lift = ctx.num.const(a_num)
+                    for (bsh, bpos, (a_num, k_den)) in reversed(pre):
+                        a_lift = RX.const(a_num)
                         new_chain = []
                         for (zsh, zpos, ze, zx) in chain:
-                            if ze <= k_den and not (zsh == bsh or ctx.num.is_zero(zx)):
+                            if ze <= k_den and not (zsh == bsh or RX.is_zero(zx)):
                                 raise ExponentTooSmall("chain exponent too small")
-                            sub, subtr = _conj_decompose_ctx(
-                                ctx, n, bsh, bpos, a_lift, k_den, zsh, zpos, ze, zx,
-                                verify=False)
-                            for (osh, opos, oe, ox) in subtr.entries:
-                                new_chain.append((osh, opos, oe, ox))
+                            new_chain.extend(_conj_decompose_ctx(
+                                RX, s_num, n, bsh, bpos, a_lift, k_den, zsh, zpos, ze, zx))
                         chain = new_chain
-                        if len(chain) > max_atoms:
+                        if len(chain) > MAX_ATOMS:
                             raise StepBudgetExceeded("dilation chain too long")
                 out_atoms.extend(chain)
             # all parameters must land in R[X]
@@ -380,22 +297,17 @@ def dilate(base_ring, s, n, word, fuel=DEFAULT_FUEL, max_atoms=MAX_ATOMS):
             for (osh, opos, oe, ox) in out_atoms:
                 if oe < 0:
                     raise ExponentTooSmall("negative exponent survives")
-                final.append(ABCDAtom(osh, opos, _rx_scale(RX, base_ring, s, oe, ox)))
+                final.append(ABCDAtom(osh, opos, RX.mul(RX.const(base_ring.pow_int(s, oe)), ox)))
             out = Word(RX, n, final)
             # verification: embed into R_s[X] and compare with word(s^m X)
-            embed_out = out.map_params(ctx.embed, RsX)
-            smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
+            embed_out = out.map_params(lambda p: _embed_poly(RsX, p), RsX)
             target = word.map_params(lambda p: RsX.subst(p, {Xvar: smx}), RsX)
             if embed_out.eval() != target.eval():
                 raise StepVerificationFailed("dilated word does not match")
             return m, out
         except (ExponentTooSmall, StepBudgetExceeded):
             continue
-    raise StepBudgetExceeded(f"no dilation exponent found up to {fuel}")
-
-
-def _rx_scale(RX, base_ring, s, e, x):
-    return RX.mul(RX.const(base_ring.pow_int(s, e)), x)
+    raise StepBudgetExceeded(f"no dilation exponent found up to {DEFAULT_FUEL}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +377,7 @@ class CoverData:
             f"s={fmt(s)} c={fmt(c)} b={fmt(b)} N={N}" for (s, c, b, N) in self.entries) + "\n"
 
 
-def _split_params_to(RsX, p):
-    """Map an R[X] polynomial representation into R_s[X]."""
-    Rs = RsX.base
-    return tuple((e, Rs.embed(c)) for e, c in p)
-
-
-def patch(base_ring, n, alpha, cover, local_words, fuel=DEFAULT_FUEL):
+def patch(base_ring, n, alpha, cover, local_words):
     """Assemble a global homotopy word from local ones.
 
     ``alpha`` is a symplectic matrix over R[X] with alpha(0) = I; each
@@ -500,7 +406,7 @@ def patch(base_ring, n, alpha, cover, local_words, fuel=DEFAULT_FUEL):
         RsX = PolyRing(Rs, (Xvar,))
         if local.ring.descriptor() != RsX.descriptor():
             raise LocalWordMismatch(f"local word {idx} is over {local.ring.descriptor()}")
-        alpha_loc = alpha.map(lambda p: _split_params_to(RsX, p), RsX)
+        alpha_loc = alpha.map(lambda p: _embed_poly(RsX, p), RsX)
         if local.eval() != alpha_loc:
             raise LocalWordMismatch(f"local word {idx} does not evaluate to alpha")
 
@@ -518,7 +424,7 @@ def patch(base_ring, n, alpha, cover, local_words, fuel=DEFAULT_FUEL):
         w_y = w_lift.map_params(lambda p: RYsX.subst(p, {Xvar: y_const}))
         beta = w_xy.concat(w_y.inverse())
 
-        m, w_global = dilate(RY, RY.const(s), n, beta, fuel=fuel)
+        m, w_global = dilate(RY, RY.const(s), n, beta)
         v = cover.cofactor(base_ring, idx, m)
 
         # substitute X -> c*v*X and Y -> T_idx, landing in R[X]
@@ -548,7 +454,7 @@ def patch(base_ring, n, alpha, cover, local_words, fuel=DEFAULT_FUEL):
 # normality demonstration
 # ---------------------------------------------------------------------------
 
-def normality_demo(base_ring, n, gamma_word, h_word, cover, fuel=DEFAULT_FUEL):
+def normality_demo(base_ring, n, gamma_word, h_word, cover):
     """Word for gamma * eval(h) * gamma^-1 over the shape alphabet.
 
     gamma is given constructively (a generator word, or a single det-1
@@ -586,7 +492,7 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover, fuel=DEFAULT_FUEL):
             g_abcd = cert.output_word.map_params(lambda p: RsT.const(p), RsT)
             local_words.append(g_abcd.concat(h_loc_t).concat(g_abcd.inverse()))
 
-    patched = patch(base_ring, n, alpha, cover, local_words, fuel=fuel)
+    patched = patch(base_ring, n, alpha, cover, local_words)
     out = patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring)
     if out.eval() != gamma.mul(h_word.eval()).mul(symp_inverse(gamma)):
         raise StepVerificationFailed("normality conjugation is off")

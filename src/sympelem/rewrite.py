@@ -71,9 +71,14 @@ def _alphabet_error(ring, what, atom):
 
 
 def _same(ring, n, rule, before_atoms, after_atoms):
-    """Raise unless the two atom lists evaluate to the same matrix."""
+    """Raise unless the two atom lists evaluate to the same matrix. The
+    message names the ring and n and gives both sides as word-file lines,
+    so the input of a failing step can be replayed."""
     if eval_atoms(ring, n, before_atoms) != eval_atoms(ring, n, after_atoms):
-        raise StepVerificationFailed(f"rule {rule!r} changed the evaluation")
+        raise StepVerificationFailed(
+            f"rule {rule!r} changed the evaluation over {ring.descriptor()} at n={n}\n"
+            f"before:\n{Word(ring, n, before_atoms).to_text()}"
+            f"after:\n{Word(ring, n, after_atoms).to_text()}")
 
 
 def _check(ring, n, rule, before_atoms, after_atoms, trace):

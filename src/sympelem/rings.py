@@ -61,8 +61,9 @@ class Ring:
         while e:
             if e & 1:
                 acc = self.mul(acc, base)
-            base = self.mul(base, base)
             e >>= 1
+            if e:
+                base = self.mul(base, base)
         return acc
 
     def from_int(self, k):
@@ -590,9 +591,6 @@ class Localized(Ring):
     def frac(self, a, k):
         return self.normalize(a, k)
 
-    def split(self, a):
-        return a
-
     def add(self, a, b):
         (na, ka), (nb, kb) = a, b
         if ka == kb:
@@ -733,6 +731,20 @@ def _parse_descriptor(toks):
 
 _TOKEN_CHARS = set("+-*/^()")
 
+# largest exponent times operand size that a parsed power may have, so that
+# no element text expands into an unbounded amount of arithmetic
+MAX_POWER_SIZE = 64
+
+
+def _size(ring, a):
+    """Number of root-level terms of a: a polynomial counts the terms of its
+    coefficients, a fraction those of its numerator, anything else is 1."""
+    if isinstance(ring, PolyRing):
+        return sum(_size(ring.base, c) for _, c in a)
+    if isinstance(ring, Localized):
+        return _size(ring.base, a[0])
+    return 1
+
 
 def _tokenize(text):
     toks = []
@@ -813,6 +825,9 @@ class _ElementParser:
             t = self.take()
             if not (isinstance(t, tuple) and t[0] == "int"):
                 raise ParseError("exponent must be an integer literal")
+            if t[1] * _size(self.ring, base) > MAX_POWER_SIZE:
+                raise ParseError(f"power ^{t[1]} of a {_size(self.ring, base)}-term element "
+                                 f"exceeds the size bound {MAX_POWER_SIZE}")
             return self.ring.pow_int(base, t[1])
         return base
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .errors import BadIndices, DimensionMismatch, NonZeroDet, ParseError
 from .matrices import Matrix
-from .symplectic import SHAPES, pi_swap, symp_inverse
+from .symplectic import SHAPES, is_symplectic, pi_swap, symp_inverse
 
 # shape(v) = v * u w^t for the sign vectors (u, w) of each 2x2 shape
 _SHAPE_SIGNS = {
@@ -332,11 +332,23 @@ def word_from_text(ring, n, text):
                     raise ParseError("CORNER atom needs four elements")
                 a, b, c, d = (parse_element(ring, t) for t in toks[1:])
                 atoms.append(CornerMatrixAtom(((a, b), (c, d))))
+            elif head == "PLACED":
+                if len(toks) != 5:
+                    raise ParseError("PLACED atom needs: PLACED offset shape pos <elem>")
+                atoms.append(PlacedAtom(int(toks[1]), toks[2].upper(), int(toks[3]),
+                                        parse_element(ring, toks[4])))
+            elif head == "DENSE":
+                # the (2n)^2 entries row by row; _terms checks the shape
+                vals = [parse_element(ring, t) for t in toks[1:]]
+                atoms.append(DenseAtom(tuple(tuple(vals[r:r + 2 * n])
+                                             for r in range(0, len(vals), 2 * n))))
             else:
                 raise ParseError(f"unknown atom kind {toks[0]!r}")
             if head != "CORNER":  # a corner block has no indices to check
                 atoms[-1]._terms(ring, n)
-        except BadIndices as exc:
+            if head == "DENSE" and not is_symplectic(Matrix(ring, atoms[-1].rows)):
+                raise ParseError(f"{line}: the matrix is not symplectic")
+        except (BadIndices, DimensionMismatch) as exc:
             raise ParseError(f"{line}: {exc}", line=lineno) from None
         except ParseError as exc:
             if exc.line is None:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +256,30 @@ def test_localization_at_a_zero_divisor_in_a_tower(tmp_path, capsys):
     for ring in ("loc:poly:zmod:200001:t:s=3*t", "loc:poly:poly:zmod:15:y:x:s=3"):
         assert run(["decompose", "--ring", ring, "--n", "2", "--in", str(src)]) == 2
         assert "zero divisor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--in", "w.txt"],
+    ["patch", "--ring", "zmod:15", "--n", "2", "--cover", "c.txt", "--alpha", "a.txt",
+     "--locals", "l1.txt", "l2.txt"],
+    ["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", "g.txt", "--h", "h.txt",
+     "--cover", "c.txt"],
+], ids=lambda argv: argv[0])
+def test_fuel_flag_is_gone(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--fuel", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fuel 64" in capsys.readouterr().err
+
+
+def test_oversized_power_is_a_parse_error_not_a_hang(tmp_path):
+    src = tmp_path / "w.txt"
+    src.write_text("S 1 3 (1+t)^100000\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "sympelem.cli", "decompose", "--ring", "poly:q:t",
+                           "--n", "2", "--in", str(src)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert "line 1" in done.stderr and "^100000" in done.stderr
+    assert time.perf_counter() - start < 5

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympelem import localglobal as lg
 from sympelem.errors import (
@@ -83,26 +85,50 @@ def test_conj_decompose_valuation_growth():
         assert tr.min_exponent() >= 1
 
 
-def test_group_identity_shuffle():
-    rng = random.Random(41)
-    for _ in range(500):
-        pairs = []
-        for _ in range(rng.randint(1, 4)):
-            aw = Word(Z15, 2, [ABCDAtom(rng.choice("ABCD"), 2, Z15.sample(rng))
-                               for _ in range(rng.randint(0, 2))])
-            bw = Word(Z15, 2, [ABCDAtom(rng.choice("ABCD"), 2, Z15.sample(rng))
-                               for _ in range(rng.randint(0, 2))])
-            pairs.append((aw, bw))
-        out = lg.group_identity_shuffle(pairs)
-        naive = Word(Z15, 2, [a for aw, bw in pairs for a in aw.atoms + bw.atoms])
-        assert out.eval() == naive.eval()
-    single = lg.group_identity_shuffle([(Word(Z15, 2, [ABCDAtom("A", 2, 3)]),
-                                         Word(Z15, 2, [ABCDAtom("B", 2, 4)]))])
-    assert single.eval() == Word(Z15, 2, [ABCDAtom("A", 2, 3), ABCDAtom("B", 2, 4)]).eval()
-
-
 def _rsx():
     return PolyRing(RT, ("X",))
+
+
+def linear_scan_valuation(RsX, c, cap):
+    """The valuation search ``_param_valuation`` replaced, kept as its
+    reference: the first e from cap down to -cap with c s^-e in R[X]."""
+    Rs = RsX.base
+    if RsX.is_zero(c):
+        return 0, RsX.zero
+    for e in range(cap, -cap - 1, -1):
+        scaled = [(ee, Rs.s_power_mul(v, -e)) for ee, v in c]
+        if all(k == 0 for _, (_, k) in scaled):
+            return e, tuple((ee, x) for ee, (x, _) in scaled)
+    return None
+
+
+def _valuation_towers():
+    """Q[t]_t[X], where coefficients get valuations -3..3, and the
+    (Z/15[Y])_2[X] tower of ``patch``, where s = 2 is a unit and the
+    valuation stops at the cap."""
+    qt_num = st.builds(lambda j, c0, c1: QT.mul(QT.pow_int(T, j), QT.add(QT.from_int(c0),
+                                                                        QT.scale_int(c1, T))),
+                       st.integers(0, 3), st.integers(-2, 2), st.integers(-2, 2))
+    ry = PolyRing(Z15, ("Y",))
+    rys = Localized(ry, ry.const(2))
+    ry_num = st.dictionaries(st.tuples(st.integers(0, 2)), st.integers(0, 14),
+                             max_size=3).map(ry.freeze)
+    return [(PolyRing(RT, ("X",)), qt_num), (PolyRing(rys, ("X",)), ry_num)]
+
+
+@pytest.mark.parametrize("tower", _valuation_towers(), ids=["qt-t", "z15y-2"])
+def test_param_valuation_matches_linear_scan(tower):
+    rsx, nums = tower
+    rs = rsx.base
+    coeffs = st.builds(rs.frac, nums, st.integers(0, 3))
+    polys = st.dictionaries(st.tuples(st.integers(0, 3)), coeffs, max_size=3).map(rsx.freeze)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys, st.integers(0, 6))
+    def check(c, cap):
+        assert lg._param_valuation(rs, c, cap) == linear_scan_valuation(rsx, c, cap)
+
+    check()
 
 
 def test_dilate_documented_example():

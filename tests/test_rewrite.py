@@ -3,11 +3,11 @@ import random
 import pytest
 
 from sympelem import rewrite as rw
-from sympelem.errors import AlphabetViolation, NotE2Witnessed
+from sympelem.errors import AlphabetViolation, NotE2Witnessed, StepVerificationFailed
 from sympelem.matrices import Matrix
-from sympelem.rings import PolyRing, Rationals, Zmod
+from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import corner_embed, gen_corner, pi_swap
-from sympelem.words import ABCDAtom, CornerAtom, SAtom, UnitAtom, Word
+from sympelem.words import ABCDAtom, CornerAtom, SAtom, UnitAtom, Word, word_from_text
 
 Z15 = Zmod(15)
 Q = Rationals()
@@ -207,3 +207,26 @@ def test_decompose_full_n4():
         cert = rw.decompose_full(w)
         assert all(isinstance(a, ABCDAtom) for a in cert.output_word.atoms)
         assert cert.output_word.eval() == w.eval()
+
+
+def test_step_failure_names_ring_and_n_and_replays(monkeypatch):
+    # a sign fault in every commutator rule breaks the bracket-rule step
+    rules = rw._rules_for(3)
+    monkeypatch.setattr(rw, "_rules_for",
+                        lambda n: {key: (g, h, -c) for key, (g, h, c) in rules.items()})
+    ring = PolyRing(Q, ("t",))
+    word = Word(ring, 3, [SAtom(1, 3, ring.from_int(4)),
+                          SAtom(3, 5, ring.add(ring.one, ring.var("t")))])
+    with pytest.raises(StepVerificationFailed) as exc:
+        rw.decompose_full(word)
+    msg = str(exc.value)
+    head, rest = msg.split("\nbefore:\n", 1)
+    before, after = rest.split("after:\n", 1)
+    assert head == "rule 'bracket-rule' changed the evaluation over poly:q:t at n=3"
+    assert before == "S 3 5 t+1\n" and after.count("\n") == 4
+    # the reported input replays to the same failure
+    descriptor, n = head.split(" over ")[1].split(" at n=")
+    replay = word_from_text(ring_from_descriptor(descriptor), int(n), before)
+    with pytest.raises(StepVerificationFailed) as again:
+        rw.decompose_full(replay)
+    assert str(again.value) == msg

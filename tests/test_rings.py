@@ -206,6 +206,28 @@ def test_element_parsing():
         parse_element(q, "nosuchvar")
 
 
+def test_power_size_bound():
+    # exponent times the operand's number of terms is bounded, through
+    # towers too: 1 + t has two terms in Q[t], in Q[t]_t and in Q[t][X]
+    for text in ("poly:q:t", "loc:poly:q:t:s=t", "poly:poly:q:t:X"):
+        ring = ring_from_descriptor(text)
+        assert parse_element(ring, "(1+t)^32") == ring.pow_int(parse_element(ring, "1+t"), 32)
+        with pytest.raises(ParseError, match="size bound"):
+            parse_element(ring, "(1+t)^33")
+    q = Rationals()
+    assert parse_element(q, "2^64") == 2 ** 64
+    with pytest.raises(ParseError, match="size bound"):
+        parse_element(q, "2^65")
+
+
+def test_pow_int_squares_no_more_than_needed(monkeypatch):
+    qt = PolyRing(Rationals(), ("t",))
+    calls = []
+    monkeypatch.setattr(qt, "mul", lambda a, b: calls.append(1) or PolyRing.mul(qt, a, b))
+    qt.pow_int(qt.var("t"), 16)
+    assert len(calls) == 5  # four squarings and one product into the accumulator
+
+
 def test_zmod_even_modulus_in_descriptor():
     with pytest.raises(EvenModulus):
         ring_from_descriptor("zmod:4")

@@ -228,11 +228,23 @@ def test_text_round_trip():
     back = word_from_text(ring, 2, text)
     assert back == w
     assert back.digest() == w.digest()
-    # placed and dense atoms are written only, never parsed
+    # placed and dense atoms keep their pinned text and parse back
     w = Word(ring, 2, [PlacedAtom(0, "C", 2, ring.add(ring.one, t)),
                        DenseAtom(gen_s(ring, 2, 1, 3, ring.neg(t)).rows)])
     assert w.to_text() == "PLACED 0 C 2 t+1\nDENSE 1 0 -t 0 0 1 0 0 0 0 1 0 0 t 0 1\n"
     assert w.digest() == "288142a95b3f938c"
+    assert word_from_text(ring, 2, w.to_text()) == w
+    w3 = Word(ring, 3, [PlacedAtom(1, "A", 2, t)])
+    assert word_from_text(ring, 3, w3.to_text()) == w3
+
+
+@pytest.mark.parametrize("text", ["PLACED 1 A 3 4", "PLACED 0 Q 2 4", "PLACED -1 A 2 4",
+                                  "PLACED 1 A 2", "DENSE 1 0 0 1", "DENSE",
+                                  "DENSE 2 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"])
+def test_bad_placed_and_dense_lines_name_the_line(text):
+    with pytest.raises(ParseError) as exc:
+        word_from_text(Z15, 2, "S 1 3 4\n" + text + "\n")
+    assert "line 2" in str(exc.value) and "unknown atom kind" not in str(exc.value)
 
 
 def test_parse_errors_name_lines():
