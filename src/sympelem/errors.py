@@ -54,10 +54,6 @@ class NoRuleFound(SympelemError):
     """No admitted reduction rule applies to a generator."""
 
 
-class NotE2Witnessed(SympelemError):
-    """A corner must come with an explicit transvection factorization."""
-
-
 class ExponentTooSmall(SympelemError):
     """Conjugation decomposition requires m > k."""
 

@@ -441,20 +441,8 @@ def composite_bc(ring, n, i, x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# helpers used by tests and the verification runner
+# unit brackets: the shape words that replace placed units
 # ---------------------------------------------------------------------------
-
-def unit_bracket_atoms(ring, n, shape, pos, param):
-    """A 4-atom commutator word evaluating to I perp (I_2+shape(param)) perp I.
-
-    Uses the same-position rows of the commutator table; the two factors
-    the product param splits into may be provided by callers that care
-    about valuations via unit_bracket_atoms_split.
-    """
-    quarter = ring.mul(ring.inv2, ring.inv2)
-    return unit_bracket_atoms_split(ring, n, shape, pos,
-                                    ring.mul(param, quarter), ring.one)
-
 
 def unit_bracket_shapes(shape, pos):
     """Shapes (g1, g2) whose same-position bracket [g1(u), g2(v)] is the
@@ -467,10 +455,12 @@ def unit_bracket_shapes(shape, pos):
     raise BadIndices("unit shapes are B and C")
 
 
-def unit_bracket_atoms_split(ring, n, shape, pos, u, v):
-    """Atoms for the unit with parameter 4*u*v at the given position."""
+def unit_bracket_atoms(ring, n, shape, pos, param):
+    """A 4-atom commutator word evaluating to I perp (I_2+shape(param)) perp I:
+    the same-position bracket [g1(param/4), g2(1)] of unit_bracket_shapes."""
     g1, g2 = unit_bracket_shapes(shape, pos)
     gpos = 2 if pos == 1 else pos
-    nu, nv = ring.neg(u), ring.neg(v)
-    return [ABCDAtom(g1, gpos, u), ABCDAtom(g2, gpos, v),
-            ABCDAtom(g1, gpos, nu), ABCDAtom(g2, gpos, nv)]
+    u = ring.mul(param, ring.mul(ring.inv2, ring.inv2))
+    one = ring.one
+    return [ABCDAtom(g1, gpos, u), ABCDAtom(g2, gpos, one),
+            ABCDAtom(g1, gpos, ring.neg(u)), ABCDAtom(g2, gpos, ring.neg(one))]

@@ -9,7 +9,7 @@ column updates, not by products of these matrices.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 
 
 class Matrix:
@@ -47,9 +47,6 @@ class Matrix:
         dot = self.ring.dot
         return Matrix(self.ring, [tuple(dot(row, c) for c in cols) for row in self.rows])
 
-    def __matmul__(self, other):
-        return self.mul(other)
-
     def add(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in add")
@@ -65,10 +62,6 @@ class Matrix:
     def neg(self):
         n = self.ring.neg
         return Matrix(self.ring, [tuple(map(n, r)) for r in self.rows])
-
-    def scale(self, c):
-        m = self.ring.mul
-        return Matrix(self.ring, [tuple(m(c, v) for v in r) for r in self.rows])
 
     def transpose(self):
         return Matrix(self.ring, list(zip(*self.rows)))
@@ -148,7 +141,11 @@ def matrix_from_text(line, ring=None):
         if key == "entries":
             rest = [value] + toks[idx + 1:]
             break
-    n = int(fields["n"])
+    try:
+        n = int(fields["n"])
+    except (KeyError, ValueError):
+        raise ParseError(f"sympmat needs an integer n= field, got {fields.get('n')!r}",
+                         line=1) from None
     if ring is None:
         ring = ring_from_descriptor(fields["ring"])
     entries = [parse_element(ring, tok) for tok in rest]

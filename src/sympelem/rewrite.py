@@ -15,13 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    AlphabetViolation,
-    BadIndices,
-    NoRuleFound,
-    NotE2Witnessed,
-    StepVerificationFailed,
-)
+from .errors import AlphabetViolation, BadIndices, NoRuleFound, StepVerificationFailed
 from .matrices import Matrix
 from .identities import (
     corner_correction,
@@ -56,14 +50,6 @@ def _atoms_digest(ring, atoms):
     return _digest(ring, [a._text(ring) for a in atoms])
 
 
-class Trace:
-    def __init__(self):
-        self.steps = []
-
-    def record(self, rule, before, after):
-        self.steps.append((rule, before, after))
-
-
 def _alphabet_error(ring, what, atom):
     hint = (" (a CORNER atom is accepted only by normality-demo --gamma)"
             if isinstance(atom, CornerMatrixAtom) else "")
@@ -82,8 +68,10 @@ def _same(ring, n, rule, before_atoms, after_atoms):
 
 
 def _check(ring, n, rule, before_atoms, after_atoms, trace):
+    """Verify one step and append (rule, before digest, after digest) to
+    the trace, a plain list."""
     _same(ring, n, rule, before_atoms, after_atoms)
-    trace.record(rule, _atoms_digest(ring, before_atoms), _atoms_digest(ring, after_atoms))
+    trace.append((rule, _atoms_digest(ring, before_atoms), _atoms_digest(ring, after_atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +84,17 @@ _RULES_CACHE = {}
 
 def discover_s_rules(n):
     """Find commutator rules [g(x), h(y)] = S_ij(c*x*y) over the row-1/2
-    alphabet, by exact symbolic computation. Returns {(i, j): (g, h, c)}
-    where g, h are atom specs ("S", row, col) or ("E12",)/("E21",)."""
+    transvections, by exact symbolic computation. Returns {(i, j): (g, h, c)}
+    where g, h are atom specs ("S", row, col). The alphabet has no corner
+    atoms, so reducing a transvection emits none."""
     from .rings import PolyRing, Rationals
     from .symplectic import gen_s
 
     ring = PolyRing(Rationals(), ("x", "y"))
     x, y = ring.var("x"), ring.var("y")
-    alphabet = [("E12",), ("E21",)]
-    alphabet += [("S", r, a) for r in (1, 2) for a in range(3, 2 * n + 1) if a != pi_swap(r)]
+    alphabet = [("S", r, a) for r in (1, 2) for a in range(3, 2 * n + 1) if a != pi_swap(r)]
 
     def mat(spec, v):
-        if spec[0] in ("E12", "E21"):
-            return atom_matrix(ring, n, CornerAtom(spec[0], v))
         return atom_matrix(ring, n, SAtom(spec[1], spec[2], v))
 
     ident = Matrix.identity(ring, 2 * n)
@@ -167,7 +153,7 @@ def _mirror_param(ring, i, j, e):
 def reduce_to_row12(word, trace=None):
     """Rewrite transvections with row >= 3 into the row-1/2 alphabet."""
     ring, n = word.ring, word.n
-    trace = trace if trace is not None else Trace()
+    trace = [] if trace is None else trace
     out = []
     for atom in word.atoms:
         if isinstance(atom, CornerAtom):
@@ -196,20 +182,16 @@ def reduce_to_row12(word, trace=None):
             xhat = ee if c == 1 else ring.neg(ee)
         else:
             xhat = ring.half(ee) if c == 2 else ring.neg(ring.half(ee))
-
-        def spec_atom(spec, v):
-            return CornerAtom(spec[0], v) if spec[0] in ("E12", "E21") else SAtom(spec[1], spec[2], v)
-
         one = ring.one
-        rep = [spec_atom(g, xhat), spec_atom(h, one),
-               spec_atom(g, ring.neg(xhat)), spec_atom(h, ring.neg(one))]
+        rep = [SAtom(g[1], g[2], xhat), SAtom(h[1], h[2], one),
+               SAtom(g[1], g[2], ring.neg(xhat)), SAtom(h[1], h[2], ring.neg(one))]
         _check(ring, n, "bracket-rule", [atom], rep, trace)
         out.extend(rep)
     return Word(ring, n, out)
 
 
 # ---------------------------------------------------------------------------
-# stage one: corners left, everything else into graded one-block matrices
+# stage one: row-1/2 transvections into graded one-block matrices
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -221,7 +203,6 @@ class GradedForm:
     x: object
     y: object
     pos: int
-    witness: tuple = ()  # corner atoms with first column (lam, mu)
 
     def _terms(self, ring, n):
         """E(X) - I for X = (lam, mu)^t (x, y): X in rows 1-2 and
@@ -248,64 +229,43 @@ class CornerWitness:
     word: tuple  # CornerAtoms
 
 
-_OMEGA_WITNESS = ("E21", 1), ("E12", -1), ("E21", 1)
-
-
 def _s_to_graded(ring, atom):
-    """A row-1/2 transvection is a single graded block."""
+    """A row-1/2 transvection is a single graded block with (lam, mu) the
+    unit vector of its row."""
     i, j, e = atom.i, atom.j, atom.e
     pos = (j + 1) // 2
     zero, one = ring.zero, ring.one
     lam, mu = (one, zero) if i == 1 else (zero, one)
-    wit = () if i == 1 else tuple(CornerAtom(k, ring.from_int(v)) for k, v in _OMEGA_WITNESS)
     if j % 2 == 1:
-        return GradedForm(lam, mu, e, zero, pos, wit)
-    return GradedForm(lam, mu, zero, e, pos, wit)
-
-
-def _corner_apply_inv(ring, kind, v, lam, mu):
-    """(lam', mu')^t = corner(kind, v)^-1 (lam, mu)^t."""
-    if kind == "E12":
-        return ring.sub(lam, ring.mul(v, mu)), mu
-    return lam, ring.sub(mu, ring.mul(v, lam))
+        return GradedForm(lam, mu, e, zero, pos)
+    return GradedForm(lam, mu, zero, e, pos)
 
 
 def decompose_initial(word, trace=None):
-    """Split a row-1/2 word as (corner delta, body over shapes and units).
+    """Split a row-1/2 transvection run as (corner delta, body over shapes
+    and units).
 
-    The corner comes back with an explicit transvection factorization;
-    the body contains only one-block generators and placed units.
+    The run is corner-free: decompose_full cuts its runs at corner atoms,
+    and the reduction rules use row-1/2 transvections only. So every block
+    is graded by a unit vector (lam, mu), and every correction corner is
+    the single transvection E12(2ab) or E21(-2ab). The corner comes back
+    with that transvection factorization; the body contains only
+    one-block generators and placed units.
     """
     ring, n = word.ring, word.n
-    trace = trace if trace is not None else Trace()
-    for atom in word.atoms:
-        if isinstance(atom, CornerAtom):
-            continue
-        if isinstance(atom, SAtom) and atom.i in (1, 2) and atom.j >= 3:
-            continue
-        raise _alphabet_error(ring, "outside the row-1/2 alphabet: atom", atom)
+    trace = [] if trace is None else trace
 
-    # stage (a): fold corners left through graded blocks
-    delta_word = []
+    # stage (a): each transvection becomes one graded block
     blocks = []
     for atom in word.atoms:
-        if isinstance(atom, SAtom):
-            g = _s_to_graded(ring, atom)
-            _check(ring, n, "transvection-to-block", [atom], [g], trace)
-            blocks.append(g)
-        else:
-            inv = atom._inverse(ring)
-            new_blocks = []
-            for g in blocks:
-                lam2, mu2 = _corner_apply_inv(ring, atom.kind, atom.e, g.lam, g.mu)
-                g2 = GradedForm(lam2, mu2, g.x, g.y, g.pos, (inv,) + g.witness)
-                _same(ring, n, "corner-fold", [inv, g, atom], [g2])
-                new_blocks.append(g2)
-            trace.record("corner-fold", _atoms_digest(ring, [atom]), _atoms_digest(ring, new_blocks))
-            blocks = new_blocks
-            delta_word.append(atom)
+        if not (isinstance(atom, SAtom) and atom.i in (1, 2) and atom.j >= 3):
+            raise _alphabet_error(ring, "outside the row-1/2 transvection alphabet: atom", atom)
+        g = _s_to_graded(ring, atom)
+        _check(ring, n, "transvection-to-block", [atom], [g], trace)
+        blocks.append(g)
 
     # stage (b): extract corner corrections block by block, then split forms
+    delta_word = []
     forms = []  # (kind "A"|"B", lam, mu, val, pos)
     for g in blocks:
         if ring.is_zero(g.x) and ring.is_zero(g.y):
@@ -314,23 +274,19 @@ def decompose_initial(word, trace=None):
         b = ring.half(ring.sub(g.x, g.y))
         ab2 = ring.scale_int(2, ring.mul(a, b))
         ch = CornerMatrixAtom(corner_correction(ring, g.lam, g.mu, a, b).rows)
-        one, zero = ring.one, ring.zero
         if ring.is_zero(ab2):
             ch_word = []
-        elif (g.lam, g.mu) == (one, zero):
+        elif ring.is_zero(g.mu):
             ch_word = [CornerAtom("E12", ab2)]
-        elif (g.lam, g.mu) == (zero, one):
-            ch_word = [CornerAtom("E21", ring.neg(ab2))]
         else:
-            eps = list(g.witness)
-            ch_word = eps + [CornerAtom("E12", ab2)] + [e._inverse(ring) for e in reversed(eps)]
+            ch_word = [CornerAtom("E21", ring.neg(ab2))]
         if ch_word:
             _same(ring, 1, "corner-correction witness", ch_word, [ch])
         # graded = ch * A-form * B-form
         af = GradedForm(g.lam, g.mu, a, a, g.pos)
         bf = GradedForm(g.lam, g.mu, b, ring.neg(b), g.pos)
         _same(ring, n, "graded-split", [g], [ch, af, bf])
-        trace.record("graded-split", _atoms_digest(ring, [g]), _atoms_digest(ring, [af, bf]))
+        trace.append(("graded-split", _atoms_digest(ring, [g]), _atoms_digest(ring, [af, bf])))
         # fold ch left across the pending forms
         if ch_word:
             ch_inv = ch._inverse(ring)
@@ -343,8 +299,8 @@ def decompose_initial(word, trace=None):
                 after = GradedForm(lam2, mu2, val, y_old, pos)
                 _same(ring, n, "correction-fold", [ch_inv, before, ch], [after])
                 new_forms.append((kind, lam2, mu2, val, pos))
-            trace.record("correction-fold", _digest(ring, [ring.show(ab2)]),
-                         _digest(ring, [f[0] for f in new_forms]))
+            trace.append(("correction-fold", _digest(ring, [ring.show(ab2)]),
+                          _digest(ring, [f[0] for f in new_forms])))
             forms = new_forms
             delta_word.extend(ch_word)
         if not ring.is_zero(a):
@@ -400,13 +356,13 @@ def conj_abcd_atom(ring, n, delta_rows, atom):
 
 
 def corner_to_abcd(ring, n, corner_atoms, trace=None):
-    """Rewrite a transvection-factored corner into a pure shape word."""
-    trace = trace if trace is not None else Trace()
+    """Rewrite a word of corner transvections into a pure shape word."""
+    trace = [] if trace is None else trace
     out = []
     one = ring.one
     for atom in corner_atoms:
         if not isinstance(atom, CornerAtom):
-            raise NotE2Witnessed(f"corner {atom!r} has no transvection factorization")
+            raise _alphabet_error(ring, "not a corner transvection: atom", atom)
         if ring.is_zero(atom.e):
             continue
         if atom.kind == "E21":
@@ -443,7 +399,7 @@ class DecompositionCertificate:
 def simplify_shape_word(word, trace=None):
     """Merge adjacent same-shape same-position atoms and drop zeros."""
     ring, n = word.ring, word.n
-    trace = trace if trace is not None else Trace()
+    trace = [] if trace is None else trace
     atoms = []
     for a in word.atoms:
         if isinstance(a, ABCDAtom) and ring.is_zero(a.e):
@@ -464,7 +420,7 @@ def simplify_shape_word(word, trace=None):
 def merge_corner_atoms(ring, atoms, trace=None):
     """Peephole on a corner word: drop zeros, merge adjacent same-kind
     transvections (their parameters add), cancel trivial results."""
-    trace = trace if trace is not None else Trace()
+    trace = [] if trace is None else trace
     out = []
     for a in atoms:
         if ring.is_zero(a.e):
@@ -487,7 +443,7 @@ def eliminate_units_inplace(word, trace=None):
     unit's own position), unlike collecting units across the word.
     """
     ring, n = word.ring, word.n
-    trace = trace if trace is not None else Trace()
+    trace = [] if trace is None else trace
     out = []
     for a in word.atoms:
         if isinstance(a, ABCDAtom):
@@ -504,10 +460,11 @@ def eliminate_units_inplace(word, trace=None):
 
 
 def _convert_segment(ring, n, s_atoms, trace):
-    """One corner-free transvection run through the rewrite stages:
-    initial decomposition, in-place unit elimination, corner elimination.
-    With no corners in the run, every correction factor is a single
-    transvection, so nothing here inflates parameters."""
+    """One row-1/2 transvection run through the rewrite stages: initial
+    decomposition, in-place unit elimination, corner elimination. The run
+    is corner-free, because decompose_full cuts runs at corner atoms and
+    the reduction rules emit no corners; so every correction factor is a
+    single transvection, and nothing here inflates parameters."""
     if not s_atoms:
         return []
     witness, body, _ = decompose_initial(Word(ring, n, s_atoms), trace)
@@ -525,16 +482,14 @@ def decompose_full(word):
     run of transvections between them is converted on its own. Folding
     the corners leftward through the whole word instead would regrade
     every later block, so the correction factors would carry conjugated
-    witness words and inflate the output; converting run by run keeps
+    corner words and inflate the output; converting run by run keeps
     every correction a single transvection. Every step is verified.
     """
     ring, n = word.ring, word.n
     if n < 2:
         raise AlphabetViolation("decomposition needs n >= 2")
-    trace = Trace()
+    trace = []
     out_atoms = []
-    # shape and unit atoms (e.g. a previous output) pass straight
-    # through, which makes the decomposition idempotent on its image
     run = []
     for atom in word.atoms:
         if isinstance(atom, SAtom) and atom.i in (1, 2):
@@ -546,21 +501,17 @@ def decompose_full(word):
         out_atoms.extend(_convert_segment(ring, n, run, trace))
         run = []
         if isinstance(atom, CornerAtom):
-            cw, _ = corner_to_abcd(ring, n, [atom], trace)
-            out_atoms.extend(cw.atoms)
-        elif isinstance(atom, ABCDAtom):
-            out_atoms.append(atom)
-        elif isinstance(atom, UnitAtom):
-            if not ring.is_zero(atom.e):
-                rep = unit_bracket_atoms(ring, n, atom.shape, atom.pos, atom.e)
-                _check(ring, n, "unit-to-bracket", [atom], rep, trace)
-                out_atoms.extend(rep)
+            done, _ = corner_to_abcd(ring, n, [atom], trace)
         else:
-            raise _alphabet_error(ring, "cannot decompose atom", atom)
+            # placed units become brackets and shape atoms (e.g. a previous
+            # output) pass straight through, so the decomposition is
+            # idempotent on its image
+            done, _ = eliminate_units_inplace(Word(ring, n, [atom]), trace)
+        out_atoms.extend(done.atoms)
     out_atoms.extend(_convert_segment(ring, n, run, trace))
     out, _ = simplify_shape_word(Word(ring, n, out_atoms), trace)
     # soundness is the composition of the per-step checks above; the
     # output alphabet is checked outright
     if not all(isinstance(a, ABCDAtom) for a in out.atoms):
         raise StepVerificationFailed("output contains non-shape atoms")
-    return DecompositionCertificate(word, out, trace.steps, True)
+    return DecompositionCertificate(word, out, trace, True)

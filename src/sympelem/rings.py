@@ -36,13 +36,8 @@ from .errors import EvenModulus, NilpotentS, ParseError, ZeroDivisorS
 class Ring:
     """Base class; subclasses fill in arithmetic on raw representations."""
 
-    kind = "abstract"
-
     def sub(self, a, b):
         return self.add(a, self.neg(b))
-
-    def eq(self, a, b):
-        return a == b
 
     def is_zero(self, a):
         return a == self.zero
@@ -121,8 +116,6 @@ class Ring:
 
 
 class Zmod(Ring):
-    kind = "zmod"
-
     def __init__(self, m):
         if m % 2 == 0:
             raise EvenModulus(f"modulus {m} is even, 2 is not invertible")
@@ -191,8 +184,6 @@ class Zmod(Ring):
 
 
 class Rationals(Ring):
-    kind = "q"
-
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
@@ -252,8 +243,6 @@ class PolyRing(Ring):
     the identity tables and the univariate extensions R[X] used by the
     localization machinery; towers arise by nesting.
     """
-
-    kind = "poly"
 
     def __init__(self, base, names):
         names = tuple(names)
@@ -561,14 +550,11 @@ class Localized(Ring):
     divisor.
     """
 
-    kind = "loc"
-
-    def __init__(self, base, s, *, assume_ok=False):
-        if not assume_ok:
-            if base.is_nilpotent_elem(s):
-                raise NilpotentS(f"cannot localize at nilpotent {base.show(s)}")
-            if base.is_zero_divisor_elem(s):
-                raise ZeroDivisorS(f"{base.show(s)} is a zero divisor")
+    def __init__(self, base, s):
+        if base.is_nilpotent_elem(s):
+            raise NilpotentS(f"cannot localize at nilpotent {base.show(s)}")
+        if base.is_zero_divisor_elem(s):
+            raise ZeroDivisorS(f"{base.show(s)} is a zero divisor")
         self.base = base
         self.s = s
         self.zero = (base.zero, 0)

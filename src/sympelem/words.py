@@ -274,9 +274,6 @@ class Word:
     def concat(self, other):
         return Word(self.ring, self.n, self.atoms + other.atoms)
 
-    def __mul__(self, other):
-        return self.concat(other)
-
     def __len__(self):
         return len(self.atoms)
 
@@ -286,9 +283,9 @@ class Word:
     def __eq__(self, other):
         return isinstance(other, Word) and (self.n, self.atoms) == (other.n, other.atoms)
 
-    def map_params(self, f, target_ring=None, target_n=None):
+    def map_params(self, f, target_ring=None):
         """Apply a ring map to every atom parameter."""
-        return Word(target_ring or self.ring, target_n or self.n, [a._map(f) for a in self.atoms])
+        return Word(target_ring or self.ring, self.n, [a._map(f) for a in self.atoms])
 
     def to_text(self):
         return "".join(a._text(self.ring) + "\n" for a in self.atoms)

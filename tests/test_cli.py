@@ -250,6 +250,20 @@ def test_malformed_cover_is_a_parse_error(tmp_path, capsys):
         assert "line 1" in capsys.readouterr().err
 
 
+def test_matrix_gamma_without_integer_n_is_a_parse_error(tmp_path, capsys):
+    cover = tmp_path / "cover.txt"
+    cover.write_text("s=2 c=1 b=2 N=1\ns=4 c=11 b=4 N=1\n")
+    h = tmp_path / "h.txt"
+    h.write_text("A 2 3\n")
+    gamma = tmp_path / "g.txt"
+    for head in ("sympmat", "sympmat n=two"):
+        gamma.write_text(f"{head} ring=zmod:15 entries=1 0 0 1\n")
+        assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
+                    "--h", str(h), "--cover", str(cover)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "n=" in err
+
+
 def test_localization_at_a_zero_divisor_in_a_tower(tmp_path, capsys):
     src = tmp_path / "w.txt"
     src.write_text("A 2 1\n")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sympelem import rewrite as rw
-from sympelem.errors import AlphabetViolation, NotE2Witnessed, StepVerificationFailed
+from sympelem.errors import AlphabetViolation, StepVerificationFailed
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import corner_embed, gen_corner, pi_swap
@@ -44,6 +44,20 @@ def test_rules_beyond_shipped_files_stay_in_memory(monkeypatch):
     assert rw._rules_for(5) is rules
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rules_are_row12_transvections_covering_every_index(n):
+    # decompose_initial accepts only row-1/2 transvections, which holds
+    # because every reduction rule is built from them
+    rules = rw._rules_for(n)
+    for g, h, _ in rules.values():
+        for spec in (g, h):
+            assert spec[0] == "S" and spec[1] in (1, 2) and len(spec) == 3
+    # and every S_ij with 3 <= i, j <= 2n has a rule of its own
+    wanted = {(i, j) for i in range(3, 2 * n + 1) for j in range(3, 2 * n + 1)
+              if j not in (i, pi_swap(i))}
+    assert set(rules) == wanted
+
+
 def test_reduce_to_row12():
     w = Word(Z15, 3, [SAtom(3, 5, 7)])
     r = rw.reduce_to_row12(w)
@@ -81,9 +95,12 @@ def test_decompose_initial_single_transvection():
     assert got == witness.matrix
 
 
-def test_decompose_initial_empty_and_corner_fold():
+def test_decompose_initial_empty_and_corner_input():
     witness, body, _ = rw.decompose_initial(Word(Z15, 2, []))
     assert witness.matrix.is_identity() and len(body) == 0
+    # runs are corner-free: decompose_full cuts them at corners
+    with pytest.raises(AlphabetViolation):
+        rw.decompose_initial(Word(Z15, 2, [SAtom(1, 3, 4), CornerAtom("E21", 2)]))
     # corner-sandwiched transvections: the closed form of the leading
     # corner conjugation identity
     rng = random.Random(32)
@@ -91,8 +108,9 @@ def test_decompose_initial_empty_and_corner_fold():
         lam, xv, yv = (Z15.sample(rng) for _ in range(3))
         w = Word(Z15, 2, [CornerAtom("E21", lam), SAtom(1, 3, xv), SAtom(1, 4, yv),
                           CornerAtom("E21", Z15.neg(lam))])
-        witness, body, _ = rw.decompose_initial(w)
-        assert corner_embed(witness.matrix, 2).mul(body.eval()) == w.eval()
+        cert = rw.decompose_full(w)
+        assert all(isinstance(a, ABCDAtom) for a in cert.output_word.atoms)
+        assert cert.output_word.eval() == w.eval()
 
 
 def test_decompose_initial_rejects_high_rows():
@@ -114,7 +132,7 @@ def test_corner_to_abcd():
     word, _ = rw.corner_to_abcd(Z15, 2, atoms)
     want = gen_corner(Z15, 2, "E12", 3).mul(gen_corner(Z15, 2, "E21", 7))
     assert word.eval() == want
-    with pytest.raises(NotE2Witnessed):
+    with pytest.raises(AlphabetViolation):
         rw.corner_to_abcd(Z15, 2, [ABCDAtom("A", 2, 1)])
 
 
