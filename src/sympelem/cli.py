@@ -24,10 +24,20 @@ USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.NilpotentS, err.ZeroDivisor
 
 
 def _parse_n_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """Block counts from ``k`` or ``lo..hi``: a nonempty range, every n >= 2."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(text)]
+    except ValueError:
+        raise err.ParseError(f"--n {text} is neither an integer nor a range lo..hi") from None
+    if not values:
+        raise err.ParseError(f"--n {text} is an empty range")
+    if values[0] < 2:
+        raise err.ParseError(f"--n {text} includes n < 2; every n must be >= 2")
+    return values
 
 
 def _read(path):
@@ -42,7 +52,10 @@ def _write(path, text):
 
 def cmd_verify_tables(args):
     ring = ring_from_descriptor(args.ring)
-    report = run_verify_tables(ring, _parse_n_range(args.n), seed=args.seed,
+    n_values = _parse_n_range(args.n)
+    if args.trials < 1:
+        raise err.ParseError(f"--trials {args.trials} checks nothing; it must be >= 1")
+    report = run_verify_tables(ring, n_values, seed=args.seed,
                                trials=args.trials, corrupt=args.corrupt,
                                out_stream=sys.stdout)
     if args.out:
@@ -149,9 +162,15 @@ def cmd_report(args):
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise err.ParseError(str(exc), line=lineno) from None
+        if not isinstance(rec, dict):
+            raise err.ParseError(f"a record must be a JSON object, not {type(rec).__name__}",
+                                 line=lineno)
+        records.append(rec)
+    if not records:
+        raise err.ParseError("the report has no records")
     npass = sum(1 for r in records if r.get("status") == "PASS")
     for r in records:
         if r.get("status") != "PASS":

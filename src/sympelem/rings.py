@@ -6,7 +6,8 @@ modulus) and represents elements canonically, so equality is plain ``==``
 on representations:
 
 * ``Zmod(m)``      -- ints in ``[0, m)``
-* ``Rationals()``  -- ``fractions.Fraction``
+* ``Rationals()``  -- reduced int pairs ``(numerator, denominator)``,
+                      denominator > 0
 * ``PolyRing``     -- tuple of ``(exponent_tuple, coeff)`` pairs, graded-lex
                       descending, zero coefficients dropped
 * ``Localized``    -- pairs ``(numerator, k)`` standing for ``num / s^k``
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .errors import EvenModulus, NilpotentS, ParseError, ZeroDivisorS
 
@@ -184,52 +184,104 @@ class Zmod(Ring):
 
 
 class Rationals(Ring):
+    """Q as reduced pairs ``(numerator, denominator)`` of ints with
+    denominator > 0, so equal values have equal pairs. Sums and products
+    cancel with the gcd steps of ``fractions.Fraction``, and two integers
+    (denominator 1) combine with no gcd at all."""
+
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-        self.inv2 = Fraction(1, 2)
+        self.zero = (0, 1)
+        self.one = (1, 1)
+        self.inv2 = (1, 2)
 
     def add(self, a, b):
-        return a + b
+        na, da = a
+        nb, db = b
+        if da == 1 and db == 1:
+            return (na + nb, 1)
+        return _q_add(na, da, nb, db)
+
+    def sub(self, a, b):
+        na, da = a
+        nb, db = b
+        if da == 1 and db == 1:
+            return (na - nb, 1)
+        return _q_add(na, da, -nb, db)
 
     def neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def mul(self, a, b):
-        return a * b
+        na, da = a
+        nb, db = b
+        if da == 1 and db == 1:
+            return (na * nb, 1)
+        return _q_mul(na, da, nb, db)
 
     def from_int(self, k):
-        return Fraction(k)
+        return (k, 1)
 
     def is_zero(self, a):
-        return not a
+        return not a[0]
 
     def dot(self, row, col):
-        acc = Fraction(0)
-        for u, v in zip(row, col):
-            if u and v:
-                acc += u * v
+        acc = (0, 1)
+        for (nu, du), (nv, dv) in zip(row, col):
+            if nu and nv:
+                acc = _q_add(*acc, *_q_mul(nu, du, nv, dv))
         return acc
 
     def try_invert(self, a):
-        return None if a == 0 else 1 / a
+        n, d = a
+        if not n:
+            return None
+        return (d, n) if n > 0 else (-d, -n)
 
     def try_exact_div(self, a, d):
-        return None if d == 0 else a / d
-
-    def is_zero_divisor_elem(self, a):
-        return a == 0
+        inv = self.try_invert(d)
+        return None if inv is None else _q_mul(*a, *inv)
 
     def sample(self, rng, small=False):
         if small:
-            return Fraction(rng.randint(-3, 3))
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            return (rng.randint(-3, 3), 1)
+        n, d = rng.randint(-9, 9), rng.randint(1, 9)
+        g = math.gcd(n, d)
+        return (n // g, d // g)
 
     def show(self, a):
-        return str(a)
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def descriptor(self):
         return "q"
+
+
+def _q_add(na, da, nb, db):
+    """na/da + nb/db reduced, for reduced operands: a common factor of the
+    sum can only divide g = gcd(da, db), so only g is searched."""
+    g = math.gcd(da, db)
+    if g == 1:
+        return (na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return (t, s * db)
+    return (t // g2, s * (db // g2))
+
+
+def _q_mul(na, da, nb, db):
+    """na/da * nb/db reduced, for reduced operands: cancel each numerator
+    against the other denominator first."""
+    g1 = math.gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = math.gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return (na * nb, da * db)
 
 
 def _grlex_key(exps):

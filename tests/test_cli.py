@@ -188,6 +188,32 @@ def test_report_command(tmp_path, capsys):
     assert run(["report", "--in", str(ok)]) == 0
 
 
+@pytest.mark.parametrize("line", ["1", "[1]"])
+def test_report_rejects_a_record_that_is_not_an_object(tmp_path, capsys, line):
+    rep = tmp_path / "r.jsonl"
+    rep.write_text(json.dumps({"name": "a", "ring": "q", "n": 2, "status": "PASS"}) + "\n"
+                   + line + "\n")
+    assert run(["report", "--in", str(rep)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_report_without_records_is_a_parse_error(tmp_path, capsys):
+    rep = tmp_path / "r.jsonl"
+    rep.write_text("\n  \n")
+    assert run(["report", "--in", str(rep)]) == 2
+    captured = capsys.readouterr()
+    assert "no records" in captured.err and "items passed" not in captured.out
+
+
+@pytest.mark.parametrize("args", [["--n", "3..2"], ["--n", "1"], ["--n", "1..2"], ["--n", "2..x"],
+                                  ["--trials", "0"], ["--trials", "-3"]],
+                         ids=lambda args: " ".join(args))
+def test_verify_tables_that_checks_nothing_is_a_parse_error(args, capsys):
+    assert run(["verify-tables", "--ring", "zmod:15", *args]) == 2
+    captured = capsys.readouterr()
+    assert args[1] in captured.err and captured.out == ""
+
+
 def test_verify_tables_names_the_ring_checked_over(tmp_path, capsys):
     # identities over a polynomial ring are checked over Q[symbols]
     out = tmp_path / "r.jsonl"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -49,6 +50,46 @@ def test_half_examples():
     assert pxy.show(h) == "1/2*x + 1/2*y"
 
 
+# any rational, and the dyadic values with denominators up to 2^11 that
+# the halvings of the rewrite produce
+_FRACTIONS = st.one_of(st.fractions(),
+                       st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                 st.sampled_from([2 ** k for k in range(12)])))
+
+
+def _assert_canonical_pair(a):
+    n, d = a
+    assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1, a
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FRACTIONS, _FRACTIONS, st.lists(st.tuples(_FRACTIONS, _FRACTIONS), max_size=4))
+def test_rationals_pairs_agree_with_fraction(x, y, pairs):
+    q = Rationals()
+
+    def pair(f):
+        return (f.numerator, f.denominator)
+
+    a, b = pair(x), pair(y)
+    results = {"add": (q.add(a, b), x + y), "sub": (q.sub(a, b), x - y),
+               "mul": (q.mul(a, b), x * y), "neg": (q.neg(a), -x),
+               "dot": (q.dot([pair(u) for u, _ in pairs], [pair(v) for _, v in pairs]),
+                       sum((u * v for u, v in pairs), Fraction(0)))}
+    if x:
+        results["try_invert"] = (q.try_invert(a), 1 / x)
+    else:
+        assert q.try_invert(a) is None and q.is_zero(a)
+    if y:
+        results["try_exact_div"] = (q.try_exact_div(a, b), x / y)
+    else:
+        assert q.try_exact_div(a, b) is None
+    for op, (got, want) in results.items():
+        _assert_canonical_pair(got)
+        assert got == pair(want), (op, x, y)
+    assert q.show(a) == str(x)
+    assert q.is_zero(a) == (x == 0)
+
+
 @pytest.mark.parametrize("ring", all_test_rings(), ids=lambda r: r.descriptor())
 def test_ring_axioms_randomized(ring):
     rng = random.Random(20240811)
@@ -84,10 +125,12 @@ def test_localized_try_invert_terminates():
     assert u.try_invert(u.embed(3)) is None
     assert u.try_invert(u.zero) is None
     # a non-unit s is divided out of the numerator first
-    qx = PolyRing(Rationals(), ("x",))
+    q = Rationals()
+    qx = PolyRing(q, ("x",))
     x = qx.var("x")
     loc = Localized(qx, x)
-    assert loc.try_invert(loc.embed(qx.scale_int(3, x))) == loc.frac(qx.const(Fraction(1, 3)), 1)
+    third = q.try_invert(q.from_int(3))
+    assert loc.try_invert(loc.embed(qx.scale_int(3, x))) == loc.frac(qx.const(third), 1)
     assert loc.try_invert(loc.embed(qx.add(x, qx.one))) is None
     assert loc.try_invert(loc.zero) is None
     with pytest.raises(ParseError):
@@ -215,7 +258,7 @@ def test_power_size_bound():
         with pytest.raises(ParseError, match="size bound"):
             parse_element(ring, "(1+t)^33")
     q = Rationals()
-    assert parse_element(q, "2^64") == 2 ** 64
+    assert parse_element(q, "2^64") == q.from_int(2 ** 64)
     with pytest.raises(ParseError, match="size bound"):
         parse_element(q, "2^65")
 
@@ -369,12 +412,13 @@ def _kernel_towers():
     """(name, ring, reference ring, coefficient strategy) for
     poly:zmod:15:x,y, poly:q:t and the (Z/15[Y])_s[X] towers of patch,
     with s a unit (2) and a non-unit (Y)."""
-    z15 = Zmod(15)
+    z15, q = Zmod(15), Rationals()
     residues = st.integers(0, 14)
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(
+        lambda f: q.mul(q.from_int(f.numerator), q.try_invert(q.from_int(f.denominator))))
     out = [("zmod15-xy", PolyRing(z15, ("x", "y")), DictSortPolyRing(z15, ("x", "y")),
             residues),
-           ("q-t", PolyRing(Rationals(), ("t",)), DictSortPolyRing(Rationals(), ("t",)),
-            st.fractions(min_value=-3, max_value=3, max_denominator=3))]
+           ("q-t", PolyRing(q, ("t",)), DictSortPolyRing(q, ("t",)), rationals)]
     for label in ("2", "Y"):
         rings = []
         for cls in (PolyRing, DictSortPolyRing):
