@@ -8,6 +8,7 @@ JSON record per item.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -53,10 +54,16 @@ def _write(path, text):
 def cmd_verify_tables(args):
     ring = ring_from_descriptor(args.ring)
     n_values = _parse_n_range(args.n)
-    if args.trials < 1:
-        raise err.ParseError(f"--trials {args.trials} checks nothing; it must be >= 1")
+    trials = args.trials
+    if trials is None:
+        trials = 3
+    elif isinstance(ring, PolyRing):
+        raise err.ParseError(f"--trials has no effect over {ring.descriptor()}: the bindings "
+                             "are symbolic, so one instance per item is checked")
+    elif trials < 1:
+        raise err.ParseError(f"--trials {trials} checks nothing; it must be >= 1")
     report = run_verify_tables(ring, n_values, seed=args.seed,
-                               trials=args.trials, corrupt=args.corrupt,
+                               trials=trials, corrupt=args.corrupt,
                                out_stream=sys.stdout)
     if args.out:
         _write(args.out, report.to_jsonl())
@@ -73,7 +80,10 @@ def cmd_decompose(args):
     if args.out:
         _write(args.out, cert.output_word.to_text())
     if args.trace:
-        lines = [f"{rule} {before} {after}" for rule, before, after in cert.trace]
+        def digest(atoms):
+            return hashlib.sha256(Word(ring, args.n, atoms).to_text().encode()).hexdigest()[:12]
+
+        lines = [f"{rule} {digest(before)} {digest(after)}" for rule, before, after in cert.trace]
         _write(args.trace, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
@@ -98,7 +108,7 @@ def cmd_dilate(args):
     base = ring_from_descriptor(args.ring)
     s = parse_element(base, args.s)
     loc = Localized(base, s)
-    ring_sx = PolyRing(loc, (args.var,))
+    ring_sx = PolyRing(loc, ("X",))
     word = word_from_text(ring_sx, args.n, _read(args.infile))
     m, out = dilate(base, s, args.n, word)
     print(f"PASS dilate m={m} output_atoms={len(out)}")
@@ -110,13 +120,13 @@ def cmd_dilate(args):
 def cmd_patch(args):
     base = ring_from_descriptor(args.ring)
     cover = CoverData.from_text(base, _read(args.cover))
-    ring_x = PolyRing(base, (args.var,))
+    ring_x = PolyRing(base, ("X",))
     alpha_word = word_from_text(ring_x, args.n, _read(args.alpha))
     alpha = alpha_word.eval()
     local_words = []
     for (entry, path) in zip(cover.entries, args.locals):
         loc = Localized(base, entry[0])
-        ring_sx = PolyRing(loc, (args.var,))
+        ring_sx = PolyRing(loc, ("X",))
         local_words.append(word_from_text(ring_sx, args.n, _read(path)))
     out = patch(base, args.n, alpha, cover, local_words)
     print(f"PASS patch output_atoms={len(out)}")
@@ -190,7 +200,8 @@ def build_parser():
     p.add_argument("--ring", required=True)
     p.add_argument("--n", default="2..3", help="block range, e.g. 2..3")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=None,
+                   help="random instances per item over a sampled ring (default 3)")
     p.add_argument("--corrupt", default=None,
                    help="fault-injection key, e.g. commutator:AB:eq")
     p.add_argument("--out", default=None)
@@ -224,7 +235,6 @@ def build_parser():
     p.add_argument("--s", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--var", default="X")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dilate)
 
@@ -234,7 +244,6 @@ def build_parser():
     p.add_argument("--cover", required=True)
     p.add_argument("--alpha", required=True, help="word file over R[X] defining alpha")
     p.add_argument("--locals", nargs="+", required=True)
-    p.add_argument("--var", default="X")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_patch)
 

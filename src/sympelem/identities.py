@@ -287,20 +287,12 @@ def corner_conjugation(ring, n, lam, x, y):
                             {"lam": lam, "x": x, "y": y})
 
 
-def elementary_criterion(ring, n, k, eps, x, y, lam=None, mu=None):
-    """Graded block at position k as a conjugated transvection product.
-
-    (lam, mu) defaults to the first column of the det-1 witness eps; when
-    passed explicitly it must satisfy (lam, mu) (eps^-1)^t == (1, 0)."""
+def elementary_criterion(ring, n, k, eps, x, y):
+    """Graded block at position k as a conjugated transvection product,
+    with (lam, mu) the first column of the det-1 witness eps."""
     if not ring.is_one(eps.det2()):
         raise RowConditionFailed("witness must have determinant 1")
-    if lam is None:
-        lam, mu = eps.rows[0][0], eps.rows[1][0]
-    inv_t = eps.adj2().transpose()
-    r0 = ring.add(ring.mul(lam, inv_t.rows[0][0]), ring.mul(mu, inv_t.rows[1][0]))
-    r1 = ring.add(ring.mul(lam, inv_t.rows[0][1]), ring.mul(mu, inv_t.rows[1][1]))
-    if not (ring.is_one(r0) and ring.is_zero(r1)):
-        raise RowConditionFailed("(lam, mu) is not carried by the witness")
+    lam, mu = eps.rows[0][0], eps.rows[1][0]
     lhs = graded_block(ring, n, lam, mu, x, y, k)
     core = gen_corner(ring, n, "E12", ring.neg(ring.mul(x, y))) \
         .mul(gen_s(ring, n, 1, 2 * k - 1, x)) \
@@ -337,15 +329,12 @@ def graded_split(ring, n, k, lam, mu, x, y):
     """Graded block = corner correction * A-form * B-form."""
     a = ring.half(ring.add(x, y))
     b = ring.half(ring.sub(x, y))
-    ch = corner_correction(ring, lam, mu, a, b)
     lhs = graded_block(ring, n, lam, mu, x, y, k)
-    rhs = corner_embed(ch, n) \
+    rhs = corner_embed(corner_correction(ring, lam, mu, a, b), n) \
         .mul(graded_block(ring, n, lam, mu, a, a, k)) \
         .mul(graded_block(ring, n, lam, mu, b, ring.neg(b), k))
-    inst = IdentityInstance("graded-split", ring, n, lhs, rhs,
+    return IdentityInstance("graded-split", ring, n, lhs, rhs,
                             {"lam": lam, "mu": mu, "x": x, "y": y})
-    inst.corner = ch
-    return inst
 
 
 def a_form_split(ring, n, k, lam, mu, a):

@@ -25,7 +25,7 @@ from .errors import (
 from .identities import _CROSSING, _UNIT_AT_1, unit_bracket_shapes
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, Word, atom_matrix
+from .words import ABCDAtom, CornerMatrixAtom, Word, eval_atoms
 
 DEFAULT_FUEL = 64      # largest dilation exponent m that dilate tries
 MAX_ATOMS = 200_000    # longest conjugation chain dilate builds for one step
@@ -91,8 +91,8 @@ def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
         return ABCDAtom(sh, pos, locring.s_power_mul(locring.embed(c), e))
 
     word = Word(locring, n, [atom(*entry) for entry in entries])
-    g = atom_matrix(locring, n, atom(Xshape, i, -k, a))
-    h = atom_matrix(locring, n, atom(Yshape, j, m, x))
+    g = eval_atoms(locring, n, [atom(Xshape, i, -k, a)])
+    h = eval_atoms(locring, n, [atom(Yshape, j, m, x)])
     if word.eval() != g.mul(h).mul(symp_inverse(g)):
         raise StepVerificationFailed("conjugation decomposition is off")
     return word, ValuationTrace(entries)
@@ -370,11 +370,6 @@ class CoverData:
             except (ParseError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from None
         return CoverData(entries)
-
-    def to_text(self, ring):
-        fmt = lambda v: ring.show(v).replace(" ", "")
-        return "\n".join(
-            f"s={fmt(s)} c={fmt(c)} b={fmt(b)} N={N}" for (s, c, b, N) in self.entries) + "\n"
 
 
 def patch(base_ring, n, alpha, cover, local_words):

@@ -1,9 +1,9 @@
 """Dense immutable matrices over a ring.
 
-Rows are tuples of raw ring representations, and a matrix is hashable.
-The sizes here are tiny (2n <= 12), so dense storage is fine; the inner
-product is delegated to the ring so residue rings can use plain int
-arithmetic. Words of generators are evaluated in ``words`` by sparse
+Rows are tuples of raw ring representations; two matrices are equal when
+their rows are, and a matrix is not hashable. The sizes here are tiny
+(2n <= 12), so dense storage is fine; the inner product is delegated to
+the ring so residue rings can use plain int arithmetic. Words of generators are evaluated in ``words`` by sparse
 column updates, not by products of these matrices.
 """
 
@@ -13,7 +13,7 @@ from .errors import DimensionMismatch, ParseError
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_hash")
+    __slots__ = ("ring", "nrows", "ncols", "rows")
 
     def __init__(self, ring, rows):
         self.ring = ring
@@ -22,7 +22,6 @@ class Matrix:
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
             raise DimensionMismatch("ragged rows")
-        self._hash = None
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -111,19 +110,8 @@ class Matrix:
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
-
     def __repr__(self):
         return f"<{self.nrows}x{self.ncols} over {self.ring.descriptor()}>"
-
-    def to_text(self, n=None):
-        """Row-major golden-file format."""
-        entries = " ".join(self.ring.show(v).replace(" ", "") for r in self.rows for v in r)
-        nn = n if n is not None else self.nrows // 2
-        return f"sympmat n={nn} ring={self.ring.descriptor()} entries={entries}"
 
 
 def matrix_from_text(line, ring=None):
@@ -147,6 +135,8 @@ def matrix_from_text(line, ring=None):
         raise ParseError(f"sympmat needs an integer n= field, got {fields.get('n')!r}",
                          line=1) from None
     if ring is None:
+        if "ring" not in fields:
+            raise ParseError("sympmat needs a ring= field", line=1)
         ring = ring_from_descriptor(fields["ring"])
     entries = [parse_element(ring, tok) for tok in rest]
     size = 2 * n

@@ -4,13 +4,12 @@ Every rule application verifies, by exact matrix arithmetic on the spliced
 segment, that the evaluation is preserved; a failure raises
 StepVerificationFailed with the offending rule in the message. The
 initial decomposition re-verifies its stage boundary on the whole word.
-The final certificate records the step trace (rule name plus digests of
-the replaced segments).
+The final certificate records the step trace: the rule name, the replaced
+atoms and the atoms that replace them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,21 +32,8 @@ from .words import (
     UnitAtom,
     Word,
     _single_terms,
-    atom_matrix,
     eval_atoms,
 )
-
-
-def _digest(ring, items):
-    h = hashlib.sha256()
-    for it in items:
-        h.update(it if isinstance(it, bytes) else str(it).encode())
-        h.update(b"\n")
-    return h.hexdigest()[:12]
-
-
-def _atoms_digest(ring, atoms):
-    return _digest(ring, [a._text(ring) for a in atoms])
 
 
 def _alphabet_error(ring, what, atom):
@@ -68,10 +54,10 @@ def _same(ring, n, rule, before_atoms, after_atoms):
 
 
 def _check(ring, n, rule, before_atoms, after_atoms, trace):
-    """Verify one step and append (rule, before digest, after digest) to
+    """Verify one step and append (rule, before atoms, after atoms) to
     the trace, a plain list."""
     _same(ring, n, rule, before_atoms, after_atoms)
-    trace.append((rule, _atoms_digest(ring, before_atoms), _atoms_digest(ring, after_atoms)))
+    trace.append((rule, before_atoms, after_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +69,10 @@ _RULES_CACHE = {}
 
 
 def discover_s_rules(n):
-    """Find commutator rules [g(x), h(y)] = S_ij(c*x*y) over the row-1/2
-    transvections, by exact symbolic computation. Returns {(i, j): (g, h, c)}
-    where g, h are atom specs ("S", row, col). The alphabet has no corner
-    atoms, so reducing a transvection emits none."""
+    """Find commutator rules [g(x), h(y)] = S_ij(c*x*y), c = +-1, over the
+    row-1/2 transvections, by exact symbolic computation. Returns
+    {(i, j): (g, h, c)} where g, h are atom specs ("S", row, col). The
+    alphabet has no corner atoms, so reducing a transvection emits none."""
     from .rings import PolyRing, Rationals
     from .symplectic import gen_s
 
@@ -95,12 +81,10 @@ def discover_s_rules(n):
     alphabet = [("S", r, a) for r in (1, 2) for a in range(3, 2 * n + 1) if a != pi_swap(r)]
 
     def mat(spec, v):
-        return atom_matrix(ring, n, SAtom(spec[1], spec[2], v))
+        return eval_atoms(ring, n, [SAtom(spec[1], spec[2], v)])
 
     ident = Matrix.identity(ring, 2 * n)
-    patterns = {}
-    for c in (1, -1, 2, -2):
-        patterns[c] = ring.scale_int(c, ring.mul(x, y))
+    patterns = {c: ring.scale_int(c, ring.mul(x, y)) for c in (1, -1)}
     rules = {}
     for g in alphabet:
         gm = mat(g, x)
@@ -121,10 +105,8 @@ def discover_s_rules(n):
                 coef = next((cc for cc, pat in patterns.items() if v == pat), None)
                 if coef is None:
                     continue
-                if br == gen_s(ring, n, i, j, v):
-                    key = (i, j)
-                    if key not in rules or abs(rules[key][2]) > abs(coef):
-                        rules[key] = (g, h, coef)
+                if (i, j) not in rules and br == gen_s(ring, n, i, j, v):
+                    rules[(i, j)] = (g, h, coef)
     return rules
 
 
@@ -145,47 +127,30 @@ def _rules_for(n):
     return rules
 
 
-def _mirror_param(ring, i, j, e):
-    """S_ij(e) equals S_{pi(j) pi(i)} of this parameter."""
-    return ring.neg(e) if (i + j) % 2 == 0 else e
-
-
 def reduce_to_row12(word, trace=None):
-    """Rewrite transvections with row >= 3 into the row-1/2 alphabet."""
+    """Rewrite transvections with row >= 3 into the row-1/2 alphabet. A
+    transvection S_ij(e) with j <= 2 is mirrored to S_{pi(j) pi(i)}; any
+    other one becomes the 4-atom bracket of its rule."""
     ring, n = word.ring, word.n
     trace = [] if trace is None else trace
     out = []
     for atom in word.atoms:
-        if isinstance(atom, CornerAtom):
-            out.append(atom)
-            continue
-        if not isinstance(atom, SAtom):
-            raise _alphabet_error(ring, "cannot reduce atom", atom)
-        if atom.i in (1, 2):
-            out.append(atom)
-            continue
+        if not (isinstance(atom, SAtom) and atom.i >= 3):
+            raise _alphabet_error(ring, "not a transvection with row >= 3: atom", atom)
         i, j, e = atom.i, atom.j, atom.e
         if j <= 2:
-            rep = SAtom(pi_swap(j), pi_swap(i), _mirror_param(ring, i, j, e))
-            _check(ring, n, "mirror", [atom], [rep], trace)
-            out.append(rep)
-            continue
-        rules = _rules_for(n)
-        key, ee = (i, j), e
-        if key not in rules:
-            key = (pi_swap(j), pi_swap(i))
-            ee = _mirror_param(ring, i, j, e)
-            if key not in rules:
-                raise NoRuleFound(f"no reduction rule for S_{i},{j} at n={n}")
-        g, h, c = rules[key]
-        if abs(c) == 1:
-            xhat = ee if c == 1 else ring.neg(ee)
+            rep = [SAtom(pi_swap(j), pi_swap(i), ring.neg(e) if (i + j) % 2 == 0 else e)]
+            _check(ring, n, "mirror", [atom], rep, trace)
         else:
-            xhat = ring.half(ee) if c == 2 else ring.neg(ring.half(ee))
-        one = ring.one
-        rep = [SAtom(g[1], g[2], xhat), SAtom(h[1], h[2], one),
-               SAtom(g[1], g[2], ring.neg(xhat)), SAtom(h[1], h[2], ring.neg(one))]
-        _check(ring, n, "bracket-rule", [atom], rep, trace)
+            rule = _rules_for(n).get((i, j))
+            if rule is None:
+                raise NoRuleFound(f"no reduction rule for S_{i},{j} at n={n}")
+            g, h, c = rule
+            xhat = e if c == 1 else ring.neg(e)
+            one = ring.one
+            rep = [SAtom(g[1], g[2], xhat), SAtom(h[1], h[2], one),
+                   SAtom(g[1], g[2], ring.neg(xhat)), SAtom(h[1], h[2], ring.neg(one))]
+            _check(ring, n, "bracket-rule", [atom], rep, trace)
         out.extend(rep)
     return Word(ring, n, out)
 
@@ -286,12 +251,12 @@ def decompose_initial(word, trace=None):
         af = GradedForm(g.lam, g.mu, a, a, g.pos)
         bf = GradedForm(g.lam, g.mu, b, ring.neg(b), g.pos)
         _same(ring, n, "graded-split", [g], [ch, af, bf])
-        trace.append(("graded-split", _atoms_digest(ring, [g]), _atoms_digest(ring, [af, bf])))
+        trace.append(("graded-split", [g], [af, bf]))
         # fold ch left across the pending forms
         if ch_word:
             ch_inv = ch._inverse(ring)
             top, bottom = ch_inv.rows
-            new_forms = []
+            new_forms, regraded = [], []
             for (kind, lam, mu, val, pos) in forms:
                 lam2, mu2 = ring.dot(top, (lam, mu)), ring.dot(bottom, (lam, mu))
                 y_old = val if kind == "A" else ring.neg(val)
@@ -299,8 +264,8 @@ def decompose_initial(word, trace=None):
                 after = GradedForm(lam2, mu2, val, y_old, pos)
                 _same(ring, n, "correction-fold", [ch_inv, before, ch], [after])
                 new_forms.append((kind, lam2, mu2, val, pos))
-            trace.append(("correction-fold", _digest(ring, [ring.show(ab2)]),
-                          _digest(ring, [f[0] for f in new_forms])))
+                regraded.append(after)
+            trace.append(("correction-fold", ch_word, regraded))
             forms = new_forms
             delta_word.extend(ch_word)
         if not ring.is_zero(a):

@@ -34,10 +34,9 @@ from .errors import EvenModulus, NilpotentS, ParseError, ZeroDivisorS
 
 
 class Ring:
-    """Base class; subclasses fill in arithmetic on raw representations."""
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    """Base class; every subclass defines ``zero``, ``one``, ``inv2``, ``add``,
+    ``sub``, ``neg``, ``mul``, ``from_int`` and ``try_invert`` on raw
+    representations."""
 
     def is_zero(self, a):
         return a == self.zero
@@ -61,17 +60,6 @@ class Ring:
                 base = self.mul(base, base)
         return acc
 
-    def from_int(self, k):
-        neg = k < 0
-        k = abs(k)
-        acc, base = self.zero, self.one
-        while k:
-            if k & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            k >>= 1
-        return self.neg(acc) if neg else acc
-
     def scale_int(self, k, a):
         return self.mul(self.from_int(k), a)
 
@@ -83,10 +71,6 @@ class Ring:
                 continue
             acc = self.add(acc, self.mul(u, v))
         return acc
-
-    def try_invert(self, a):
-        """Return a^-1 or None when not (detectably) invertible."""
-        return None
 
     def try_exact_div(self, a, d):
         """Return q with q*d == a, or None."""

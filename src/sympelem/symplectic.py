@@ -42,10 +42,21 @@ def is_symplectic(m):
     return m.transpose().mul(psi).mul(m) == psi
 
 
+def _psi_transpose_psi(m, negate=False):
+    """psi m^t psi, or its negative, by index arithmetic. psi is a signed
+    permutation: 0-based, psi[i][pi(i)] = (-1)^i with pi(i) = i ^ 1, so
+    entry (r, c) of psi m^t psi is -(-1)^(r+c) m[pi(c)][pi(r)]."""
+    neg, rows, flip = m.ring.neg, m.rows, int(negate)
+
+    def entry(r, c):
+        v = rows[c ^ 1][r ^ 1]
+        return v if (r + c + flip) % 2 else neg(v)
+    return Matrix(m.ring, [[entry(r, c) for c in range(m.nrows)] for r in range(m.ncols)])
+
+
 def symp_inverse(m):
     """Inverse of a symplectic matrix: -psi m^t psi (since psi^2 = -I)."""
-    psi = psi_form(m.ring, m.nrows // 2)
-    return psi.mul(m.transpose()).mul(psi).neg()
+    return _psi_transpose_psi(m, negate=True)
 
 
 def gen_s(ring, n, i, j, lam):
@@ -159,16 +170,10 @@ def block_e(ring, n, blocks):
     for pos, blk in blocks.items():
         if not (2 <= pos <= n):
             raise BadIndices(f"block position {pos} out of 2..{n}")
-        if isinstance(blk, Block2x2):
-            blk = blk.matrix(ring)
         if not ring.is_zero(blk.det2()):
             raise NonZeroDet(f"block at position {pos} has nonzero determinant")
         X = X.paste(0, 2 * (pos - 2), blk)
-    W = psi_form(ring, n - 1).mul(X.transpose()).mul(psi_form(ring, 1))
-    M = Matrix.identity(ring, 2 * n)
-    M = M.paste(0, 2, X)
-    M = M.paste(2, 0, W)
-    return M
+    return Matrix.identity(ring, 2 * n).paste(0, 2, X).paste(2, 0, _psi_transpose_psi(X))
 
 
 def gen_abcd(ring, n, shape, i, x):
@@ -205,18 +210,3 @@ def placed_abcd(ring, n, offset, shape, p, c):
     inner = gen_abcd(ring, n - offset, shape, p, c)
     M = Matrix.identity(ring, 2 * n)
     return M.paste(2 * offset, 2 * offset, inner)
-
-
-def splitting(ring, n, blocks):
-    """Triangular factors (top, bottom) with E(X) = top*bottom = bottom*top."""
-    X = Matrix.zero(ring, 2, 2 * n - 2)
-    for pos, blk in blocks.items():
-        if isinstance(blk, Block2x2):
-            blk = blk.matrix(ring)
-        if not ring.is_zero(blk.det2()):
-            raise NonZeroDet(f"block at position {pos} has nonzero determinant")
-        X = X.paste(0, 2 * (pos - 2), blk)
-    W = psi_form(ring, n - 1).mul(X.transpose()).mul(psi_form(ring, 1))
-    top = Matrix.identity(ring, 2 * n).paste(0, 2, X)
-    bottom = Matrix.identity(ring, 2 * n).paste(2, 0, W)
-    return top, bottom

@@ -251,10 +251,6 @@ def _eval(ring, n, atoms):
     return Matrix(ring, zip(*cols))
 
 
-def atom_matrix(ring, n, atom):
-    return _eval(ring, n, (atom,))
-
-
 class Word:
     """An ordered product of generator atoms in Sp_{2n}(R)."""
 
@@ -276,9 +272,6 @@ class Word:
 
     def __len__(self):
         return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
 
     def __eq__(self, other):
         return isinstance(other, Word) and (self.n, self.atoms) == (other.n, other.atoms)

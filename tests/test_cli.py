@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -68,6 +69,23 @@ def test_decompose_round_trip(tmp_path, capsys):
     lines = [l for l in out.read_text().splitlines() if l.strip()]
     assert lines and all(l.split()[0] in ("A", "B", "C", "D") for l in lines)
     assert trace.read_text().strip()
+
+
+def test_decompose_trace_lines_are_pinned(tmp_path, capsys):
+    # the trace holds atom lists; the CLI digests them when it writes the
+    # file. Every line but the correction-fold ones is the same bytes as
+    # when the digests were taken at each step (recorded then).
+    example = Path(__file__).resolve().parents[1] / "docs" / "examples" / "word_z15.txt"
+    trace = tmp_path / "trace.txt"
+    assert run(["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(example),
+                "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 60
+    assert lines[0] == "transvection-to-block 53bb2e4cc637 cb389bd0f5ae"
+    kept = "".join(line + "\n" for line in lines if not line.startswith("correction-fold "))
+    assert hashlib.sha256(kept.encode()).hexdigest() == \
+        "6a3fdc2eda5601004f24bbd556f024786992b832b5a5487905ef273fd3ade167"
 
 
 def test_decompose_empty_file(tmp_path, capsys):
@@ -214,6 +232,12 @@ def test_verify_tables_that_checks_nothing_is_a_parse_error(args, capsys):
     assert args[1] in captured.err and captured.out == ""
 
 
+def test_trials_over_a_polynomial_ring_is_a_parse_error(capsys):
+    assert run(["verify-tables", "--ring", "poly:q:x,y", "--n", "2", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "symbolic" in captured.err and captured.out == ""
+
+
 def test_verify_tables_names_the_ring_checked_over(tmp_path, capsys):
     # identities over a polynomial ring are checked over Q[symbols]
     out = tmp_path / "r.jsonl"
@@ -298,18 +322,30 @@ def test_localization_at_a_zero_divisor_in_a_tower(tmp_path, capsys):
         assert "zero divisor" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--in", "w.txt"],
-    ["patch", "--ring", "zmod:15", "--n", "2", "--cover", "c.txt", "--alpha", "a.txt",
-     "--locals", "l1.txt", "l2.txt"],
-    ["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", "g.txt", "--h", "h.txt",
-     "--cover", "c.txt"],
-], ids=lambda argv: argv[0])
-def test_fuel_flag_is_gone(argv, capsys):
+LOCAL_GLOBAL_ARGV = {
+    "dilate": ["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--in", "w.txt"],
+    "patch": ["patch", "--ring", "zmod:15", "--n", "2", "--cover", "c.txt", "--alpha", "a.txt",
+              "--locals", "l1.txt", "l2.txt"],
+    "normality-demo": ["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", "g.txt",
+                       "--h", "h.txt", "--cover", "c.txt"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOCAL_GLOBAL_ARGV))
+def test_fuel_flag_is_gone(command, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(argv + ["--fuel", "64"])
+        run(LOCAL_GLOBAL_ARGV[command] + ["--fuel", "64"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --fuel 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dilate", "patch"])
+def test_var_flag_is_gone(command, capsys):
+    # word files over R[X] and R_s[X] always name the variable X
+    with pytest.raises(SystemExit) as exc:
+        run(LOCAL_GLOBAL_ARGV[command] + ["--var", "X"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --var X" in capsys.readouterr().err
 
 
 def test_oversized_power_is_a_parse_error_not_a_hang(tmp_path):

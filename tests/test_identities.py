@@ -148,9 +148,6 @@ def test_elementary_criterion():
     with pytest.raises(RowConditionFailed):
         # determinant 4, not a witness
         idn.elementary_criterion(Z15, 2, 2, Matrix.from_ints(Z15, [[2, 0], [0, 2]]), 3, 4)
-    with pytest.raises(RowConditionFailed):
-        # explicit (lam, mu) not carried by the witness
-        idn.elementary_criterion(Z15, 2, 2, Matrix.identity(Z15, 2), 3, 4, lam=2, mu=1)
 
 
 def test_row_conjugation():
@@ -171,13 +168,12 @@ def test_graded_split_and_corner_correction():
     ring = PolyRing(Q, ("lam", "mu", "x", "y"))
     lam, mu, x, y = (ring.var(v) for v in ("lam", "mu", "x", "y"))
     for n, k in ((2, 2), (3, 2), (3, 3)):
-        inst = idn.graded_split(ring, n, k, lam, mu, x, y)
-        assert inst.holds()
-        assert inst.corner.det2() == ring.one
+        assert idn.graded_split(ring, n, k, lam, mu, x, y).holds()
+    a, b = ring.half(ring.add(x, y)), ring.half(ring.sub(x, y))
+    assert idn.corner_correction(ring, lam, mu, a, b).det2() == ring.one
     # x = y kills the B-form factor and the correction
-    inst = idn.graded_split(Z15, 2, 2, 3, 4, 7, 7)
-    assert inst.holds()
-    assert inst.corner == Matrix.identity(Z15, 2)
+    assert idn.graded_split(Z15, 2, 2, 3, 4, 7, 7).holds()
+    assert idn.corner_correction(Z15, 3, 4, 7, 0) == Matrix.identity(Z15, 2)
     # displayed entries of the correction matrix
     a, b = ring.var("x"), ring.var("y")
     ch = idn.corner_correction(ring, lam, mu, a, b)

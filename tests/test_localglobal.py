@@ -193,14 +193,12 @@ def test_cover_validation():
         bad.validate(QT)
 
 
-def test_cover_text_round_trip():
-    cov = _z15_cover()
-    text = cov.to_text(Z15)
-    back = lg.CoverData.from_text(Z15, text)
-    assert back.entries == cov.entries
-    qt_cov = lg.CoverData([(T, QT.one, T, 1), (QT.sub(QT.one, T), QT.one, QT.sub(QT.one, T), 1)])
-    back = lg.CoverData.from_text(QT, qt_cov.to_text(QT))
-    assert back.entries == qt_cov.entries
+def test_cover_from_text():
+    text = "# comment\n\ns=2 c=1 b=2 N=1\nN=1 b=4 c=-4 s=4\n"
+    assert lg.CoverData.from_text(Z15, text).entries == _z15_cover().entries
+    back = lg.CoverData.from_text(QT, "s=t c=1 b=t N=1\nN=1 b=1-t c=1 s=1-t\n")
+    one_m_t = QT.sub(QT.one, T)
+    assert back.entries == [(T, QT.one, T, 1), (one_m_t, QT.one, one_m_t, 1)]
 
 
 def test_patch_trivial_cover():

@@ -67,17 +67,22 @@ def test_reduce_to_row12():
     w = Word(Z15, 2, [SAtom(3, 1, 7)])
     r = rw.reduce_to_row12(w)
     assert len(r) == 1 and r.eval() == w.eval()
-    # already-reduced atoms pass through
-    w = Word(Z15, 2, [SAtom(1, 3, 4)])
-    assert rw.reduce_to_row12(w).atoms == w.atoms
     rng = random.Random(31)
     for n in (2, 3, 4):
         for _ in range(10):
-            w = rand_gen_word(Z15, n, rng.randint(0, 6), rng)
+            atoms = []
+            for _ in range(rng.randint(0, 6)):
+                i = rng.randint(3, 2 * n)
+                j = rng.choice([c for c in range(1, 2 * n + 1) if c not in (i, pi_swap(i))])
+                atoms.append(SAtom(i, j, Z15.sample(rng)))
+            w = Word(Z15, n, atoms)
             r = rw.reduce_to_row12(w)
             assert r.eval() == w.eval()
-    with pytest.raises(AlphabetViolation):
-        rw.reduce_to_row12(Word(Z15, 2, [ABCDAtom("A", 2, 1)]))
+            assert all(isinstance(a, SAtom) and a.i in (1, 2) for a in r.atoms)
+    # only transvections with row >= 3 are accepted
+    for atom in (CornerAtom("E12", 1), SAtom(1, 3, 4), ABCDAtom("A", 2, 1)):
+        with pytest.raises(AlphabetViolation):
+            rw.reduce_to_row12(Word(Z15, 2, [SAtom(3, 1, 7), atom]))
 
 
 def test_decompose_initial_single_transvection():
@@ -139,7 +144,7 @@ def test_corner_to_abcd():
 def test_conj_abcd_atom():
     rng = random.Random(36)
     from sympelem.symplectic import symp_inverse
-    from sympelem.words import atom_matrix, eval_atoms
+    from sympelem.words import eval_atoms
     for n in (2, 3):
         for _ in range(10):
             t, u = Z15.sample(rng), Z15.sample(rng)
@@ -148,7 +153,7 @@ def test_conj_abcd_atom():
             atom = ABCDAtom(rng.choice("ABCD"), rng.randint(2, n), Z15.sample(rng))
             out = rw.conj_abcd_atom(Z15, n, delta.rows, atom)
             emb = corner_embed(delta, n)
-            want = emb.mul(atom_matrix(Z15, n, atom)).mul(symp_inverse(emb))
+            want = emb.mul(eval_atoms(Z15, n, [atom])).mul(symp_inverse(emb))
             assert eval_atoms(Z15, n, out) == want
 
 

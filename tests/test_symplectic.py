@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympelem.errors import BadIndices, NonZeroDet
 from sympelem.matrices import Matrix, matrix_from_text
-from sympelem.rings import PolyRing, Rationals, Zmod
+from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import (
     block2_make,
     block2_mul,
@@ -18,7 +20,6 @@ from sympelem.symplectic import (
     is_symplectic,
     psi_form,
     shape_matrix,
-    splitting,
     symp_inverse,
 )
 
@@ -112,6 +113,67 @@ def test_block_e():
     assert gen_s(PXY, 2, 1, 3, X) == block_e(PXY, 2, {2: blk})
     with pytest.raises(NonZeroDet):
         block_e(PXY, 2, {2: Matrix.identity(PXY, 2)})
+    # the inverse of E(X) is E(-X)
+    assert symp_inverse(m) == block_e(PXY, 2, {2: shape_matrix(PXY, "A", PXY.neg(X))})
+
+
+# symp_inverse and block_e compute the psi products by index; these are
+# the products themselves, kept as the reference
+def psi_inverse_reference(m):
+    psi = psi_form(m.ring, m.nrows // 2)
+    return psi.mul(m.transpose()).mul(psi).neg()
+
+
+def block_e_reference(ring, n, blocks):
+    X = Matrix.zero(ring, 2, 2 * n - 2)
+    for pos, blk in blocks.items():
+        X = X.paste(0, 2 * (pos - 2), blk)
+    W = psi_form(ring, n - 1).mul(X.transpose()).mul(psi_form(ring, 1))
+    return Matrix.identity(ring, 2 * n).paste(0, 2, X).paste(2, 0, W)
+
+
+PSI_RINGS = {text: ring_from_descriptor(text) for text in ("zmod:15", "poly:q:t")}
+
+
+def _elements(ring):
+    """Elements of Z/15, or polynomials of degree <= 2 over Q[t] with small
+    integer coefficients."""
+    if isinstance(ring, Zmod):
+        return st.integers(0, 14)
+    t = ring.var("t")
+
+    def poly(coeffs):
+        acc = ring.zero
+        for c in coeffs:
+            acc = ring.add(ring.mul(acc, t), ring.from_int(c))
+        return acc
+    return st.lists(st.integers(-3, 3), max_size=3).map(poly)
+
+
+@st.composite
+def psi_cases(draw):
+    ring = PSI_RINGS[draw(st.sampled_from(sorted(PSI_RINGS)))]
+    n = draw(st.integers(1, 4))
+    elem = _elements(ring)
+    m = Matrix(ring, [[draw(elem) for _ in range(2 * n)] for _ in range(2 * n)])
+    # rank-one blocks [[p x, p y], [q x, q y]] at some of the positions 2..n
+    blocks = {}
+    for pos in range(2, n + 1):
+        if draw(st.booleans()):
+            p, q, x, y = (draw(elem) for _ in range(4))
+            blocks[pos] = Matrix(ring, [(ring.mul(p, x), ring.mul(p, y)),
+                                        (ring.mul(q, x), ring.mul(q, y))])
+    return ring, n, m, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi_cases())
+def test_psi_index_arithmetic_matches_psi_products(case):
+    # m is arbitrary, not only symplectic: the formulas are entrywise
+    ring, n, m, blocks = case
+    assert symp_inverse(m) == psi_inverse_reference(m)
+    if n >= 2:
+        assert block_e(ring, n, blocks) == block_e_reference(ring, n, blocks)
 
 
 def test_gen_abcd_additivity_and_inverse():
@@ -152,29 +214,6 @@ def test_gen_small():
         gen_small(Z15, 2, "A", 1, 1)
 
 
-def test_splitting():
-    top, bottom = splitting(Z15, 2, {})
-    assert top == bottom == Matrix.identity(Z15, 4)
-    blocks = {2: shape_matrix(PXY, "A", X)}
-    top, bottom = splitting(PXY, 2, blocks)
-    e = block_e(PXY, 2, blocks)
-    assert top.mul(bottom) == e
-    assert bottom.mul(top) == e
-    # inverse of E(X) is E(-X)
-    assert symp_inverse(e) == block_e(PXY, 2, {2: shape_matrix(PXY, "A", PXY.neg(X))})
-    rng = random.Random(4)
-    for _ in range(20):
-        lam, mu = Z15.sample(rng), Z15.sample(rng)
-        xv, yv = Z15.sample(rng), Z15.sample(rng)
-        blocks = {2: Matrix(Z15, [(Z15.mul(lam, xv), Z15.mul(lam, yv)),
-                                  (Z15.mul(mu, xv), Z15.mul(mu, yv))]),
-                  3: Matrix(Z15, [(Z15.mul(lam, yv), Z15.mul(lam, xv)),
-                                  (Z15.mul(mu, yv), Z15.mul(mu, xv))])}
-        top, bottom = splitting(Z15, 3, blocks)
-        e = block_e(Z15, 3, blocks)
-        assert top.mul(bottom) == e and bottom.mul(top) == e
-
-
 def test_block_row_additivity_when_interaction_vanishes():
     rng = random.Random(6)
 
@@ -206,12 +245,11 @@ def test_constructors_symplectic_symbolically():
         assert is_symplectic(graded_block(PXY, n, X, Y, X, Y, 2))
 
 
-def test_matrix_text_round_trip():
-    m = gen_abcd(PXY, 2, "A", 2, X)
-    line = m.to_text()
-    assert line.startswith("sympmat n=2 ring=poly:q:x,y")
-    back = matrix_from_text(line)
-    assert back == m
+def test_matrix_from_text():
+    line = "sympmat n=2 ring=poly:q:x,y entries=1 0 x x 0 1 x x -x x 1 0 x -x 0 1"
+    assert matrix_from_text(line) == gen_abcd(PXY, 2, "A", 2, X)
+    line = "sympmat n=1 ring=zmod:15 entries=1 16 0 -1"
+    assert matrix_from_text(line) == Matrix.from_ints(Z15, [[1, 1], [0, 14]])
 
 
 def test_is_symplectic_rejects_odd_size():

@@ -28,7 +28,6 @@ from sympelem.words import (
     SAtom,
     UnitAtom,
     Word,
-    atom_matrix,
     eval_atoms,
     word_from_text,
 )
@@ -199,11 +198,11 @@ def test_atom_indices_rejected_like_the_generators():
                 rejected = True
             if rejected:
                 with pytest.raises(BadIndices):
-                    atom_matrix(Z15, n, atom)
+                    eval_atoms(Z15, n, [atom])
                 with pytest.raises(BadIndices):
                     Word(Z15, n, [atom]).eval()
             else:
-                assert atom_matrix(Z15, n, atom) == gen_matrix(Z15, n, atom)
+                assert eval_atoms(Z15, n, [atom]) == gen_matrix(Z15, n, atom)
 
 
 def test_parse_rejects_bad_indices():
@@ -263,6 +262,6 @@ def test_comment_and_blank_lines_skipped():
 
 def test_special_atoms_evaluate():
     placed = PlacedAtom(1, "C", 2, 5)
-    assert atom_matrix(Z15, 3, placed).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
+    assert eval_atoms(Z15, 3, [placed]).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
     w = Word(Z15, 3, [placed])
     assert w.inverse().eval() == symp_inverse(w.eval())
