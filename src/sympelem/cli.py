@@ -123,6 +123,9 @@ def cmd_patch(args):
     ring_x = PolyRing(base, ("X",))
     alpha_word = word_from_text(ring_x, args.n, _read(args.alpha))
     alpha = alpha_word.eval()
+    if len(args.locals) != len(cover.entries):
+        raise err.ParseError(f"--locals gives {len(args.locals)} word file(s) for a cover of "
+                             f"{len(cover.entries)} entries; give one local word per entry")
     local_words = []
     for (entry, path) in zip(cover.entries, args.locals):
         loc = Localized(base, entry[0])

@@ -5,6 +5,19 @@ Everything here works with parameters written as s^e * c where c lives in
 the numerator ring (R, or R[X], or R[Y][X] for the two-variable case);
 the exponent bookkeeping is what the valuation traces report. Every
 produced word is verified against its defining matrix identity.
+
+Each produced word is evaluated in full, once, over the smallest ring it
+lives in. The matrix it must equal is derived from a matrix that was
+already checked, mapped through a ring homomorphism, which is exact since
+eval(phi o w) = phi(eval w):
+
+* ``dilate`` evaluates its input word once (or takes that matrix as
+  ``value``), checks its image under X -> 0 is the identity, and compares
+  the output, evaluated over R[X] and embedded into R_s[X], with its image
+  under X -> s^m X;
+* ``patch`` checks each local word against alpha over R_s[X] and passes
+  dilate beta's matrix, alpha(X + Y) alpha(Y)^-1 over (R[Y])_s[X]; the
+  patched word is compared with alpha itself.
 """
 
 from __future__ import annotations
@@ -215,7 +228,7 @@ def _embed_poly(RsX, p):
     return tuple((e, Rs.embed(c)) for e, c in p)
 
 
-def dilate(base_ring, s, n, word):
+def dilate(base_ring, s, n, word, *, value=None):
     """Clear the localization denominators of a homotopy word.
 
     ``word`` is over R_s[X] and must evaluate to the identity at X = 0.
@@ -223,6 +236,15 @@ def dilate(base_ring, s, n, word):
     the input at X replaced by s^m X. The smallest working m up to
     DEFAULT_FUEL is found by search; each candidate m is accepted only if
     every parameter of the reassembled word lands in R[X].
+
+    ``value`` is the matrix ``word`` evaluates to, for a caller that has
+    already checked it; it defaults to ``word.eval()``. Both checks read
+    it through ring homomorphisms: the homotopy check maps it by X -> 0,
+    and the target is its image under X -> s^m X. The output word is
+    evaluated over R[X] and its matrix embedded into R_s[X], which is
+    injective because s is not a zero divisor. The output is built from
+    the atoms of ``word`` alone, so a wrong ``value`` cannot give a wrong
+    word: it ends in ``NotHomotopy`` or ``StepVerificationFailed``.
     """
     RsX = word.ring
     if not (isinstance(RsX, PolyRing) and RsX.nvars == 1 and isinstance(RsX.base, Localized)):
@@ -232,9 +254,9 @@ def dilate(base_ring, s, n, word):
     RX = PolyRing(Rs.base, RsX.names)
     s_num = RX.const(Rs.s)
 
-    # homotopy check at X = 0
-    at_zero = word.map_params(RsX.eval_at_zero, Rs)
-    if not at_zero.eval().is_identity():
+    if value is None:
+        value = word.eval()
+    if not value.map(RsX.eval_at_zero, Rs).is_identity():
         raise NotHomotopy("word does not evaluate to the identity at X = 0")
 
     # the constant parts form the conjugating prefixes; keep them as
@@ -299,10 +321,9 @@ def dilate(base_ring, s, n, word):
                     raise ExponentTooSmall("negative exponent survives")
                 final.append(ABCDAtom(osh, opos, RX.mul(RX.const(base_ring.pow_int(s, oe)), ox)))
             out = Word(RX, n, final)
-            # verification: embed into R_s[X] and compare with word(s^m X)
-            embed_out = out.map_params(lambda p: _embed_poly(RsX, p), RsX)
-            target = word.map_params(lambda p: RsX.subst(p, {Xvar: smx}), RsX)
-            if embed_out.eval() != target.eval():
+            # verification: embed eval(out) into R_s[X], compare with value(s^m X)
+            target = value.map(lambda p: RsX.subst(p, {Xvar: smx}))
+            if out.eval().map(lambda p: _embed_poly(RsX, p), RsX) != target:
                 raise StepVerificationFailed("dilated word does not match")
             return m, out
         except (ExponentTooSmall, StepBudgetExceeded):
@@ -405,7 +426,8 @@ def patch(base_ring, n, alpha, cover, local_words):
         if local.eval() != alpha_loc:
             raise LocalWordMismatch(f"local word {idx} does not evaluate to alpha")
 
-        # beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s [X]
+        # beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s [X]; w evaluates to
+        # alpha_loc, so beta's matrix is the same substitutions of alpha_loc
         RYs = Localized(RY, RY.const(s))
         RYsX = PolyRing(RYs, (Xvar,))
 
@@ -414,12 +436,19 @@ def patch(base_ring, n, alpha, cover, local_words):
 
         y_const = RYsX.const(RYs.embed(RY.var(yvar)))
         x_plus_y = RYsX.add(RYsX.var(Xvar), y_const)
-        w_lift = local.map_params(lift, RYsX)
-        w_xy = w_lift.map_params(lambda p: RYsX.subst(p, {Xvar: x_plus_y}))
-        w_y = w_lift.map_params(lambda p: RYsX.subst(p, {Xvar: y_const}))
-        beta = w_xy.concat(w_y.inverse())
 
-        m, w_global = dilate(RY, RY.const(s), n, beta)
+        def at_xy(p):
+            return RYsX.subst(p, {Xvar: x_plus_y})
+
+        def at_y(p):
+            return RYsX.subst(p, {Xvar: y_const})
+
+        w_lift = local.map_params(lift, RYsX)
+        beta = w_lift.map_params(at_xy).concat(w_lift.map_params(at_y).inverse())
+        a_lift = alpha_loc.map(lift, RYsX)
+        beta_value = a_lift.map(at_xy).mul(symp_inverse(a_lift.map(at_y)))
+
+        m, w_global = dilate(RY, RY.const(s), n, beta, value=beta_value)
         v = cover.cofactor(base_ring, idx, m)
 
         # substitute X -> c*v*X and Y -> T_idx, landing in R[X]
@@ -459,6 +488,10 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     """
     from .rewrite import conj_abcd_atom, decompose_full
 
+    for idx, atom in enumerate(h_word.atoms, start=1):
+        if not isinstance(atom, ABCDAtom):
+            raise AlphabetViolation(f"h must be a shape word (A, B, C, D atoms only); "
+                                    f"atom {idx} is {atom._text(base_ring)!r}")
     RT = PolyRing(base_ring, ("T",))
     h_t = h_word.map_params(lambda p: RT.mul(RT.const(p), RT.var("T")), RT)
     gamma = gamma_word.eval()

@@ -178,6 +178,33 @@ def test_patch_non_comaximal_cover(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+
+
+@pytest.mark.parametrize("names", [["local1_z15.txt"],
+                                   ["local1_z15.txt", "local2_z15.txt", "local2_z15.txt"]])
+def test_patch_needs_one_local_word_per_cover_entry(names, capsys):
+    # the example cover has two entries; one file too few or too many is
+    # a usage error that names both counts
+    code = run(["patch", "--ring", "zmod:15", "--n", "2",
+                "--cover", str(EXAMPLES / "cover_z15.txt"),
+                "--alpha", str(EXAMPLES / "alpha_z15.txt"),
+                "--locals", *[str(EXAMPLES / name) for name in names]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"gives {len(names)} word file(s)" in err and "cover of 2 entries" in err
+
+
+def test_normality_names_the_non_shape_atom_of_h(tmp_path, capsys):
+    h = tmp_path / "h.txt"
+    h.write_text("S 1 3 2\n")
+    assert run(["normality-demo", "--ring", "zmod:15", "--n", "2",
+                "--gamma", str(EXAMPLES / "gamma_z15.txt"), "--h", str(h),
+                "--cover", str(EXAMPLES / "cover_z15.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "atom 1 is 'S 1 3 2'" in err and "*T" not in err
+
+
 def test_normality_command(tmp_path, capsys):
     cover = tmp_path / "cover.txt"
     cover.write_text("s=2 c=1 b=2 N=1\ns=4 c=11 b=4 N=1\n")

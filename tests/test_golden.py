@@ -12,9 +12,11 @@ prints.
 import random
 from pathlib import Path
 
+import pytest
+
 from sympelem.localglobal import CoverData, dilate, normality_demo, patch
 from sympelem.rewrite import decompose_full
-from sympelem.rings import Localized, PolyRing, Rationals, Zmod
+from sympelem.rings import Localized, PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import pi_swap
 from sympelem.words import ABCDAtom, CornerAtom, SAtom, UnitAtom, Word, word_from_text
 
@@ -131,6 +133,23 @@ def example_digests():
     }
 
 
+def qt_normality_digests(ring):
+    """Outputs of ``normality_demo`` over ``ring`` (Q[t] or Z/15[t]) with
+    the cover (t, 1 - t) of ``cover_qt.txt``, where neither s is a unit, so
+    patching and dilation clear genuine denominators: the example files
+    first, then two inline inputs."""
+    cover = CoverData.from_text(ring, _read("cover_qt.txt"))
+    inputs = [(_read("gamma_qt.txt"), _read("h_qt.txt")),
+              ("S 1 3 1+t", "C 2 t"),
+              ("S 1 3 t\nS 2 4 1", "A 2 1\nD 2 t")]
+    out = []
+    for gamma, h in inputs:
+        word = normality_demo(ring, 2, word_from_text(ring, 2, gamma),
+                              word_from_text(ring, 2, h), cover)
+        out.append((word.digest(), len(word)))
+    return out
+
+
 # (input digest, output digest, len(cert.trace))
 GOLDEN_DECOMPOSITIONS = [
     ('c6d487ff9e41fab4', '53bb86d53e5a70b6', 71),
@@ -209,6 +228,12 @@ GOLDEN_EXAMPLES = {
     'dilate': (1, 'aaf7da5d86617d13', 1),
 }
 
+# ring descriptor -> (output digest, len(output)) of qt_normality_digests
+GOLDEN_QT_NORMALITY = {
+    'poly:q:t': [('3343718b620f6b62', 186), ('bb5e204c55abae80', 186), ('64ca52cb185db721', 744)],
+    'poly:zmod:15:t': [('8a6598a80571d395', 186), ('4780a7460f0cd38e', 186), ('ad6aef14358536a7', 744)],
+}
+
 
 def test_decomposition_digests_are_pinned():
     got = decomposition_digests()
@@ -221,6 +246,11 @@ def test_example_digests_are_pinned():
     assert example_digests() == GOLDEN_EXAMPLES
 
 
+@pytest.mark.parametrize("descriptor", sorted(GOLDEN_QT_NORMALITY))
+def test_qt_normality_digests_are_pinned(descriptor):
+    assert qt_normality_digests(ring_from_descriptor(descriptor)) == GOLDEN_QT_NORMALITY[descriptor]
+
+
 if __name__ == "__main__":
     print("GOLDEN_DECOMPOSITIONS = [")
     for row in decomposition_digests():
@@ -230,4 +260,9 @@ if __name__ == "__main__":
     print("GOLDEN_EXAMPLES = {")
     for key, value in example_digests().items():
         print(f"    {key!r}: {value!r},")
+    print("}")
+    print()
+    print("GOLDEN_QT_NORMALITY = {")
+    for descriptor in ("poly:q:t", "poly:zmod:15:t"):
+        print(f"    {descriptor!r}: {qt_normality_digests(ring_from_descriptor(descriptor))!r},")
     print("}")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 
 from sympelem import localglobal as lg
 from sympelem.errors import (
+    AlphabetViolation,
     CoverNotComaximal,
     ExponentTooSmall,
     LocalWordMismatch,
     NotHomotopy,
+    StepVerificationFailed,
 )
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod
 from sympelem.symplectic import symp_inverse
-from sympelem.words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, Word
+from sympelem.words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, Word, word_from_text
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 Q = Rationals()
 QT = PolyRing(Q, ("t",))
@@ -176,8 +181,60 @@ def test_dilate_with_constant_prefix():
     assert embed_out.eval() == target.eval()
 
 
+def _conjugated_homotopy():
+    """C(2/t) A(5X) C(-2/t) over Q[t]_t[X]: the prefix C(2/t) has a
+    denominator, so dilate conjugates A(5X) through it with
+    ``_conj_decompose_ctx``."""
+    rsx = _rsx()
+    vv = rsx.const(RT.frac(QT.from_int(2), 1))
+    return Word(rsx, 2, [ABCDAtom("C", 2, vv), ABCDAtom("A", 2, rsx.scale_int(5, rsx.var("X"))),
+                         ABCDAtom("C", 2, rsx.neg(vv))])
+
+
+def test_dilate_rejects_a_value_the_word_does_not_have():
+    # the output is built from the word's atoms, so a value it does not
+    # have can only fail a check, never give a wrong word
+    w = _conjugated_homotopy()
+    rsx = w.ring
+    other = Word(rsx, 2, [ABCDAtom("A", 2, rsx.var("X"))]).eval()
+    with pytest.raises(StepVerificationFailed):
+        lg.dilate(QT, T, 2, w, value=other)
+    not_at_zero = Word(rsx, 2, [ABCDAtom("A", 2, rsx.one)]).eval()
+    with pytest.raises(NotHomotopy):
+        lg.dilate(QT, T, 2, w, value=not_at_zero)
+
+
+def _negate_first_conj_entry(monkeypatch):
+    """Make every conjugation decomposition dilate builds wrong in one
+    coefficient; returns the list the corrupted calls are counted in."""
+    ctx = lg._conj_decompose_ctx
+    calls = []
+
+    def corrupted(num, *args):
+        calls.append(args)
+        (sh, pos, e, c), *rest = ctx(num, *args)
+        return [(sh, pos, e, num.neg(c))] + rest
+
+    monkeypatch.setattr(lg, "_conj_decompose_ctx", corrupted)
+    return calls
+
+
+def test_dilate_catches_a_wrong_conjugation(monkeypatch):
+    w = _conjugated_homotopy()
+    lg.dilate(QT, T, 2, w)
+    calls = _negate_first_conj_entry(monkeypatch)
+    with pytest.raises(StepVerificationFailed):
+        lg.dilate(QT, T, 2, w)
+    assert calls
+
+
 def _z15_cover():
     return lg.CoverData([(2, 1, 2, 1), (4, 11, 4, 1)])
+
+
+def _qt_cover():
+    one_m_t = QT.sub(QT.one, T)
+    return lg.CoverData([(T, QT.one, T, 1), (one_m_t, QT.one, one_m_t, 1)])
 
 
 def test_cover_validation():
@@ -250,6 +307,46 @@ def test_patch_qt_cover():
     assert out.eval() == aw.eval()
 
 
+def test_patch_catches_a_wrong_conjugation(monkeypatch):
+    # local words A(1/s) A(X) A(-1/s) evaluate to alpha = A(X), and their
+    # constant prefix 1/s sends dilate through the conjugation decomposition
+    cov = _qt_cover()
+    rx = PolyRing(QT, ("X",))
+    alpha = Word(rx, 2, [ABCDAtom("A", 2, rx.var("X"))]).eval()
+    locs = []
+    for (s, c, b, N) in cov.entries:
+        loc = Localized(QT, s)
+        rsx = PolyRing(loc, ("X",))
+        a = rsx.const(loc.frac(QT.one, 1))
+        locs.append(Word(rsx, 2, [ABCDAtom("A", 2, a), ABCDAtom("A", 2, rsx.var("X")),
+                                  ABCDAtom("A", 2, rsx.neg(a))]))
+    assert lg.patch(QT, 2, alpha, cov, locs).eval() == alpha
+    calls = _negate_first_conj_entry(monkeypatch)
+    with pytest.raises(StepVerificationFailed):
+        lg.patch(QT, 2, alpha, cov, locs)
+    assert calls
+
+
+@pytest.mark.parametrize("ring, name", [(Z15, "z15"), (QT, "qt")])
+def test_patch_gives_dilate_the_value_of_beta(ring, name, monkeypatch):
+    # patch hands dilate beta's matrix from alpha; it must be what beta
+    # evaluates to, on the unit cover of Z/15 and the non-unit one of Q[t]
+    dilate = lg.dilate
+    calls = []
+
+    def checked(base_ring, s, n, word, *, value=None):
+        assert value is not None and value == word.eval()
+        calls.append(s)
+        return dilate(base_ring, s, n, word, value=value)
+
+    monkeypatch.setattr(lg, "dilate", checked)
+    cover = lg.CoverData.from_text(ring, (EXAMPLES / f"cover_{name}.txt").read_text())
+    gamma = word_from_text(ring, 2, (EXAMPLES / f"gamma_{name}.txt").read_text())
+    h = word_from_text(ring, 2, (EXAMPLES / f"h_{name}.txt").read_text())
+    lg.normality_demo(ring, 2, gamma, h, cover)
+    assert len(calls) == len(cover.entries)
+
+
 def test_patch_detects_bad_local_word():
     cov = _z15_cover()
     rx = PolyRing(Z15, ("X",))
@@ -288,6 +385,12 @@ def test_normality_demo_corner_gamma():
     out = lg.normality_demo(Z15, 2, gamma, h, cov)
     g = gamma.eval()
     assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
+
+
+def test_normality_demo_names_a_non_shape_atom_of_h():
+    h = Word(Z15, 2, [ABCDAtom("A", 2, 3), SAtom(1, 3, 2)])
+    with pytest.raises(AlphabetViolation, match=r"atom 2 is 'S 1 3 2'"):
+        lg.normality_demo(Z15, 2, Word(Z15, 2, []), h, _z15_cover())
 
 
 def test_no_caches_hang_off_ring_objects():
