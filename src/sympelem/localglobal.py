@@ -36,6 +36,7 @@ from .errors import (
     StepVerificationFailed,
 )
 from .identities import _CROSSING, _UNIT_AT_1, unit_bracket_shapes
+from .rewrite import conj_abcd_atom, decompose_full
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
 from .words import ABCDAtom, CornerMatrixAtom, Word, eval_atoms
@@ -483,11 +484,16 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
 
     gamma is given constructively (a generator word, or a single det-1
     corner block); h is a shape word. The route follows the local-global
-    argument: scale h by a homotopy variable, conjugate locally at every
-    cover element, patch the local words, then evaluate at 1.
-    """
-    from .rewrite import conj_abcd_atom, decompose_full
+    argument: scale h by a homotopy variable T, conjugate, patch the local
+    words along the cover, then evaluate at T = 1.
 
+    The conjugation word gamma h(T) gamma^-1 is built once over R[T]: a
+    corner block conjugates h atom by atom, and any other gamma is
+    decomposed once over R. Each local word is that word mapped into
+    R_s[T]. This is the word a rewrite over R_s would give, because
+    R -> R_s is injective (s is not a zero divisor), so every zero test
+    and comparison the rewrite makes has the same outcome.
+    """
     for idx, atom in enumerate(h_word.atoms, start=1):
         if not isinstance(atom, ABCDAtom):
             raise AlphabetViolation(f"h must be a shape word (A, B, C, D atoms only); "
@@ -498,27 +504,18 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     gamma_t = gamma.map(RT.const, RT)
     alpha = gamma_t.mul(h_t.eval()).mul(symp_inverse(gamma_t))
 
-    corner_route = (len(gamma_word) == 1
-                    and isinstance(gamma_word.atoms[0], CornerMatrixAtom))
+    if len(gamma_word) == 1 and isinstance(gamma_word.atoms[0], CornerMatrixAtom):
+        delta_rows = tuple(tuple(RT.const(v) for v in r) for r in gamma_word.atoms[0].rows)
+        conj = Word(RT, n, [a for atom in h_t.atoms
+                            for a in conj_abcd_atom(RT, n, delta_rows, atom)])
+    else:
+        g_abcd = decompose_full(gamma_word).output_word.map_params(RT.const, RT)
+        conj = g_abcd.concat(h_t).concat(g_abcd.inverse())
 
     local_words = []
-    for (s, c, b, N) in cover.entries:
-        Rs = Localized(base_ring, s)
-        RsT = PolyRing(Rs, ("T",))
-        h_loc = h_word.map_params(lambda p: RsT.const(Rs.embed(p)), RsT)
-        h_loc_t = h_loc.map_params(lambda p: RsT.mul(p, RsT.var("T")))
-        if corner_route:
-            rows = gamma_word.atoms[0].rows
-            delta_rows = tuple(tuple(RsT.const(Rs.embed(v)) for v in r) for r in rows)
-            atoms = []
-            for atom in h_loc_t.atoms:
-                atoms.extend(conj_abcd_atom(RsT, n, delta_rows, atom))
-            local_words.append(Word(RsT, n, atoms))
-        else:
-            g_loc = gamma_word.map_params(Rs.embed, Rs)
-            cert = decompose_full(g_loc)
-            g_abcd = cert.output_word.map_params(lambda p: RsT.const(p), RsT)
-            local_words.append(g_abcd.concat(h_loc_t).concat(g_abcd.inverse()))
+    for (s, _, _, _) in cover.entries:
+        RsT = PolyRing(Localized(base_ring, s), ("T",))
+        local_words.append(conj.map_params(lambda p: _embed_poly(RsT, p), RsT))
 
     patched = patch(base_ring, n, alpha, cover, local_words)
     out = patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring)

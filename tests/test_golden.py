@@ -16,9 +16,24 @@ import pytest
 
 from sympelem.localglobal import CoverData, dilate, normality_demo, patch
 from sympelem.rewrite import decompose_full
-from sympelem.rings import Localized, PolyRing, Rationals, Zmod, ring_from_descriptor
+from sympelem.rings import (
+    Localized,
+    PolyRing,
+    Rationals,
+    Zmod,
+    parse_element,
+    ring_from_descriptor,
+)
 from sympelem.symplectic import pi_swap
-from sympelem.words import ABCDAtom, CornerAtom, SAtom, UnitAtom, Word, word_from_text
+from sympelem.words import (
+    ABCDAtom,
+    CornerAtom,
+    CornerMatrixAtom,
+    SAtom,
+    UnitAtom,
+    Word,
+    word_from_text,
+)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -150,6 +165,24 @@ def qt_normality_digests(ring):
     return out
 
 
+
+def corner_normality_digests():
+    """Outputs of ``normality_demo`` on its corner route, where gamma is a
+    single det-1 corner block, over Z/15 with ``cover_z15.txt`` and over
+    Q[t] with ``cover_qt.txt``."""
+    inputs = [("zmod:15", "cover_z15.txt", (("7", "3"), ("2", "1")), "A 2 4"),
+              ("zmod:15", "cover_z15.txt", (("1", "5"), ("0", "1")), "D 2 2\nB 2 7"),
+              ("poly:q:t", "cover_qt.txt", (("1", "t"), ("0", "1")), "B 2 1")]
+    out = []
+    for descriptor, cover, rows, h in inputs:
+        ring = ring_from_descriptor(descriptor)
+        delta = tuple(tuple(parse_element(ring, v) for v in row) for row in rows)
+        word = normality_demo(ring, 2, Word(ring, 2, [CornerMatrixAtom(delta)]),
+                              word_from_text(ring, 2, h),
+                              CoverData.from_text(ring, _read(cover)))
+        out.append((word.digest(), len(word)))
+    return out
+
 # (input digest, output digest, len(cert.trace))
 GOLDEN_DECOMPOSITIONS = [
     ('c6d487ff9e41fab4', '53bb86d53e5a70b6', 71),
@@ -234,6 +267,10 @@ GOLDEN_QT_NORMALITY = {
     'poly:zmod:15:t': [('8a6598a80571d395', 186), ('4780a7460f0cd38e', 186), ('ad6aef14358536a7', 744)],
 }
 
+# (output digest, len(output)) of corner_normality_digests
+GOLDEN_CORNER_NORMALITY = [('c3b871872948fd05', 140), ('9bb804bff44d03b9', 916),
+                           ('5fe1eaeaae033de7', 216)]
+
 
 def test_decomposition_digests_are_pinned():
     got = decomposition_digests()
@@ -251,6 +288,10 @@ def test_qt_normality_digests_are_pinned(descriptor):
     assert qt_normality_digests(ring_from_descriptor(descriptor)) == GOLDEN_QT_NORMALITY[descriptor]
 
 
+def test_corner_normality_digests_are_pinned():
+    assert corner_normality_digests() == GOLDEN_CORNER_NORMALITY
+
+
 if __name__ == "__main__":
     print("GOLDEN_DECOMPOSITIONS = [")
     for row in decomposition_digests():
@@ -266,3 +307,5 @@ if __name__ == "__main__":
     for descriptor in ("poly:q:t", "poly:zmod:15:t"):
         print(f"    {descriptor!r}: {qt_normality_digests(ring_from_descriptor(descriptor))!r},")
     print("}")
+    print()
+    print(f"GOLDEN_CORNER_NORMALITY = {corner_normality_digests()!r}")
