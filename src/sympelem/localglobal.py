@@ -35,8 +35,16 @@ from .errors import (
     StepBudgetExceeded,
     StepVerificationFailed,
 )
-from .identities import _CROSSING, _UNIT_AT_1, unit_bracket_shapes
-from .rewrite import conj_abcd_atom, decompose_full
+from .identities import (
+    _CROSSING,
+    _UNIT_AT_1,
+    det1_conj_data,
+    split_a_form,
+    split_b_form,
+    unit_bracket_atoms,
+    unit_bracket_shapes,
+)
+from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
 from .words import ABCDAtom, CornerMatrixAtom, Word, eval_atoms
@@ -479,20 +487,38 @@ def patch(base_ring, n, alpha, cover, local_words):
 # normality demonstration
 # ---------------------------------------------------------------------------
 
+def conj_abcd_atom(ring, n, delta_rows, atom):
+    """Atoms for (delta perp I) E(shape_i)(e) (delta perp I)^-1, det delta = 1."""
+    forms, (ush, uparam) = det1_conj_data(ring, delta_rows, atom.shape, atom.e)
+    out = []
+    for lam, mu, xx, yy in forms:
+        if ring.is_zero(xx) and ring.is_zero(yy):
+            continue
+        if yy == xx:
+            x2, y2, up = split_a_form(ring, lam, mu, xx)
+            pair = [ABCDAtom("A", atom.pos, x2), ABCDAtom("C", atom.pos, y2)]
+            split_unit = "C"
+        else:
+            x2, y2, up = split_b_form(ring, lam, mu, xx)
+            pair = [ABCDAtom("B", atom.pos, x2), ABCDAtom("D", atom.pos, y2)]
+            split_unit = "B"
+        out.extend(a for a in pair if not ring.is_zero(a.e))
+        if not ring.is_zero(up):
+            out.extend(unit_bracket_atoms(ring, n, split_unit, atom.pos, up))
+    if not ring.is_zero(uparam):
+        out.extend(unit_bracket_atoms(ring, n, ush, atom.pos, uparam))
+    return out
+
+
 def normality_demo(base_ring, n, gamma_word, h_word, cover):
     """Word for gamma * eval(h) * gamma^-1 over the shape alphabet.
 
-    gamma is given constructively (a generator word, or a single det-1
-    corner block); h is a shape word. The route follows the local-global
-    argument: scale h by a homotopy variable T, conjugate, patch the local
-    words along the cover, then evaluate at T = 1.
-
-    The conjugation word gamma h(T) gamma^-1 is built once over R[T]: a
-    corner block conjugates h atom by atom, and any other gamma is
-    decomposed once over R. Each local word is that word mapped into
-    R_s[T]. This is the word a rewrite over R_s would give, because
-    R -> R_s is injective (s is not a zero divisor), so every zero test
-    and comparison the rewrite makes has the same outcome.
+    gamma is a generator word or a single det-1 corner block; h is a shape
+    word. gamma h(T) gamma^-1 is built once over R[T] (a corner block
+    conjugates h atom by atom, any other gamma is decomposed over R) and
+    mapped into each R_s[T]. R -> R_s is injective, as s is no zero
+    divisor, so these are the words a rewrite over R_s would give. The
+    local words are patched along the cover and evaluated at T = 1.
     """
     for idx, atom in enumerate(h_word.atoms, start=1):
         if not isinstance(atom, ABCDAtom):

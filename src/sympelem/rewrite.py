@@ -16,13 +16,7 @@ from pathlib import Path
 
 from .errors import AlphabetViolation, BadIndices, NoRuleFound, StepVerificationFailed
 from .matrices import Matrix
-from .identities import (
-    corner_correction,
-    det1_conj_data,
-    split_a_form,
-    split_b_form,
-    unit_bracket_atoms,
-)
+from .identities import split_a_form, split_b_form, unit_bracket_atoms
 from .symplectic import pi_swap, symp_inverse
 from .words import (
     ABCDAtom,
@@ -189,8 +183,7 @@ class GradedForm:
 
 @dataclass
 class CornerWitness:
-    """A 2x2 corner together with its explicit transvection word."""
-    matrix: Matrix
+    """The corner of a decomposed run, as a corner transvection word."""
     word: tuple  # CornerAtoms
 
 
@@ -213,8 +206,10 @@ def decompose_initial(word, trace=None):
     The run is corner-free: decompose_full cuts its runs at corner atoms,
     and the reduction rules use row-1/2 transvections only. So every block
     is graded by a unit vector (lam, mu), and every correction corner is
-    the single transvection E12(2ab) or E21(-2ab). The corner comes back
-    with that transvection factorization; the body contains only
+    the single transvection E12(2ab) or E21(-2ab). The corner is carried
+    as those transvections only, and every check is made on atom words:
+    the graded split, each fold of a correction across the pending forms,
+    and the stage boundary delta * body = word. The body contains only
     one-block generators and placed units.
     """
     ring, n = word.ring, word.n
@@ -238,24 +233,22 @@ def decompose_initial(word, trace=None):
         a = ring.half(ring.add(g.x, g.y))
         b = ring.half(ring.sub(g.x, g.y))
         ab2 = ring.scale_int(2, ring.mul(a, b))
-        ch = CornerMatrixAtom(corner_correction(ring, g.lam, g.mu, a, b).rows)
         if ring.is_zero(ab2):
             ch_word = []
         elif ring.is_zero(g.mu):
             ch_word = [CornerAtom("E12", ab2)]
         else:
             ch_word = [CornerAtom("E21", ring.neg(ab2))]
-        if ch_word:
-            _same(ring, 1, "corner-correction witness", ch_word, [ch])
         # graded = ch * A-form * B-form
         af = GradedForm(g.lam, g.mu, a, a, g.pos)
         bf = GradedForm(g.lam, g.mu, b, ring.neg(b), g.pos)
-        _same(ring, n, "graded-split", [g], [ch, af, bf])
+        _same(ring, n, "graded-split", [g], ch_word + [af, bf])
         trace.append(("graded-split", [g], [af, bf]))
         # fold ch left across the pending forms
         if ch_word:
+            ch = ch_word[0]
             ch_inv = ch._inverse(ring)
-            top, bottom = ch_inv.rows
+            top, bottom = eval_atoms(ring, 1, [ch_inv]).rows
             new_forms, regraded = [], []
             for (kind, lam, mu, val, pos) in forms:
                 lam2, mu2 = ring.dot(top, (lam, mu)), ring.dot(bottom, (lam, mu))
@@ -288,58 +281,38 @@ def decompose_initial(word, trace=None):
         _check(ring, n, "form-split", [before], atoms, trace)
         body.extend(atoms)
 
-    witness = CornerWitness(eval_atoms(ring, 1, delta_word), tuple(delta_word))
-    _same(ring, n, "stage boundary", [CornerMatrixAtom(witness.matrix.rows)] + body, word.atoms)
-    return witness, Word(ring, n, body), trace
+    _same(ring, n, "stage boundary", delta_word + body, word.atoms)
+    return CornerWitness(tuple(delta_word)), Word(ring, n, body), trace
 
 
 # ---------------------------------------------------------------------------
-# conjugation of shape atoms by det-1 corners, and corner elimination
+# corner elimination
 # ---------------------------------------------------------------------------
-
-def conj_abcd_atom(ring, n, delta_rows, atom):
-    """Atoms for (delta perp I) E(shape_i)(e) (delta perp I)^-1, det delta = 1."""
-    forms, (ush, uparam) = det1_conj_data(ring, delta_rows, atom.shape, atom.e)
-    out = []
-    for lam, mu, xx, yy in forms:
-        if ring.is_zero(xx) and ring.is_zero(yy):
-            continue
-        if yy == xx:
-            x2, y2, up = split_a_form(ring, lam, mu, xx)
-            pair = [ABCDAtom("A", atom.pos, x2), ABCDAtom("C", atom.pos, y2)]
-            split_unit = "C"
-        else:
-            x2, y2, up = split_b_form(ring, lam, mu, xx)
-            pair = [ABCDAtom("B", atom.pos, x2), ABCDAtom("D", atom.pos, y2)]
-            split_unit = "B"
-        out.extend(a for a in pair if not ring.is_zero(a.e))
-        if not ring.is_zero(up):
-            out.extend(unit_bracket_atoms(ring, n, split_unit, atom.pos, up))
-    if not ring.is_zero(uparam):
-        out.extend(unit_bracket_atoms(ring, n, ush, atom.pos, uparam))
-    return out
-
 
 def corner_to_abcd(ring, n, corner_atoms, trace=None):
-    """Rewrite a word of corner transvections into a pure shape word."""
+    """Rewrite a word of corner transvections into a pure shape word.
+
+    Each corner transvection is a product of three corner units (placed
+    units at position 1), each the 4-atom bracket of unit_bracket_atoms:
+
+        E12(x) = U_C(1/2) U_B(-x/4) U_C(-1/2),
+        E21(x) = U_B(-1/2) U_C(-x/4) U_B(1/2),
+
+    so it costs 12 shape atoms.
+    """
     trace = [] if trace is None else trace
     out = []
-    one = ring.one
+    half = ring.inv2
     for atom in corner_atoms:
         if not isinstance(atom, CornerAtom):
             raise _alphabet_error(ring, "not a corner transvection: atom", atom)
         if ring.is_zero(atom.e):
             continue
-        if atom.kind == "E21":
-            ush = "B"
-            delta = Matrix(ring, [(one, ring.neg(one)), (ring.zero, one)])   # E12(-1)
-        else:
-            ush = "C"
-            delta = Matrix(ring, [(one, ring.zero), (one, one)])             # E21(1)
-        unit_atoms = unit_bracket_atoms(ring, n, ush, 1, atom.e)
-        rep = []
-        for ua in unit_atoms:
-            rep.extend(conj_abcd_atom(ring, n, delta.rows, ua))
+        outer, inner, u = ("C", "B", half) if atom.kind == "E12" else ("B", "C", ring.neg(half))
+        v = ring.neg(ring.mul(atom.e, ring.mul(half, half)))  # -x/4
+        rep = (unit_bracket_atoms(ring, n, outer, 1, u)
+               + unit_bracket_atoms(ring, n, inner, 1, v)
+               + unit_bracket_atoms(ring, n, outer, 1, ring.neg(u)))
         _check(ring, n, "corner-to-shapes", [atom], rep, trace)
         out.extend(rep)
     return Word(ring, n, out), trace

@@ -73,19 +73,20 @@ def test_decompose_round_trip(tmp_path, capsys):
 
 def test_decompose_trace_lines_are_pinned(tmp_path, capsys):
     # the trace holds atom lists; the CLI digests them when it writes the
-    # file. Every line but the correction-fold ones is the same bytes as
-    # when the digests were taken at each step (recorded then).
+    # file. The count and the hash of every line but the correction-fold
+    # ones were re-recorded when each corner transvection became three
+    # corner-unit brackets.
     example = Path(__file__).resolve().parents[1] / "docs" / "examples" / "word_z15.txt"
     trace = tmp_path / "trace.txt"
     assert run(["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(example),
                 "--trace", str(trace)]) == 0
     capsys.readouterr()
     lines = trace.read_text().splitlines()
-    assert len(lines) == 60
+    assert len(lines) == 33
     assert lines[0] == "transvection-to-block 53bb2e4cc637 cb389bd0f5ae"
     kept = "".join(line + "\n" for line in lines if not line.startswith("correction-fold "))
     assert hashlib.sha256(kept.encode()).hexdigest() == \
-        "6a3fdc2eda5601004f24bbd556f024786992b832b5a5487905ef273fd3ade167"
+        "685eea0911f35ad87c3342d44a7382bad213a98acba8be5d4887b8c2c26dcc69"
 
 
 def test_decompose_empty_file(tmp_path, capsys):

@@ -2,11 +2,11 @@
 rewrite stages that alters an output word or a certificate's step count
 fails here, not only in a manual before/after comparison.
 
-The values were recorded from the arithmetic kernels that sort a dict of
-terms on every polynomial operation; the sorted-merge kernels must give the
-same bytes. To re-record after an intended output change, run this file as
-a script (``PYTHONPATH=src python tests/test_golden.py``) and paste what it
-prints.
+The values were last re-recorded when each corner transvection became
+three corner-unit brackets; ``LENGTH_CEILINGS`` keeps the output lengths
+from before, and no re-recorded output may be longer. To re-record after
+an intended output change, run this file as a script
+(``PYTHONPATH=src python tests/test_golden.py``) and paste what it prints.
 """
 
 import random
@@ -105,7 +105,8 @@ def decomposition_digests():
     out = []
     for w in _rewrite_test_words() + _seeded_words():
         cert = decompose_full(w)
-        out.append((w.digest(), cert.output_word.digest(), len(cert.trace)))
+        out.append((w.digest(), cert.output_word.digest(), len(cert.output_word),
+                    len(cert.trace)))
     return out
 
 
@@ -183,93 +184,111 @@ def corner_normality_digests():
         out.append((word.digest(), len(word)))
     return out
 
-# (input digest, output digest, len(cert.trace))
+# (input digest, output digest, len(output), len(cert.trace))
 GOLDEN_DECOMPOSITIONS = [
-    ('c6d487ff9e41fab4', '53bb86d53e5a70b6', 71),
-    ('e028167f9b175d04', '475b26afd3c1c558', 83),
-    ('bf922a96213596fa', '1c12c76c6be4d839', 30),
-    ('5a91ee1805f0d601', '696bc1642b798047', 29),
-    ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0),
-    ('1c68f6ce583b795a', '5d39a766c007b624', 10),
-    ('570bd736483cf0e0', '27f2a1e75039c0c1', 57),
-    ('557a5f87589ad165', '0f5032423d656e7b', 20),
-    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0),
-    ('682c920aeacf6cb1', 'eb24df2dadbc2005', 82),
-    ('69ceb1409bf53224', '0bb109ae37644545', 85),
-    ('2a3aeed84b6abf35', '9150295f39543d7f', 107),
-    ('c98d5746cea44943', 'e6a2e7bc7507c4d7', 109),
-    ('3e77ba4fc2d5a855', '656396c3b1c1df71', 12),
-    ('cb163ff7c87628ec', 'e72377532b080912', 10),
-    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0),
-    ('fd2bb03d7411f4f3', 'cdc98dc4271e551c', 61),
-    ('9ab2d9bf5f95051b', '43d68776fb41d960', 66),
-    ('d9e4a3054d38426b', 'f76633fe13e49a23', 68),
-    ('57e1df25f52f4fd2', 'a2bf0f3492dfd589', 49),
-    ('787d0ddab2c2ecec', '33c78101d113b2d4', 47),
-    ('b11e32029b23d930', 'b7a5c0ea36faf7e6', 9),
-    ('2fe738efb5ee0416', 'f257ff5961b517f2', 28),
-    ('68255d90af96d83e', 'b7bb4e28ceb61868', 48),
-    ('4b0be1cec020453a', 'bf695ec82cc4844d', 46),
-    ('7db7992d98d3e91b', 'c93893a30c09cf24', 202),
-    ('d40e1aac77e32753', 'e7e440f7487bbfe5', 30),
-    ('78d6ce066677bece', 'acdaf04c8bf1f0c7', 62),
-    ('e93a0f7e8a4d86a8', 'fa44da517ee09f24', 86),
-    ('cfafffd213d5590d', 'eae8920dc32f6bf2', 27),
-    ('22e92f70bf57bc07', '9d5a3686354bd702', 18),
-    ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0),
-    ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0),
-    ('c89106d3f0da141b', 'ad0468694ec7ba21', 19),
-    ('931b54a943d49c2c', '3b8140c4277aadc9', 22),
-    ('3fc3ce55954efd4b', '112a6f13db62a028', 28),
-    ('3c8266a5e6f4323e', 'c2fa72066487d9ff', 39),
-    ('5a934201fdf5ef6a', 'f8a4f346f3ecaff8', 30),
-    ('87cca7cf34ff3e86', '42c22818a3ab5453', 44),
-    ('43265cad7bf88fe4', '8b9a74f722440dde', 55),
-    ('ce5399291fed7b7f', 'ff2e5a44a8b246d0', 62),
-    ('b2278a48288bb304', '3f3108efb826ba34', 69),
-    ('999dc0587b3c9535', '1af2f5524bdff13f', 79),
-    ('7982898dd910f2f3', '19b515b965dba6a7', 59),
-    ('54b2f368ae4376cd', '0b4bbd6042bb57c7', 95),
-    ('8d429fcc7dbe0e6f', '38f8778ec6101036', 85),
-    ('3d5036bb02d81ff9', '3fa586572fcb7310', 84),
-    ('89322a4058d29824', '87e4c1ed837ac279', 98),
-    ('6e1038b675e9f941', '50f92f8003c42b68', 99),
-    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0),
-    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0),
-    ('ded4e6cab2eb6b45', 'a7f7b4bdc69de65c', 73),
-    ('0b82e46207d42e06', '9bed98b6c435fbe0', 73),
-    ('26505dc252d892d4', '9f67cdd703e11a0a', 20),
-    ('191275388f8f38d1', '05678de8a3e47148', 148),
-    ('94dc97517dea91d4', 'c74a79cfc56d48c3', 49),
-    ('2ab533e742c26222', '2722020f07f17647', 46),
-    ('9840e0592d710540', '2ed0659ee9defd0e', 110),
-    ('7cdc43aef62ea890', '03f600fa477ce4c9', 121),
-    ('0ac496a593397102', '9c3e4095485277fa', 128),
-    ('323c1c30c2f12587', 'fd32af8dc08d026c', 70),
-    ('7dc5e2d9e7612e89', '42b5884b57f130e2', 193),
-    ('95e70afb9ba1151f', '3343a81af3e4e9e3', 231),
-    ('66d231eeeae800ac', '93318c2044f37387', 109),
-    ('c3cc24cbd865ca16', 'f7071ddd27c0d9c2', 220),
-    ('91884b4f35bb1e7f', '49a7ca3159c99843', 93),
-    ('664b3f724ab41427', 'd1f1eb35eef150c7', 105),
+    ('c6d487ff9e41fab4', '6f6423dbebaac437', 74, 44),
+    ('e028167f9b175d04', '6b5c9e8e20585fed', 86, 45),
+    ('bf922a96213596fa', '12057b4e45b76994', 30, 14),
+    ('5a91ee1805f0d601', '266c287a39c53921', 32, 12),
+    ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0, 0),
+    ('1c68f6ce583b795a', '1df91119e6f7cbb7', 12, 1),
+    ('570bd736483cf0e0', 'df68705041bf44f9', 66, 24),
+    ('557a5f87589ad165', 'c803173862ecd827', 20, 12),
+    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
+    ('682c920aeacf6cb1', '88390f60cea4f5ed', 100, 42),
+    ('69ceb1409bf53224', 'ef53f7cec13a233b', 76, 50),
+    ('2a3aeed84b6abf35', '2b9cba2cd553ad6f', 108, 66),
+    ('c98d5746cea44943', '346debd42c296c79', 124, 50),
+    ('3e77ba4fc2d5a855', 'e6c7f4ac0421e80f', 12, 1),
+    ('cb163ff7c87628ec', '49aeae30c6d092ec', 12, 1),
+    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
+    ('fd2bb03d7411f4f3', '144905eadd3a0077', 62, 44),
+    ('9ab2d9bf5f95051b', 'c2765f7c8a09d856', 76, 33),
+    ('d9e4a3054d38426b', 'daeb02da5090cbea', 72, 36),
+    ('57e1df25f52f4fd2', '27e516a034df31de', 54, 25),
+    ('787d0ddab2c2ecec', 'd5aad4c183a377a6', 56, 15),
+    ('b11e32029b23d930', 'e0060975675c09be', 12, 1),
+    ('2fe738efb5ee0416', '14ae1f39703d2d8f', 34, 12),
+    ('68255d90af96d83e', 'b1b17d2c3c10d7fe', 54, 32),
+    ('4b0be1cec020453a', 'b0938dcbb68b1f73', 58, 13),
+    ('7db7992d98d3e91b', 'c2c78cc05924a617', 222, 94),
+    ('d40e1aac77e32753', '7fe411af74870431', 34, 11),
+    ('78d6ce066677bece', '7859a5c6143ddbfb', 66, 25),
+    ('e93a0f7e8a4d86a8', '8029dbed9af3063b', 109, 44),
+    ('cfafffd213d5590d', 'b1ba8922ff0f4a85', 34, 11),
+    ('22e92f70bf57bc07', '9cec6a99b4e9d3fe', 22, 10),
+    ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0, 0),
+    ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0, 0),
+    ('c89106d3f0da141b', 'a9c67d36f184b521', 22, 11),
+    ('931b54a943d49c2c', '9756a3dea8ea3d71', 20, 11),
+    ('3fc3ce55954efd4b', '9fdecc3085bc8f94', 32, 20),
+    ('3c8266a5e6f4323e', 'a27d05e855164d5d', 40, 22),
+    ('5a934201fdf5ef6a', '05a77d3af1e93cf7', 32, 22),
+    ('87cca7cf34ff3e86', '8b48b14c8a08b526', 48, 18),
+    ('43265cad7bf88fe4', '58fb0080d614dc0c', 68, 23),
+    ('ce5399291fed7b7f', 'd74795838323839f', 70, 27),
+    ('b2278a48288bb304', '7a7e7123ca15e2b4', 76, 45),
+    ('999dc0587b3c9535', 'c6169e0ff88a7dab', 86, 35),
+    ('7982898dd910f2f3', 'bcc557bc0e4e56a0', 66, 35),
+    ('54b2f368ae4376cd', 'c003e3052da554be', 104, 63),
+    ('8d429fcc7dbe0e6f', '8b9e76e7e492a4e6', 98, 53),
+    ('3d5036bb02d81ff9', '2fe6689705929bf6', 92, 51),
+    ('89322a4058d29824', 'bd2969262c8da458', 106, 74),
+    ('6e1038b675e9f941', 'd7708d32450c88dd', 108, 57),
+    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
+    ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
+    ('ded4e6cab2eb6b45', '6057f91342dfc7f6', 88, 41),
+    ('0b82e46207d42e06', 'dd642e9a65dc381f', 76, 39),
+    ('26505dc252d892d4', 'f5fa751af2b2b7a2', 22, 12),
+    ('191275388f8f38d1', 'd1b249da2a56a282', 172, 84),
+    ('94dc97517dea91d4', 'db1fc037fef7bda9', 56, 25),
+    ('2ab533e742c26222', '73f6faea785384ab', 54, 30),
+    ('9840e0592d710540', 'a35d254d62a31821', 134, 54),
+    ('7cdc43aef62ea890', 'a19d3f2d9745419b', 138, 65),
+    ('0ac496a593397102', '66276019ed785f15', 156, 64),
+    ('323c1c30c2f12587', '83086e3e0fa6ccbf', 76, 26),
+    ('7dc5e2d9e7612e89', '1874a60a3c0848b0', 230, 113),
+    ('95e70afb9ba1151f', 'a623b206a4b7fdd2', 262, 135),
+    ('66d231eeeae800ac', '27ba370b1afb6f1c', 116, 85),
+    ('c3cc24cbd865ca16', '2085f43f6fe64fd3', 252, 114),
+    ('91884b4f35bb1e7f', 'f6b52a2a6042c995', 112, 45),
+    ('664b3f724ab41427', 'f598dd75c7d53b19', 118, 57),
 ]
 
 GOLDEN_EXAMPLES = {
-    'normality_demo': ('7693b8b785d64ebe', 664),
-    'normality_demo_seeded': [('0e1163477ef9aa7e', 338), ('974511cda7988304', 330), ('84bad4d7e19a2caf', 708), ('5a8da991825606eb', 728)],
+    'normality_demo': ('29043f84c1e990cd', 280),
+    'normality_demo_seeded': [('a14048872a41bce2', 170), ('b66ed59ade6f3ffe', 138), ('4ea96d41cbb34d70', 340), ('d3ffcd5027648040', 344)],
     'patch': ('5e2a9f4a65ce68a3', 2),
     'dilate': (1, 'aaf7da5d86617d13', 1),
 }
 
 # ring descriptor -> (output digest, len(output)) of qt_normality_digests
 GOLDEN_QT_NORMALITY = {
-    'poly:q:t': [('3343718b620f6b62', 186), ('bb5e204c55abae80', 186), ('64ca52cb185db721', 744)],
-    'poly:zmod:15:t': [('8a6598a80571d395', 186), ('4780a7460f0cd38e', 186), ('ad6aef14358536a7', 744)],
+    'poly:q:t': [('5b7e990c578fca86', 90), ('aea02d3bd0e089f0', 90), ('ba63ad6ef6e035e6', 360)],
+    'poly:zmod:15:t': [('717e71e4afa6a5d9', 90), ('146fea4efb2aa0d6', 90), ('7578191d6562e628', 360)],
 }
 
 # (output digest, len(output)) of corner_normality_digests
 GOLDEN_CORNER_NORMALITY = [('c3b871872948fd05', 140), ('9bb804bff44d03b9', 916),
                            ('5fe1eaeaae033de7', 216)]
+
+
+# Output lengths recorded before each corner transvection became three
+# corner-unit brackets (36 atoms each until then), in the order of the
+# tables above. Output length is part of the design: a re-recorded word may
+# be shorter than its ceiling, never longer.
+LENGTH_CEILINGS = {
+    "decompositions": [
+        140, 170, 78, 78, 0, 34, 160, 44, 0, 220, 166, 226, 286, 30, 34, 0, 108, 170, 168, 126,
+        152, 36, 82, 102, 152, 486, 76, 152, 226, 82, 46, 0, 0, 46, 38, 56, 86, 56, 116, 164,
+        160, 148, 198, 138, 200, 194, 186, 178, 224, 0, 0, 184, 168, 46, 364, 128, 102, 302,
+        306, 348, 188, 470, 550, 188, 560, 256, 262,
+    ],
+    "normality_demo": [664, 338, 330, 708, 728],
+    "corner_normality": [140, 916, 216],
+    "qt_normality poly:q:t": [186, 186, 744],
+    "qt_normality poly:zmod:15:t": [186, 186, 744],
+}
 
 
 def test_decomposition_digests_are_pinned():
@@ -290,6 +309,23 @@ def test_qt_normality_digests_are_pinned(descriptor):
 
 def test_corner_normality_digests_are_pinned():
     assert corner_normality_digests() == GOLDEN_CORNER_NORMALITY
+
+
+def test_output_lengths_never_grow():
+    # the pin tests above tie each table to the code
+    got = {
+        "decompositions": [row[2] for row in GOLDEN_DECOMPOSITIONS],
+        "normality_demo": [GOLDEN_EXAMPLES["normality_demo"][1]]
+        + [length for _, length in GOLDEN_EXAMPLES["normality_demo_seeded"]],
+        "corner_normality": [length for _, length in GOLDEN_CORNER_NORMALITY],
+    }
+    for descriptor, rows in GOLDEN_QT_NORMALITY.items():
+        got[f"qt_normality {descriptor}"] = [length for _, length in rows]
+    assert got.keys() == LENGTH_CEILINGS.keys()
+    for key, ceilings in LENGTH_CEILINGS.items():
+        assert len(got[key]) == len(ceilings), key
+        grown = [k for k, (g, c) in enumerate(zip(got[key], ceilings)) if g > c]
+        assert not grown, f"{key}: outputs {grown} grew"
 
 
 if __name__ == "__main__":

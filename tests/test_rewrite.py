@@ -4,6 +4,7 @@ import pytest
 
 from sympelem import rewrite as rw
 from sympelem.errors import AlphabetViolation, StepVerificationFailed
+from sympelem.localglobal import conj_abcd_atom
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import corner_embed, gen_corner, pi_swap
@@ -91,18 +92,13 @@ def test_decompose_initial_single_transvection():
     witness, body, _ = rw.decompose_initial(w)
     assert len(body) <= 6
     assert all(isinstance(a, (ABCDAtom, UnitAtom)) for a in body.atoms)
-    assert corner_embed(witness.matrix, 2).mul(body.eval()) == w.eval()
-    # the witness factorization matches its matrix
-    got = Matrix.identity(QX, 2)
-    for atom in witness.word:
-        blk = gen_corner(QX, 1, atom.kind, atom.e)
-        got = got.mul(blk)
-    assert got == witness.matrix
+    assert all(isinstance(a, CornerAtom) for a in witness.word)
+    assert Word(QX, 2, witness.word + body.atoms).eval() == w.eval()
 
 
 def test_decompose_initial_empty_and_corner_input():
     witness, body, _ = rw.decompose_initial(Word(Z15, 2, []))
-    assert witness.matrix.is_identity() and len(body) == 0
+    assert witness.word == () and len(body) == 0
     # runs are corner-free: decompose_full cuts them at corners
     with pytest.raises(AlphabetViolation):
         rw.decompose_initial(Word(Z15, 2, [SAtom(1, 3, 4), CornerAtom("E21", 2)]))
@@ -124,14 +120,20 @@ def test_decompose_initial_rejects_high_rows():
 
 
 def test_corner_to_abcd():
+    # each nonzero corner transvection is three corner-unit brackets of
+    # 4 atoms, one checked step; a zero one is dropped
     rng = random.Random(35)
-    for n in (2, 3):
-        for kind in ("E21", "E12"):
-            for _ in range(5):
-                c = Z15.sample(rng)
-                word, _ = rw.corner_to_abcd(Z15, n, [CornerAtom(kind, c)])
-                assert all(isinstance(a, ABCDAtom) for a in word.atoms)
-                assert word.eval() == gen_corner(Z15, n, kind, c)
+    for descriptor in ("poly:q:t", "zmod:15", "poly:zmod:15:t", "loc:poly:q:t:s=t"):
+        ring = ring_from_descriptor(descriptor)
+        for n in (2, 3, 4):
+            for kind in ("E21", "E12"):
+                for c in [ring.sample(rng) for _ in range(4)] + [ring.zero]:
+                    word, trace = rw.corner_to_abcd(ring, n, [CornerAtom(kind, c)])
+                    assert all(isinstance(a, ABCDAtom) for a in word.atoms)
+                    assert word.eval() == gen_corner(ring, n, kind, c), (descriptor, n, kind)
+                    nonzero = not ring.is_zero(c)
+                    assert len(word) == 12 * nonzero
+                    assert [rule for rule, _, _ in trace] == ["corner-to-shapes"] * nonzero
     # several corner atoms concatenate
     atoms = [CornerAtom("E12", 3), CornerAtom("E21", 7)]
     word, _ = rw.corner_to_abcd(Z15, 2, atoms)
@@ -151,7 +153,7 @@ def test_conj_abcd_atom():
             delta = Matrix.from_ints(Z15, [[1, 0], [t, 1]]).mul(
                 Matrix.from_ints(Z15, [[1, u], [0, 1]]))
             atom = ABCDAtom(rng.choice("ABCD"), rng.randint(2, n), Z15.sample(rng))
-            out = rw.conj_abcd_atom(Z15, n, delta.rows, atom)
+            out = conj_abcd_atom(Z15, n, delta.rows, atom)
             emb = corner_embed(delta, n)
             want = emb.mul(eval_atoms(Z15, n, [atom])).mul(symp_inverse(emb))
             assert eval_atoms(Z15, n, out) == want
@@ -199,7 +201,7 @@ def test_conjugation_closure_of_shape_words():
                           for _ in range(rng.randint(1, 3))])
         out = []
         for atom in h.atoms:
-            out.extend(rw.conj_abcd_atom(Z15, 3, delta.rows, atom))
+            out.extend(conj_abcd_atom(Z15, 3, delta.rows, atom))
         emb = corner_embed(delta, 3)
         assert Word(Z15, 3, out).eval() == emb.mul(h.eval()).mul(symp_inverse(emb))
         assert all(isinstance(a, ABCDAtom) for a in out)
