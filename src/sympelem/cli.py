@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import errors as err
-from .localglobal import CoverData, conj_decompose, dilate, normality_demo, patch
+from .localglobal import DEFAULT_FUEL, CoverData, conj_decompose, dilate, normality_demo, patch
 from .matrices import Matrix
 from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element, ring_from_descriptor
@@ -89,6 +89,11 @@ def cmd_decompose(args):
 
 
 def cmd_conj(args):
+    if args.m <= args.k:
+        raise err.ParseError(f"--m {args.m} must be greater than --k {args.k}")
+    if max(abs(args.k), abs(args.m)) > DEFAULT_FUEL:
+        raise err.ParseError(f"--k {args.k} and --m {args.m} must lie in "
+                             f"-{DEFAULT_FUEL}..{DEFAULT_FUEL}")
     base = ring_from_descriptor(args.ring)
     s = parse_element(base, args.s)
     loc = Localized(base, s)

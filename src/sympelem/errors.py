@@ -50,10 +50,6 @@ class StepBudgetExceeded(SympelemError):
     """Fuel ran out before the rewriting terminated."""
 
 
-class NoRuleFound(SympelemError):
-    """No admitted reduction rule applies to a generator."""
-
-
 class ExponentTooSmall(SympelemError):
     """Conjugation decomposition requires m > k."""
 

@@ -421,14 +421,6 @@ def composite_instance(ring, n, X, Y, i, x, y, z):
                             {"x": x, "y": y, "z": z})
 
 
-def composite_ad(ring, n, i, x, y, z):
-    return composite_instance(ring, n, "A", "D", i, x, y, z)
-
-
-def composite_bc(ring, n, i, x, y, z):
-    return composite_instance(ring, n, "B", "C", i, x, y, z)
-
-
 # ---------------------------------------------------------------------------
 # unit brackets: the shape words that replace placed units
 # ---------------------------------------------------------------------------

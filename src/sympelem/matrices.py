@@ -34,10 +34,6 @@ class Matrix:
         z = ring.zero
         return Matrix(ring, [[z] * ncols for _ in range(nrows)])
 
-    @staticmethod
-    def from_ints(ring, rows):
-        return Matrix(ring, [[ring.from_int(v) for v in r] for r in rows])
-
     # -- arithmetic -----------------------------------------------------------
     def mul(self, other):
         if self.ncols != other.nrows:

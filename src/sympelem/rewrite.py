@@ -10,14 +10,11 @@ atoms and the atoms that replace them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import AlphabetViolation, BadIndices, NoRuleFound, StepVerificationFailed
-from .matrices import Matrix
+from .errors import AlphabetViolation, BadIndices, StepVerificationFailed
 from .identities import split_a_form, split_b_form, unit_bracket_atoms
-from .symplectic import pi_swap, symp_inverse
+from .symplectic import pi_swap
 from .words import (
     ABCDAtom,
     CornerAtom,
@@ -58,67 +55,16 @@ def _check(ring, n, rule, before_atoms, after_atoms, trace):
 # reduction of the full transvection alphabet to rows 1 and 2
 # ---------------------------------------------------------------------------
 
-_DATA_DIR = Path(__file__).parent / "data"
-_RULES_CACHE = {}
-
-
-def discover_s_rules(n):
-    """Find commutator rules [g(x), h(y)] = S_ij(c*x*y), c = +-1, over the
-    row-1/2 transvections, by exact symbolic computation. Returns
-    {(i, j): (g, h, c)} where g, h are atom specs ("S", row, col). The
-    alphabet has no corner atoms, so reducing a transvection emits none."""
-    from .rings import PolyRing, Rationals
-    from .symplectic import gen_s
-
-    ring = PolyRing(Rationals(), ("x", "y"))
-    x, y = ring.var("x"), ring.var("y")
-    alphabet = [("S", r, a) for r in (1, 2) for a in range(3, 2 * n + 1) if a != pi_swap(r)]
-
-    def mat(spec, v):
-        return eval_atoms(ring, n, [SAtom(spec[1], spec[2], v)])
-
-    ident = Matrix.identity(ring, 2 * n)
-    patterns = {c: ring.scale_int(c, ring.mul(x, y)) for c in (1, -1)}
-    rules = {}
-    for g in alphabet:
-        gm = mat(g, x)
-        gi = symp_inverse(gm)
-        for h in alphabet:
-            hm = mat(h, y)
-            br = gm.mul(hm).mul(gi).mul(symp_inverse(hm))
-            diff = br.sub(ident)
-            nz = [(r, c) for r in range(2 * n) for c in range(2 * n)
-                  if not ring.is_zero(diff.rows[r][c])]
-            if not 1 <= len(nz) <= 2:
-                continue
-            for (r, c) in nz:
-                i, j = r + 1, c + 1
-                if i == j or j == pi_swap(i):
-                    continue
-                v = diff.rows[r][c]
-                coef = next((cc for cc, pat in patterns.items() if v == pat), None)
-                if coef is None:
-                    continue
-                if (i, j) not in rules and br == gen_s(ring, n, i, j, v):
-                    rules[(i, j)] = (g, h, coef)
-    return rules
-
-
-def _rules_for(n):
-    """Reduction rules for n: the shipped rule file when there is one,
-    else discovered now and kept in memory only (scripts/regen_rules.py
-    is the one writer of rule files)."""
-    if n in _RULES_CACHE:
-        return _RULES_CACHE[n]
-    path = _DATA_DIR / f"s_rules_n{n}.json"
-    if path.exists():
-        raw = json.loads(path.read_text())
-        rules = {tuple(map(int, k.split(","))): (tuple(v[0]), tuple(v[1]), v[2])
-                 for k, v in raw.items()}
-    else:
-        rules = discover_s_rules(n)
-    _RULES_CACHE[n] = rules
-    return rules
+def _bracket_rule(i, j):
+    """The commutator rule (g, h, c) for S_ij with 3 <= i, j <= 2n and
+    j not in {i, pi(i)}: [g(x), h(y)] = S_ij(c*x*y) with c = +-1, where
+    g = S_1a and h = S_2b are row-1/2 transvections given as (row, column).
+    It is [S_1a(x), S_2b(y)] = S_{pi(a) b}(+-xy), read through the mirror
+    S_ij(e) = S_{pi(j) pi(i)}(+-e) when i > j."""
+    c = 1 if i % 2 == 1 else -1
+    if i < j:
+        return (1, pi_swap(i)), (2, j), c
+    return (1, j), (2, pi_swap(i)), c
 
 
 def reduce_to_row12(word, trace=None):
@@ -136,14 +82,11 @@ def reduce_to_row12(word, trace=None):
             rep = [SAtom(pi_swap(j), pi_swap(i), ring.neg(e) if (i + j) % 2 == 0 else e)]
             _check(ring, n, "mirror", [atom], rep, trace)
         else:
-            rule = _rules_for(n).get((i, j))
-            if rule is None:
-                raise NoRuleFound(f"no reduction rule for S_{i},{j} at n={n}")
-            g, h, c = rule
+            g, h, c = _bracket_rule(i, j)
             xhat = e if c == 1 else ring.neg(e)
             one = ring.one
-            rep = [SAtom(g[1], g[2], xhat), SAtom(h[1], h[2], one),
-                   SAtom(g[1], g[2], ring.neg(xhat)), SAtom(h[1], h[2], ring.neg(one))]
+            rep = [SAtom(*g, xhat), SAtom(*h, one),
+                   SAtom(*g, ring.neg(xhat)), SAtom(*h, ring.neg(one))]
             _check(ring, n, "bracket-rule", [atom], rep, trace)
         out.extend(rep)
     return Word(ring, n, out)

@@ -122,8 +122,8 @@ def test_criterion_04_unit_and_composite_tables():
         xs, ys, zs = pz.var("x"), pz.var("y"), pz.var("z")
         for n in (2, 3):
             for i in range(2, n + 1):
-                assert idn.composite_ad(pz, n, i, xs, ys, zs).holds()
-                assert idn.composite_bc(pz, n, i, xs, ys, zs).holds()
+                assert idn.composite_instance(pz, n, "A", "D", i, xs, ys, zs).holds()
+                assert idn.composite_instance(pz, n, "B", "C", i, xs, ys, zs).holds()
         # randomized sweeps over both residue rings, >= 1000 bindings each
         for ring in (Z15, Z105):
             rng = random.Random(105)

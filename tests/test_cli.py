@@ -119,6 +119,20 @@ def test_conj_command(capsys):
     assert "length=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k, m, words", [(1, 1, "greater than --k 1"),
+                                          (2, 0, "greater than --k 2"),
+                                          (1, 1600, "must lie in -64..64"),
+                                          (-65, 4, "must lie in -64..64")])
+def test_conj_exponents_are_usage_errors(k, m, words, capsys):
+    # an unbounded --m made conj run for minutes (m = 1600)
+    start = time.perf_counter()
+    assert run(["conj", "--ring", "poly:q:t", "--s", "1+t", "--n", "2",
+                "--xshape", "A", "--i", "2", "--a", "1", "--k", str(k),
+                "--yshape", "D", "--j", "2", "--m", str(m), "--x", "1"]) == 2
+    assert words in capsys.readouterr().err
+    assert time.perf_counter() - start < 2
+
+
 def test_dilate_command(tmp_path, capsys):
     src = tmp_path / "w.txt"
     src.write_text("A 2 X*3/t\n")

@@ -184,6 +184,36 @@ def corner_normality_digests():
         out.append((word.digest(), len(word)))
     return out
 
+
+def qt_conjugation_digests():
+    """Outputs of ``dilate`` and ``patch`` over Q[t] on words whose constant
+    prefixes carry a denominator, so each conjugates through
+    ``_conj_decompose_ctx``. ``dilate`` at s = t gets a commutator-word
+    pair, the same-position crossing pairs (A, D) and (B, C) of
+    ``_case3_same_position`` and a pair at different positions. ``patch``
+    gets the cover (t, 1 - t) with N = 3 and the local words
+    A(1/s) D(X) D(-X) A(-1/s) D(X) = D(X), whose beta conjugates D through
+    A(1/s) at the same position."""
+    t = QT.var("t")
+    rsx = PolyRing(Localized(QT, t), ("X",))
+    dilated = []
+    for n, text in ((2, "C 2 2/t\nA 2 5*X\nC 2 -2/t"),
+                    (2, "A 2 3/t\nD 2 X\nA 2 -3/t"),
+                    (2, "B 2 1/t\nC 2 X*(1+t)\nB 2 -1/t"),
+                    (3, "A 2 1/t\nD 3 X\nA 2 -1/t")):
+        m, out = dilate(QT, t, n, word_from_text(rsx, n, text))
+        dilated.append((m, out.digest(), len(out)))
+    cover = CoverData.from_text(QT, "s=t c=6*t^2-15*t+10 b=t^3 N=3\n"
+                                    "s=1-t c=6*t^2+3*t+1 b=(1-t)^3 N=3\n")
+    alpha = word_from_text(PolyRing(QT, ("X",)), 2, "D 2 X").eval()
+    locals_ = []
+    for s in ("t", "1-t"):
+        rsx = PolyRing(Localized(QT, parse_element(QT, s)), ("X",))
+        locals_.append(word_from_text(rsx, 2, f"A 2 1/({s})\nD 2 X\nD 2 -X\nA 2 -1/({s})\nD 2 X"))
+    patched = patch(QT, 2, alpha, cover, locals_)
+    return {"dilate": dilated, "patch": (patched.digest(), len(patched))}
+
+
 # (input digest, output digest, len(output), len(cert.trace))
 GOLDEN_DECOMPOSITIONS = [
     ('c6d487ff9e41fab4', '6f6423dbebaac437', 74, 44),
@@ -272,11 +302,19 @@ GOLDEN_QT_NORMALITY = {
 GOLDEN_CORNER_NORMALITY = [('c3b871872948fd05', 140), ('9bb804bff44d03b9', 916),
                            ('5fe1eaeaae033de7', 216)]
 
+# (m, output digest, len(output)) of each dilate, (digest, len) of the patch
+GOLDEN_QT_CONJUGATION = {
+    'dilate': [(2, '5744af84c334167d', 5), (3, 'ee6ea8a59b627672', 37),
+               (3, '87d61795d9103608', 37), (2, '5b9aff0a8a37c83a', 5)],
+    'patch': ('b3512cdca43fc736', 150),
+}
+
 
 # Output lengths recorded before each corner transvection became three
 # corner-unit brackets (36 atoms each until then), in the order of the
-# tables above. Output length is part of the design: a re-recorded word may
-# be shorter than its ceiling, never longer.
+# tables above; the conjugation lengths (dilate outputs, then the patch) are
+# those of their first recording. Output length is part of the design: a
+# re-recorded word may be shorter than its ceiling, never longer.
 LENGTH_CEILINGS = {
     "decompositions": [
         140, 170, 78, 78, 0, 34, 160, 44, 0, 220, 166, 226, 286, 30, 34, 0, 108, 170, 168, 126,
@@ -288,6 +326,7 @@ LENGTH_CEILINGS = {
     "corner_normality": [140, 916, 216],
     "qt_normality poly:q:t": [186, 186, 744],
     "qt_normality poly:zmod:15:t": [186, 186, 744],
+    "qt_conjugation": [5, 37, 37, 5, 150],
 }
 
 
@@ -311,6 +350,10 @@ def test_corner_normality_digests_are_pinned():
     assert corner_normality_digests() == GOLDEN_CORNER_NORMALITY
 
 
+def test_qt_conjugation_digests_are_pinned():
+    assert qt_conjugation_digests() == GOLDEN_QT_CONJUGATION
+
+
 def test_output_lengths_never_grow():
     # the pin tests above tie each table to the code
     got = {
@@ -318,6 +361,8 @@ def test_output_lengths_never_grow():
         "normality_demo": [GOLDEN_EXAMPLES["normality_demo"][1]]
         + [length for _, length in GOLDEN_EXAMPLES["normality_demo_seeded"]],
         "corner_normality": [length for _, length in GOLDEN_CORNER_NORMALITY],
+        "qt_conjugation": [row[2] for row in GOLDEN_QT_CONJUGATION["dilate"]]
+        + [GOLDEN_QT_CONJUGATION["patch"][1]],
     }
     for descriptor, rows in GOLDEN_QT_NORMALITY.items():
         got[f"qt_normality {descriptor}"] = [length for _, length in rows]
@@ -345,3 +390,8 @@ if __name__ == "__main__":
     print("}")
     print()
     print(f"GOLDEN_CORNER_NORMALITY = {corner_normality_digests()!r}")
+    print()
+    print("GOLDEN_QT_CONJUGATION = {")
+    for key, value in qt_conjugation_digests().items():
+        print(f"    {key!r}: {value!r},")
+    print("}")

@@ -14,6 +14,10 @@ X, Y = PXY.var("x"), PXY.var("y")
 Z15 = Zmod(15)
 
 
+def int_matrix(ring, rows):
+    return Matrix(ring, [[ring.from_int(v) for v in r] for r in rows])
+
+
 def det1_witness(ring, t, u):
     one, zero = ring.one, ring.zero
     return Matrix(ring, [(one, zero), (t, one)]).mul(Matrix(ring, [(one, u), (zero, one)]))
@@ -116,12 +120,12 @@ def test_composites_symbolic():
     xs, ys, zs = pz.var("x"), pz.var("y"), pz.var("z")
     for n in (2, 3):
         for i in range(2, n + 1):
-            assert idn.composite_ad(pz, n, i, xs, ys, zs).holds()
-            assert idn.composite_bc(pz, n, i, xs, ys, zs).holds()
+            assert idn.composite_instance(pz, n, "A", "D", i, xs, ys, zs).holds()
+            assert idn.composite_instance(pz, n, "B", "C", i, xs, ys, zs).holds()
             for (Xs, Ys) in (("D", "A"), ("C", "B")):
                 assert idn.composite_instance(pz, n, Xs, Ys, i, xs, ys, zs).holds()
     # z = 0 collapses both sides to the identity
-    inst = idn.composite_ad(Z15, 2, 2, 7, 3, 0)
+    inst = idn.composite_instance(Z15, 2, "A", "D", 2, 7, 3, 0)
     assert inst.lhs == Matrix.identity(Z15, 4) and inst.holds()
 
 
@@ -147,7 +151,7 @@ def test_elementary_criterion():
     from sympelem.errors import RowConditionFailed
     with pytest.raises(RowConditionFailed):
         # determinant 4, not a witness
-        idn.elementary_criterion(Z15, 2, 2, Matrix.from_ints(Z15, [[2, 0], [0, 2]]), 3, 4)
+        idn.elementary_criterion(Z15, 2, 2, int_matrix(Z15, [[2, 0], [0, 2]]), 3, 4)
 
 
 def test_row_conjugation():

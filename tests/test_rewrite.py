@@ -7,12 +7,16 @@ from sympelem.errors import AlphabetViolation, StepVerificationFailed
 from sympelem.localglobal import conj_abcd_atom
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
-from sympelem.symplectic import corner_embed, gen_corner, pi_swap
+from sympelem.symplectic import corner_embed, gen_corner, gen_s, pi_swap, symp_inverse
 from sympelem.words import ABCDAtom, CornerAtom, SAtom, UnitAtom, Word, word_from_text
 
 Z15 = Zmod(15)
 Q = Rationals()
 QX = PolyRing(Q, ("x",))
+
+
+def int_matrix(ring, rows):
+    return Matrix(ring, [[ring.from_int(v) for v in r] for r in rows])
 
 
 def rand_gen_word(ring, n, length, rng, corner_prob=0.3):
@@ -29,34 +33,22 @@ def rand_gen_word(ring, n, length, rng, corner_prob=0.3):
     return Word(ring, n, atoms)
 
 
-def test_rule_files_match_discovery():
-    for n in (2, 3, 4):
-        shipped = rw._rules_for(n)
-        fresh = rw.discover_s_rules(n)
-        assert shipped == fresh
-
-
-def test_rules_beyond_shipped_files_stay_in_memory(monkeypatch):
-    monkeypatch.setattr(rw, "_RULES_CACHE", {})
-    listing = sorted(p.name for p in rw._DATA_DIR.iterdir())
-    rules = rw._rules_for(5)
-    assert sorted(p.name for p in rw._DATA_DIR.iterdir()) == listing
-    assert rules == rw.discover_s_rules(5)
-    assert rw._rules_for(5) is rules
-
-
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_rules_are_row12_transvections_covering_every_index(n):
-    # decompose_initial accepts only row-1/2 transvections, which holds
-    # because every reduction rule is built from them
-    rules = rw._rules_for(n)
-    for g, h, _ in rules.values():
-        for spec in (g, h):
-            assert spec[0] == "S" and spec[1] in (1, 2) and len(spec) == 3
-    # and every S_ij with 3 <= i, j <= 2n has a rule of its own
-    wanted = {(i, j) for i in range(3, 2 * n + 1) for j in range(3, 2 * n + 1)
-              if j not in (i, pi_swap(i))}
-    assert set(rules) == wanted
+    # every S_ij with 3 <= i, j <= 2n has a rule, built from row-1/2
+    # transvections (the only ones decompose_initial accepts), whose dense
+    # bracket over Q[x, y] is S_ij(c*x*y)
+    ring = PolyRing(Q, ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    for i in range(3, 2 * n + 1):
+        for j in range(3, 2 * n + 1):
+            if j in (i, pi_swap(i)):
+                continue
+            g, h, c = rw._bracket_rule(i, j)
+            assert [row for row, _ in (g, h)] == [1, 2] and c in (1, -1)
+            gm, hm = gen_s(ring, n, *g, x), gen_s(ring, n, *h, y)
+            bracket = gm.mul(hm).mul(symp_inverse(gm)).mul(symp_inverse(hm))
+            assert bracket == gen_s(ring, n, i, j, ring.scale_int(c, ring.mul(x, y))), (i, j)
 
 
 def test_reduce_to_row12():
@@ -145,13 +137,11 @@ def test_corner_to_abcd():
 
 def test_conj_abcd_atom():
     rng = random.Random(36)
-    from sympelem.symplectic import symp_inverse
     from sympelem.words import eval_atoms
     for n in (2, 3):
         for _ in range(10):
             t, u = Z15.sample(rng), Z15.sample(rng)
-            delta = Matrix.from_ints(Z15, [[1, 0], [t, 1]]).mul(
-                Matrix.from_ints(Z15, [[1, u], [0, 1]]))
+            delta = int_matrix(Z15, [[1, 0], [t, 1]]).mul(int_matrix(Z15, [[1, u], [0, 1]]))
             atom = ABCDAtom(rng.choice("ABCD"), rng.randint(2, n), Z15.sample(rng))
             out = conj_abcd_atom(Z15, n, delta.rows, atom)
             emb = corner_embed(delta, n)
@@ -191,12 +181,10 @@ def test_decompose_full_mixed_alphabet():
 
 def test_conjugation_closure_of_shape_words():
     # det-1 corner conjugates of shape words are again shape words
-    from sympelem.symplectic import symp_inverse
     rng = random.Random(41)
     for _ in range(10):
         t, u = Z15.sample(rng), Z15.sample(rng)
-        delta = Matrix.from_ints(Z15, [[1, 0], [t, 1]]).mul(
-            Matrix.from_ints(Z15, [[1, u], [0, 1]]))
+        delta = int_matrix(Z15, [[1, 0], [t, 1]]).mul(int_matrix(Z15, [[1, u], [0, 1]]))
         h = Word(Z15, 3, [ABCDAtom(rng.choice("ABCD"), rng.randint(2, 3), Z15.sample(rng))
                           for _ in range(rng.randint(1, 3))])
         out = []
@@ -236,9 +224,13 @@ def test_decompose_full_n4():
 
 def test_step_failure_names_ring_and_n_and_replays(monkeypatch):
     # a sign fault in every commutator rule breaks the bracket-rule step
-    rules = rw._rules_for(3)
-    monkeypatch.setattr(rw, "_rules_for",
-                        lambda n: {key: (g, h, -c) for key, (g, h, c) in rules.items()})
+    rule = rw._bracket_rule
+
+    def negated(i, j):
+        g, h, c = rule(i, j)
+        return g, h, -c
+
+    monkeypatch.setattr(rw, "_bracket_rule", negated)
     ring = PolyRing(Q, ("t",))
     word = Word(ring, 3, [SAtom(1, 3, ring.from_int(4)),
                           SAtom(3, 5, ring.add(ring.one, ring.var("t")))])
