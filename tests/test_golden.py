@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from sympelem.localglobal import CoverData, dilate, normality_demo, patch
+from sympelem.localglobal import CoverData, conj_decompose, dilate, normality_demo, patch
 from sympelem.rewrite import decompose_full
 from sympelem.rings import (
     Localized,
@@ -214,6 +214,26 @@ def qt_conjugation_digests():
     return {"dilate": dilated, "patch": (patched.digest(), len(patched))}
 
 
+CROSSING_RINGS = ("loc:poly:q:t:s=t", "loc:poly:q:t:s=1+t")
+
+
+def crossing_conjugation_digests(descriptor):
+    """Outputs of ``conj_decompose`` at n = 3 for the four same-position
+    crossing pairs (X, Y) at i = j in {2, 3}, a = 2 - t, x = 1 + 3t, and
+    each (k, m) of (1, 2), (0, 4), (-2, 5), (2, 9): every route through
+    ``_case3_same_position``, with m - 3 * (m // 3) = 0, 1 and 2 and with
+    k below, at and above zero."""
+    loc = ring_from_descriptor(descriptor)
+    a, x = parse_element(QT, "2-t"), parse_element(QT, "1+3*t")
+    out = []
+    for X, Y in (("A", "D"), ("B", "C"), ("D", "A"), ("C", "B")):
+        for i in (2, 3):
+            for k, m in ((1, 2), (0, 4), (-2, 5), (2, 9)):
+                word, _ = conj_decompose(loc, 3, X, i, a, k, Y, i, m, x)
+                out.append((word.digest(), len(word)))
+    return out
+
+
 # (input digest, output digest, len(output), len(cert.trace))
 GOLDEN_DECOMPOSITIONS = [
     ('c6d487ff9e41fab4', '6f6423dbebaac437', 74, 44),
@@ -310,11 +330,37 @@ GOLDEN_QT_CONJUGATION = {
 }
 
 
+# ring descriptor -> (output digest, len(output)) of crossing_conjugation_digests
+GOLDEN_CROSSING_CONJUGATION = {
+    'loc:poly:q:t:s=t': [
+        ('4d504872cfea1485', 37), ('297745520be31a62', 37), ('cede61c69a913413', 37), ('a9fee0c8d7bbb2b3', 37),
+        ('a2ec6b67eea86032', 37), ('99f1175102c43708', 37), ('2f6f9f21463e8894', 37), ('33b11afd86dabfba', 37),
+        ('d53c0b603de43379', 37), ('a30e805de24303f1', 37), ('e50f845dbf26bda6', 37), ('c71b64dcead26f3e', 37),
+        ('7525aab0893edbfb', 37), ('7f1b17ff0cbe7789', 37), ('90e94f472b7dcd0a', 37), ('74205d9829f4493e', 37),
+        ('73d7ebb098f96de8', 37), ('a4cbac077a2f8492', 37), ('54c9bbce972d6a49', 37), ('569f9b0d1367ecca', 37),
+        ('b55d5c804dbbc700', 37), ('1ee9708ea3510abe', 37), ('74f8126bef49557e', 37), ('9db4c94b17124ad6', 37),
+        ('d1326746ea0fb42c', 37), ('ef4790bee4ccd818', 37), ('c1c08f85622c566d', 37), ('97cc5512d20842a5', 37),
+        ('83edf3f1d86f0894', 37), ('ae04f36129a48007', 37), ('441ef834619b637e', 37), ('160af0d6c24b73ae', 37),
+    ],
+    'loc:poly:q:t:s=1+t': [
+        ('ac8c8fea8b7f19ef', 37), ('f8d86d6ee13ac957', 37), ('05ef2138c4a8fdfe', 37), ('951ab824d37d2b63', 37),
+        ('74989c63e4e1229e', 37), ('db98019ce76bde0f', 37), ('b451579cc3d24f44', 37), ('fe3076beca5d429e', 37),
+        ('86c208990082b4af', 37), ('9ec2997b34cc244c', 37), ('63d156ec4573511f', 37), ('c38690a510d91428', 37),
+        ('03f0cf4c44d9d84b', 37), ('6bcb6c070a4ddd28', 37), ('5487e68365d9a4b6', 37), ('28740fcc8b353a76', 37),
+        ('232997e5b0f5168b', 37), ('d243a578ceb1a3ac', 37), ('09e5045d12bfebab', 37), ('97508817c19ad8d0', 37),
+        ('9dd29e1bb2261ea9', 37), ('b770e65b89fc263f', 37), ('fe717c16f9e55dc1', 37), ('f0ce72dfec8d9cae', 37),
+        ('8db041a529c83e6a', 37), ('b815c81abd5e3f74', 37), ('1d9b66b010cbb1ea', 37), ('916f6066a7ce0c7e', 37),
+        ('8719822ebc74dcdf', 37), ('d55b39dd2c5269db', 37), ('124bb9d94c3f4284', 37), ('6309528655470a7d', 37),
+    ],
+}
+
+
 # Output lengths recorded before each corner transvection became three
 # corner-unit brackets (36 atoms each until then), in the order of the
-# tables above; the conjugation lengths (dilate outputs, then the patch) are
-# those of their first recording. Output length is part of the design: a
-# re-recorded word may be shorter than its ceiling, never longer.
+# tables above; the conjugation lengths (dilate outputs, then the patch, and
+# the crossing-pair words) are those of their first recording. Output length
+# is part of the design: a re-recorded word may be shorter than its ceiling,
+# never longer.
 LENGTH_CEILINGS = {
     "decompositions": [
         140, 170, 78, 78, 0, 34, 160, 44, 0, 220, 166, 226, 286, 30, 34, 0, 108, 170, 168, 126,
@@ -327,6 +373,8 @@ LENGTH_CEILINGS = {
     "qt_normality poly:q:t": [186, 186, 744],
     "qt_normality poly:zmod:15:t": [186, 186, 744],
     "qt_conjugation": [5, 37, 37, 5, 150],
+    "crossing_conjugation loc:poly:q:t:s=t": [37] * 32,
+    "crossing_conjugation loc:poly:q:t:s=1+t": [37] * 32,
 }
 
 
@@ -354,6 +402,11 @@ def test_qt_conjugation_digests_are_pinned():
     assert qt_conjugation_digests() == GOLDEN_QT_CONJUGATION
 
 
+@pytest.mark.parametrize("descriptor", CROSSING_RINGS)
+def test_crossing_conjugation_digests_are_pinned(descriptor):
+    assert crossing_conjugation_digests(descriptor) == GOLDEN_CROSSING_CONJUGATION[descriptor]
+
+
 def test_output_lengths_never_grow():
     # the pin tests above tie each table to the code
     got = {
@@ -366,6 +419,8 @@ def test_output_lengths_never_grow():
     }
     for descriptor, rows in GOLDEN_QT_NORMALITY.items():
         got[f"qt_normality {descriptor}"] = [length for _, length in rows]
+    for descriptor, rows in GOLDEN_CROSSING_CONJUGATION.items():
+        got[f"crossing_conjugation {descriptor}"] = [length for _, length in rows]
     assert got.keys() == LENGTH_CEILINGS.keys()
     for key, ceilings in LENGTH_CEILINGS.items():
         assert len(got[key]) == len(ceilings), key
@@ -394,4 +449,9 @@ if __name__ == "__main__":
     print("GOLDEN_QT_CONJUGATION = {")
     for key, value in qt_conjugation_digests().items():
         print(f"    {key!r}: {value!r},")
+    print("}")
+    print()
+    print("GOLDEN_CROSSING_CONJUGATION = {")
+    for descriptor in CROSSING_RINGS:
+        print(f"    {descriptor!r}: {crossing_conjugation_digests(descriptor)!r},")
     print("}")
