@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import errors as err
+from .identities import corrupt_keys
 from .localglobal import DEFAULT_FUEL, CoverData, conj_decompose, dilate, normality_demo, patch
 from .matrices import Matrix
 from .rewrite import decompose_full
@@ -62,6 +63,9 @@ def cmd_verify_tables(args):
                              "are symbolic, so one instance per item is checked")
     elif trials < 1:
         raise err.ParseError(f"--trials {trials} checks nothing; it must be >= 1")
+    if args.corrupt is not None and args.corrupt not in corrupt_keys():
+        raise err.ParseError(f"--corrupt {args.corrupt} names no table entry; the keys are "
+                             + ", ".join(sorted(corrupt_keys())))
     report = run_verify_tables(ring, n_values, seed=args.seed,
                                trials=trials, corrupt=args.corrupt,
                                out_stream=sys.stdout)

@@ -79,6 +79,15 @@ def split_b_form(ring, lam, mu, b):
     return x, y, ring.scale_int(2, ring.mul(x, y))
 
 
+def form_split_atoms(ring, kind, lam, mu, val, pos):
+    """The nonzero atoms of graded(lam,mu;val,val) = A C (C unit) for kind
+    "A", or of graded(lam,mu;val,-val) = B D (B unit) for kind "B"."""
+    split, (sx, sy, su) = (split_a_form, "ACC") if kind == "A" else (split_b_form, "BDB")
+    x, y, up = split(ring, lam, mu, val)
+    atoms = [ABCDAtom(sx, pos, x), ABCDAtom(sy, pos, y), UnitAtom(su, pos, up)]
+    return [a for a in atoms if not ring.is_zero(a.e)]
+
+
 # ---------------------------------------------------------------------------
 # conjugation data for det-1 corners acting on block generators
 # ---------------------------------------------------------------------------
@@ -212,9 +221,27 @@ def commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
 # commutator table for a block generator against a placed unit
 # ---------------------------------------------------------------------------
 
-def unit_commutator_entry_key(X, Y, i, j):
-    rel = "j1" if j == 1 else ("eq" if i == j else "other")
-    return f"unit:{X}{Y}:{rel}"
+# (X, Y, rel) -> (unit shape, unit pos tag, +-4 on x^2 y, shape at i, +-2 on
+# x y), with rel "j1" for a corner unit and "eq" for a unit at the
+# generator's position; absent pairs commute
+_UNIT_COMMUTATOR = {
+    ("A", "B", "eq"): ("B", "1", 4, "B", 2), ("A", "C", "j1"): ("C", "i", 4, "C", -2),
+    ("B", "C", "j1"): ("B", "i", -4, "D", 2), ("B", "C", "eq"): ("B", "1", -4, "A", 2),
+    ("C", "B", "j1"): ("C", "i", -4, "A", -2), ("C", "B", "eq"): ("C", "1", -4, "D", -2),
+    ("D", "B", "j1"): ("B", "i", 4, "B", 2), ("D", "C", "eq"): ("C", "1", 4, "C", -2),
+}
+
+
+def tag_pos(tag, i):
+    """The position a table's tag "1" or "i" names."""
+    return 1 if tag == "1" else i
+
+
+def corrupt_keys():
+    """The fault-injection keys, one per entry of the commutator tables."""
+    keys = {f"commutator:{X}{Y}:eq" for X, Y in (*_UNIT_AT_1, *_UNIT_AT_I, *_CROSSING)}
+    keys |= {f"commutator:{X}{Y}:{rel}" for X, Y in _PLACED for rel in ("lt", "gt")}
+    return keys | {f"unit:{X}{Y}:{rel}" for X, Y, rel in _UNIT_COMMUTATOR}
 
 
 def unit_commutator_word(ring, n, X, i, x, Y, j, y, corrupt=None):
@@ -225,39 +252,15 @@ def unit_commutator_word(ring, n, X, i, x, Y, j, y, corrupt=None):
         raise BadIndices("unit position must lie in 1..n")
     if Y not in ("B", "C"):
         raise BadIndices("unit shapes are B and C")
-    key = unit_commutator_entry_key(X, Y, i, j)
-    if corrupt == key:
+    rel = "j1" if j == 1 else ("eq" if i == j else "other")
+    if corrupt == f"unit:{X}{Y}:{rel}":
         x = ring.neg(x)
-    x2y = ring.mul(ring.mul(x, x), y)
+    if (X, Y, rel) not in _UNIT_COMMUTATOR:
+        return Word(ring, n, [])
+    ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, Y, rel)]
     xy = ring.mul(x, y)
-
-    def pair(ush, upos, uc, esh, ec):
-        return Word(ring, n, [UnitAtom(ush, upos, ring.scale_int(uc, x2y)),
-                              ABCDAtom(esh, i, ring.scale_int(ec, xy))])
-
-    if X == Y or (X, Y) in (("B", "B"), ("C", "C")):
-        return Word(ring, n, [])
-    if (X, Y) == ("A", "B"):
-        return pair("B", 1, 4, "B", 2) if j == i else Word(ring, n, [])
-    if (X, Y) == ("A", "C"):
-        return pair("C", i, 4, "C", -2) if j == 1 else Word(ring, n, [])
-    if (X, Y) == ("B", "C"):
-        if j == 1:
-            return pair("B", i, -4, "D", 2)
-        if j == i:
-            return pair("B", 1, -4, "A", 2)
-        return Word(ring, n, [])
-    if (X, Y) == ("C", "B"):
-        if j == 1:
-            return pair("C", i, -4, "A", -2)
-        if j == i:
-            return pair("C", 1, -4, "D", -2)
-        return Word(ring, n, [])
-    if (X, Y) == ("D", "B"):
-        return pair("B", i, 4, "B", 2) if j == 1 else Word(ring, n, [])
-    if (X, Y) == ("D", "C"):
-        return pair("C", 1, 4, "C", -2) if j == i else Word(ring, n, [])
-    raise BadIndices(f"unhandled pair ({X},{Y})")
+    return Word(ring, n, [UnitAtom(ush, tag_pos(utag, i), ring.scale_int(uc, ring.mul(xy, x))),
+                          ABCDAtom(esh, i, ring.scale_int(ec, xy))])
 
 
 def unit_commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
@@ -400,9 +403,9 @@ _COMPOSITE = {
 def composite_pieces(ring, n, X, Y, i, y, z):
     (ush, upos, uc), (zsh, zsgn), (wsh, wpos, wsgn) = _COMPOSITE[(X, Y)]
     y2z = ring.mul(ring.mul(y, y), z)
-    yg = gen_small(ring, n, ush, 1 if upos == "1" else i, ring.scale_int(uc, y2z))
+    yg = gen_small(ring, n, ush, tag_pos(upos, i), ring.scale_int(uc, y2z))
     zg = gen_abcd(ring, n, zsh, i, ring.scale_int(zsgn, y))
-    wg = gen_small(ring, n, wsh, 1 if wpos == "1" else i, ring.scale_int(wsgn, z))
+    wg = gen_small(ring, n, wsh, tag_pos(wpos, i), ring.scale_int(wsgn, z))
     return yg, zg, wg
 
 

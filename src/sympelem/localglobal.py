@@ -4,7 +4,8 @@ patching along a comaximal cover, and the normality demonstration.
 Everything here works with parameters written as s^e * c where c lives in
 the numerator ring (R, or R[X], or R[Y][X] for the two-variable case);
 the exponent bookkeeping is what the valuation traces report. Every
-produced word is verified against its defining matrix identity.
+produced word is verified against its defining matrix identity, and every
+closed form used is read from the tables verify-tables checks.
 
 Each produced word is evaluated in full, once, over the smallest ring it
 lives in. The matrix it must equal is derived from a matrix that was
@@ -36,18 +37,21 @@ from .errors import (
     StepVerificationFailed,
 )
 from .identities import (
+    _COMPOSITE,
     _CROSSING,
     _UNIT_AT_1,
+    _UNIT_AT_I,
+    _UNIT_COMMUTATOR,
     det1_conj_data,
-    split_a_form,
-    split_b_form,
+    form_split_atoms,
+    tag_pos,
     unit_bracket_atoms,
     unit_bracket_shapes,
 )
 from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, Word, eval_atoms
+from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word, eval_atoms
 
 DEFAULT_FUEL = 64      # largest dilation exponent m that dilate tries
 MAX_ATOMS = 200_000    # longest conjugation chain dilate builds for one step
@@ -152,64 +156,43 @@ def _conj_decompose_ctx(num, s_num, n, Xshape, i, a, k, Yshape, j, m, x):
 def _case3_same_position(num, s_num, em, X, Y, i, a, k, m, x):
     """Same-position crossing pairs, via the composite commutator route.
 
-    The conjugated element is rewritten as y_g [z_g, w_g] with y_g, w_g
-    placed units and z_g a block generator; the group identity
-    [g, h[k,l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1 then turns the
-    conjugation into commutators with tabulated closed forms, and the
-    final [l,k] h^-1 h [k,l] cancellation leaves [g,h] h [[g,k]k, [g,l]l].
+    With y = s^m3, z = 4u s^(2 m3) and u = s^(m - 3 m3) x / 8, the
+    conjugated element E(Y_i)(s^m x) = E(Y_i)(2yz) is y_g [z_g, w_g] as
+    _COMPOSITE tabulates it: y_g, w_g placed units and z_g a block
+    generator. The group identity
+    [g, h[k,l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1,
+    after the final [l,k] h^-1 h [k,l] cancels, leaves
+    [g,y_g] y_g [P, Q] with P = [g,z_g] z_g and Q = [g,w_g] w_g.
+    Each bracket with g = E(X_i)(a/s^k) is read from _UNIT_AT_1,
+    _UNIT_AT_I or _UNIT_COMMUTATOR: a bracketed parameter s^e c gives
+    s^(e-k) on a c and s^(e-2k) on a^2 c.
     """
     m3 = m // 3
-    rem = m - 3 * m3
-    inv8 = num.pow_int(num.inv2, 3)
-    u = num.mul(num.mul(inv8, x), num.pow_int(s_num, rem))
-    a2 = num.mul(a, a)
-    a2u = num.mul(a2, u)
-    au = num.mul(a, u)
+    u = num.mul(num.mul(num.pow_int(num.inv2, 3), x), num.pow_int(s_num, m - 3 * m3))
+    (ysh, ytag, yc), (zsh, zc), (wsh, wtag, wc) = _COMPOSITE[(X, Y)]
     sc = num.scale_int
-    one = num.one
 
-    def emit_pair(unit_args, shape_args):
-        em.unit(*unit_args)
-        em.shape(*shape_args)
-
-    if (X, Y) == ("A", "D"):
-        emit_pair(("C", i, i, 4 * m3 - 2 * k, sc(64, a2u)), ("C", i, 4 * m3 - k, sc(-32, au)))
-        em.unit("C", 1, i, 4 * m3, sc(16, u))
-        P = [("C", i, i, m3 - k, sc(4, a)), ("C", i, m3, num.neg(one))]
-        Q = [("B", 1, i, 2 * m3 - 2 * k, sc(16, a2u)), ("B", i, 2 * m3 - k, sc(8, au)),
-             ("B", i, i, 2 * m3, sc(4, u))]
-    elif (X, Y) == ("B", "C"):
-        emit_pair(("B", 1, i, 4 * m3 - 2 * k, sc(-64, a2u)), ("A", i, 4 * m3 - k, sc(32, au)))
-        em.unit("C", i, i, 4 * m3, sc(16, u))
-        P = [("B", 1, i, m3 - k, sc(-4, a)), ("A", i, m3, one)]
-        Q = [("B", i, i, 2 * m3 - 2 * k, sc(16, a2u)), ("D", i, 2 * m3 - k, sc(-8, au)),
-             ("C", 1, i, 2 * m3, sc(-4, u))]
-    elif (X, Y) == ("D", "A"):
-        emit_pair(("B", i, i, 4 * m3 - 2 * k, sc(64, a2u)), ("B", i, 4 * m3 - k, sc(32, au)))
-        em.unit("B", 1, i, 4 * m3, sc(16, u))
-        P = [("B", i, i, m3 - k, sc(4, a)), ("B", i, m3, one)]
-        Q = [("C", 1, i, 2 * m3 - 2 * k, sc(16, a2u)), ("C", i, 2 * m3 - k, sc(-8, au)),
-             ("C", i, i, 2 * m3, sc(4, u))]
-    elif (X, Y) == ("C", "B"):
-        emit_pair(("C", i, i, 4 * m3 - 2 * k, sc(64, a2u)), ("A", i, 4 * m3 - k, sc(32, au)))
-        em.unit("B", 1, i, 4 * m3, sc(-16, u))
-        P = [("C", i, i, m3 - k, sc(4, a)), ("A", i, m3, one)]
-        Q = [("C", 1, i, 2 * m3 - 2 * k, sc(-16, a2u)), ("D", i, 2 * m3 - k, sc(-8, au)),
-             ("B", i, i, 2 * m3, sc(4, u))]
-    else:
-        raise BadIndices(f"({X},{Y}) is not a crossing pair")
-
-    def emit_items(items):
+    def conj_unit(sh, pos, e, c):
+        """[g, U] U for the unit U = sh(s^e c) at pos; returns its entries."""
         start = len(em.entries)
-        for it in items:
-            if len(it) == 5:
-                em.unit(*it)
-            else:
-                em.shape(*it)
+        ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, sh, "j1" if pos == 1 else "eq")]
+        em.unit(ush, tag_pos(utag, i), i, e - 2 * k, sc(uc, num.mul(num.mul(a, a), c)))
+        em.shape(esh, i, e - k, sc(ec, num.mul(a, c)))
+        em.unit(sh, pos, i, e, c)
         return em.entries[start:]
 
-    p_entries = emit_items(P)
-    q_entries = emit_items(Q)
+    def conj_shape(sh, e, c):
+        """[g, Z] Z for Z = E(sh_i)(s^e c); returns its entries."""
+        start = len(em.entries)
+        corner = (X, sh) in _UNIT_AT_1
+        ush, uc = (_UNIT_AT_1 if corner else _UNIT_AT_I)[(X, sh)]
+        em.unit(ush, 1 if corner else i, i, e - k, sc(uc, num.mul(a, c)))
+        em.shape(sh, i, e, c)
+        return em.entries[start:]
+
+    conj_unit(ysh, tag_pos(ytag, i), 4 * m3, sc(4 * yc, u))
+    p_entries = conj_shape(zsh, m3, sc(zc, num.one))
+    q_entries = conj_unit(wsh, tag_pos(wtag, i), 2 * m3, sc(4 * wc, u))
     em.emit_inverse_of(p_entries)
     em.emit_inverse_of(q_entries)
 
@@ -353,14 +336,9 @@ class CoverData:
 
     def validate(self, ring):
         total = ring.zero
-        for (s, c, b, N) in self.entries:
+        for idx, (_, c, b, N) in enumerate(self.entries):
             total = ring.add(total, ring.mul(c, b))
-            w = b
-            for _ in range(N):
-                w = ring.try_exact_div(w, s)
-                if w is None:
-                    raise CoverNotComaximal(
-                        f"b={ring.show(b)} is not in (s^{N}) for s={ring.show(s)}")
+            self.cofactor(ring, idx, N)
         if not ring.is_one(total):
             raise CoverNotComaximal("sum of c_i b_i is not 1")
 
@@ -492,19 +470,9 @@ def conj_abcd_atom(ring, n, delta_rows, atom):
     forms, (ush, uparam) = det1_conj_data(ring, delta_rows, atom.shape, atom.e)
     out = []
     for lam, mu, xx, yy in forms:
-        if ring.is_zero(xx) and ring.is_zero(yy):
-            continue
-        if yy == xx:
-            x2, y2, up = split_a_form(ring, lam, mu, xx)
-            pair = [ABCDAtom("A", atom.pos, x2), ABCDAtom("C", atom.pos, y2)]
-            split_unit = "C"
-        else:
-            x2, y2, up = split_b_form(ring, lam, mu, xx)
-            pair = [ABCDAtom("B", atom.pos, x2), ABCDAtom("D", atom.pos, y2)]
-            split_unit = "B"
-        out.extend(a for a in pair if not ring.is_zero(a.e))
-        if not ring.is_zero(up):
-            out.extend(unit_bracket_atoms(ring, n, split_unit, atom.pos, up))
+        for a in form_split_atoms(ring, "A" if yy == xx else "B", lam, mu, xx, atom.pos):
+            out.extend(unit_bracket_atoms(ring, n, a.shape, a.pos, a.e)
+                       if isinstance(a, UnitAtom) else [a])
     if not ring.is_zero(uparam):
         out.extend(unit_bracket_atoms(ring, n, ush, atom.pos, uparam))
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetViolation, BadIndices, StepVerificationFailed
-from .identities import split_a_form, split_b_form, unit_bracket_atoms
+from .identities import form_split_atoms, unit_bracket_atoms
 from .symplectic import pi_swap
 from .words import (
     ABCDAtom,
@@ -212,15 +212,8 @@ def decompose_initial(word, trace=None):
     # stage (b2): split each form into pure shapes and a unit
     body = []
     for (kind, lam, mu, val, pos) in forms:
-        if kind == "A":
-            x2, y2, up = split_a_form(ring, lam, mu, val)
-            atoms = [ABCDAtom("A", pos, x2), ABCDAtom("C", pos, y2), UnitAtom("C", pos, up)]
-            before = GradedForm(lam, mu, val, val, pos)
-        else:
-            x2, y2, up = split_b_form(ring, lam, mu, val)
-            atoms = [ABCDAtom("B", pos, x2), ABCDAtom("D", pos, y2), UnitAtom("B", pos, up)]
-            before = GradedForm(lam, mu, val, ring.neg(val), pos)
-        atoms = [a for a in atoms if not ring.is_zero(a.e)]
+        before = GradedForm(lam, mu, val, val if kind == "A" else ring.neg(val), pos)
+        atoms = form_split_atoms(ring, kind, lam, mu, val, pos)
         _check(ring, n, "form-split", [before], atoms, trace)
         body.extend(atoms)
 

@@ -334,11 +334,10 @@ def word_from_text(ring, n, text):
                                              for r in range(0, len(vals), 2 * n))))
             else:
                 raise ParseError(f"unknown atom kind {toks[0]!r}")
-            if head != "CORNER":  # a corner block has no indices to check
-                atoms[-1]._terms(ring, n)
+            atoms[-1]._terms(ring, n)
             if head == "DENSE" and not is_symplectic(Matrix(ring, atoms[-1].rows)):
                 raise ParseError(f"{line}: the matrix is not symplectic")
-        except (BadIndices, DimensionMismatch) as exc:
+        except (BadIndices, DimensionMismatch, NonZeroDet) as exc:
             raise ParseError(f"{line}: {exc}", line=lineno) from None
         except ParseError as exc:
             if exc.line is None:

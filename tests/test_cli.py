@@ -55,6 +55,23 @@ def test_verify_tables_corruption_caught(tmp_path, capsys):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     fails = [r for r in records if r["status"] == "FAIL"]
     assert fails and all(r["bindings"] for r in fails)
+    assert {r["name"] for r in fails} == {"commutator:A2,B2"}
+
+
+def test_verify_tables_unknown_corrupt_key_is_a_parse_error(capsys):
+    assert run(["verify-tables", "--ring", "zmod:15", "--n", "2",
+                "--corrupt", "nosuch:key"]) == 2
+    stderr = capsys.readouterr().err
+    assert "nosuch:key names no table entry" in stderr and "unit:AC:j1" in stderr
+
+
+def test_verify_tables_corrupt_unit_key_fails_its_item(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    assert run(["verify-tables", "--ring", "zmod:15", "--n", "2", "--seed", "3",
+                "--corrupt", "unit:AC:j1", "--out", str(out)]) == 1
+    capsys.readouterr()
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {r["name"] for r in records if r["status"] == "FAIL"} == {"unit-commutator:A2,C@1"}
 
 
 def test_decompose_round_trip(tmp_path, capsys):
@@ -218,6 +235,16 @@ def test_normality_names_the_non_shape_atom_of_h(tmp_path, capsys):
                 "--cover", str(EXAMPLES / "cover_z15.txt")]) == 2
     err = capsys.readouterr().err
     assert "atom 1 is 'S 1 3 2'" in err and "*T" not in err
+
+
+def test_normality_corner_gamma_must_have_determinant_one(tmp_path, capsys):
+    gamma = tmp_path / "g.txt"
+    gamma.write_text("CORNER 1 1 1 1\n")
+    assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
+                "--h", str(EXAMPLES / "h_z15.txt"),
+                "--cover", str(EXAMPLES / "cover_z15.txt")]) == 2
+    assert "line 1: CORNER 1 1 1 1: corner block must have determinant 1" in \
+        capsys.readouterr().err
 
 
 def test_normality_command(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympelem import identities as idn
 from sympelem import localglobal as lg
 from sympelem.errors import (
     AlphabetViolation,
@@ -17,6 +18,7 @@ from sympelem.errors import (
 )
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod
 from sympelem.symplectic import symp_inverse
+from sympelem.verify import run_verify_tables
 from sympelem.words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, Word, word_from_text
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -48,6 +50,19 @@ def test_conj_decompose_case2():
     # distance case for a free pair is a single atom
     w, tr = lg.conj_decompose(RT, 3, "A", 2, a, 1, "B", 3, 3, x)
     assert len(w) == 1
+
+
+def test_crossing_conjugation_reads_the_checked_unit_table(monkeypatch):
+    # (A, D) at one position brackets A_2 with the corner unit y_g through
+    # the row (A, C, j1); negating its x^2 y coefficient must fail both the
+    # table check and the conjugation's own check
+    key = ("A", "C", "j1")
+    ush, utag, uc, esh, ec = idn._UNIT_COMMUTATOR[key]
+    monkeypatch.setitem(idn._UNIT_COMMUTATOR, key, (ush, utag, -uc, esh, ec))
+    report = run_verify_tables(PolyRing(Q, ("x", "y")), [2])
+    assert {r.name for r in report.records if r.status == "FAIL"} == {"unit-commutator:A2,C@1"}
+    with pytest.raises(StepVerificationFailed):
+        lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "D", 2, 3, QT.one)
 
 
 def test_conj_decompose_exponent_guard():
