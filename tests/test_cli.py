@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -72,6 +73,27 @@ def test_verify_tables_corrupt_unit_key_fails_its_item(tmp_path, capsys):
     capsys.readouterr()
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert {r["name"] for r in records if r["status"] == "FAIL"} == {"unit-commutator:A2,C@1"}
+
+
+@pytest.mark.parametrize("args, code, digest", [
+    (["--ring", "poly:q:x,y", "--n", "2..3"], 0,
+     "e689419b103aeafbae8929e66461f6b99069a81a66abf1f27c939edbb6bb60be"),
+    (["--ring", "zmod:15", "--n", "2..3", "--seed", "7"], 0,
+     "d64ff231f714229e72624cfa7e5d997edd62ba077f34a0c4d8d7453c07597250"),
+    (["--ring", "zmod:15", "--n", "2..3", "--seed", "7", "--corrupt", "commutator:AD:eq"], 1,
+     "c1837ecb334c0339ab1eb6bc508f6125e236087b5f54b3bb2845f77397ba3f56"),
+    (["--ring", "zmod:15", "--n", "2..3", "--seed", "7", "--corrupt", "unit:AC:j1"], 1,
+     "db4b7f827806df50dad7ff1b49a7ac80b330baf522a988fe05fa10eaecb8406c"),
+], ids=["poly", "zmod", "corrupt-commutator", "corrupt-unit"])
+def test_verify_tables_item_lines_are_pinned(args, code, digest, capsys):
+    # every item line, its [..ms] timing stripped: names, order, status and
+    # the bindings printed on a FAIL are all part of the pin
+    assert run(["verify-tables", *args]) == code
+    items = [re.sub(r" \[\d+ms\]", "", line)
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("PASS ", "FAIL "))]
+    kept = "".join(line + "\n" for line in items)
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
 
 
 def test_decompose_round_trip(tmp_path, capsys):
