@@ -63,9 +63,10 @@ def cmd_verify_tables(args):
                              "are symbolic, so one instance per item is checked")
     elif trials < 1:
         raise err.ParseError(f"--trials {trials} checks nothing; it must be >= 1")
-    if args.corrupt is not None and args.corrupt not in corrupt_keys():
-        raise err.ParseError(f"--corrupt {args.corrupt} names no table entry; the keys are "
-                             + ", ".join(sorted(corrupt_keys())))
+    keys = corrupt_keys(n_values)
+    if args.corrupt is not None and args.corrupt not in keys:
+        raise err.ParseError(f"--corrupt {args.corrupt} names no table entry that --n {args.n} "
+                             "builds; the keys are " + ", ".join(sorted(keys)))
     report = run_verify_tables(ring, n_values, seed=args.seed,
                                trials=trials, corrupt=args.corrupt,
                                out_stream=sys.stdout)

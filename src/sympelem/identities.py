@@ -6,7 +6,8 @@ through independent routes (a raw matrix product on the left, the
 tabulated closed form on the right), so instance verification is a real
 check, not a tautology. The commutator tables are the package's own
 corrected versions; each entry is validated against the bracket product
-by the test suite and the verify-tables command.
+by the test suite and the verify-tables command. Every closed form is one
+table row, read by one builder per family.
 
 Bracket convention throughout: [g, h] = g h g^-1 h^-1.
 """
@@ -14,6 +15,7 @@ Bracket convention throughout: [g, h] = g h g^-1 h^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import BadIndices, RowConditionFailed
 from .matrices import Matrix
@@ -51,7 +53,7 @@ def bracket(m, nmat):
 
 
 # ---------------------------------------------------------------------------
-# corner correction for the graded split
+# corner correction and the form splits of the graded split
 # ---------------------------------------------------------------------------
 
 def corner_correction(ring, lam, mu, a, b):
@@ -65,25 +67,23 @@ def corner_correction(ring, lam, mu, a, b):
     ])
 
 
-def split_a_form(ring, lam, mu, a):
-    """Parameters (x, y, unit) with graded(lam,mu;a,a) = E(A(x)) E(C(y)) (I+C(unit))."""
-    x = ring.half(ring.mul(ring.add(lam, mu), a))
-    y = ring.half(ring.mul(ring.sub(lam, mu), a))
-    return x, y, ring.scale_int(2, ring.mul(x, y))
+# form kind -> (x shape, y shape, unit shape, +-1): graded(lam,mu;val,+-val)
+# = E(X(x)) E(Y(y)) (I+U(unit)), x = (lam+mu)val/2, y = +-(lam-mu)val/2
+_FORM_SPLIT = {"A": ("A", "C", "C", 1), "B": ("B", "D", "B", -1)}
 
 
-def split_b_form(ring, lam, mu, b):
-    """Parameters (x, y, unit) with graded(lam,mu;b,-b) = E(B(x)) E(D(y)) (I+B(unit))."""
-    x = ring.half(ring.mul(ring.add(lam, mu), b))
-    y = ring.half(ring.mul(ring.sub(mu, lam), b))
+def split_form(ring, kind, lam, mu, val):
+    """Parameters (x, y, unit) of the _FORM_SPLIT row of kind "A" or "B"."""
+    sgn = _FORM_SPLIT[kind][3]
+    x = ring.half(ring.mul(ring.add(lam, mu), val))
+    y = ring.half(ring.mul(ring.sub(lam, mu) if sgn > 0 else ring.sub(mu, lam), val))
     return x, y, ring.scale_int(2, ring.mul(x, y))
 
 
 def form_split_atoms(ring, kind, lam, mu, val, pos):
-    """The nonzero atoms of graded(lam,mu;val,val) = A C (C unit) for kind
-    "A", or of graded(lam,mu;val,-val) = B D (B unit) for kind "B"."""
-    split, (sx, sy, su) = (split_a_form, "ACC") if kind == "A" else (split_b_form, "BDB")
-    x, y, up = split(ring, lam, mu, val)
+    """The nonzero atoms of the form split of graded(lam,mu;val,+-val)."""
+    sx, sy, su, _ = _FORM_SPLIT[kind]
+    x, y, up = split_form(ring, kind, lam, mu, val)
     atoms = [ABCDAtom(sx, pos, x), ABCDAtom(sy, pos, y), UnitAtom(su, pos, up)]
     return [a for a in atoms if not ring.is_zero(a.e)]
 
@@ -92,43 +92,60 @@ def form_split_atoms(ring, kind, lam, mu, val, pos):
 # conjugation data for det-1 corners acting on block generators
 # ---------------------------------------------------------------------------
 
+# shape -> (sign on delta's first column, sign on its second column, y = +-x,
+# unit shape, sign on x^2)
+_DET1_CONJ = {"A": (1, 1, 1, "C", -1), "B": (1, 1, -1, "B", 1),
+              "C": (1, -1, 1, "C", 1), "D": (-1, 1, -1, "B", -1)}
+
+
 def det1_conj_data(ring, delta_rows, shape, x):
     """RHS structure of conjugating E(shape_i)(x) by a det-1 corner:
     two graded one-block factors followed by a placed unit at position i.
 
     Returns ([(lam, mu, xx, yy), (lam, mu, xx, yy)], (unit_shape, unit_param)).
     """
+    if shape not in _DET1_CONJ:
+        raise BadIndices(f"unknown shape {shape!r}")
+    c1, c2, cy, ush, cu = _DET1_CONJ[shape]
     (p, q), (r, s) = delta_rows
-    neg = ring.neg
-    xsq = ring.mul(x, x)
-    if shape == "A":
-        return [(p, r, x, x), (q, s, x, x)], ("C", neg(xsq))
-    if shape == "B":
-        return [(p, r, x, neg(x)), (q, s, x, neg(x))], ("B", xsq)
-    if shape == "C":
-        return [(p, r, x, x), (neg(q), neg(s), x, x)], ("C", xsq)
-    if shape == "D":
-        return [(neg(p), neg(r), x, neg(x)), (q, s, x, neg(x))], ("B", neg(xsq))
-    raise BadIndices(f"unknown shape {shape!r}")
+    sgn = {1: (lambda v: v), -1: ring.neg}
+    y = sgn[cy](x)
+    return [(sgn[c1](p), sgn[c1](r), x, y), (sgn[c2](q), sgn[c2](s), x, y)], \
+        (ush, sgn[cu](ring.mul(x, x)))
 
 
 # ---------------------------------------------------------------------------
 # commutator table for pairs of block generators
 # ---------------------------------------------------------------------------
 
-# same-position pairs whose bracket is a corner unit: (X, Y) -> (unit shape, +-4)
-_UNIT_AT_1 = {("A", "B"): ("B", 4), ("B", "A"): ("B", -4),
-              ("C", "D"): ("C", 4), ("D", "C"): ("C", -4)}
-# same-position pairs whose bracket is a unit at the shared position
-_UNIT_AT_I = {("A", "C"): ("C", -4), ("C", "A"): ("C", 4),
-              ("B", "D"): ("B", -4), ("D", "B"): ("B", 4)}
-# crossing pairs: bracket is a dense 4x4 pattern at the shared position
-_CROSSING = {("A", "D"), ("D", "A"), ("B", "C"), ("C", "B")}
-# different-position pairs: (X, Y) -> (shape for i<j, shape for i>j, +-2)
+# same-position pairs whose bracket is a unit: (X, Y) -> (unit shape, pos
+# tag "1" for a corner unit or "i" for the shared position, +-4 on x y)
+_UNIT_BRACKET = {("A", "B"): ("B", "1", 4), ("B", "A"): ("B", "1", -4),
+                 ("C", "D"): ("C", "1", 4), ("D", "C"): ("C", "1", -4),
+                 ("A", "C"): ("C", "i", -4), ("C", "A"): ("C", "i", 4),
+                 ("B", "D"): ("B", "i", -4), ("D", "B"): ("B", "i", 4)}
+# crossing pairs: the blocks (TL, TR, BL, BR) of the bracket at the block
+# pair (1, i), each a sum of (shape, integer coefficients on xy, x^2y, xy^2,
+# x^2y^2) terms, plus I_2 on TL and BR
+_DIAG_P = (("A", (2, 0, 0, 8)), ("D", (2, 0, 0, 0)))
+_DIAG_M = (("A", (-2, 0, 0, 0)), ("D", (-2, 0, 0, -8)))
+_XY2, _X2Y = (0, 0, 4, 0), (0, -4, 0, 0)
+_CROSSING = {
+    ("A", "D"): (_DIAG_P, (("D", _XY2), ("A", _X2Y)), (("A", _XY2), ("D", _X2Y)), _DIAG_M),
+    ("D", "A"): (_DIAG_M, (("A", _XY2), ("D", _X2Y)), (("D", _XY2), ("A", _X2Y)), _DIAG_P),
+    ("B", "C"): (_DIAG_P, (("C", _XY2), ("B", _X2Y)), (("C", _XY2), ("B", _X2Y)), _DIAG_P),
+    ("C", "B"): (_DIAG_M, (("B", _XY2), ("C", _X2Y)), (("B", _XY2), ("C", _X2Y)), _DIAG_M)}
+# different-position pairs: (X, Y) -> (shape for i<j, shape for i>j, +-2);
+# the pairs absent here commute at different positions
 _PLACED = {("A", "C"): ("C", "C", -2), ("C", "A"): ("C", "C", 2),
            ("B", "D"): ("B", "B", -2), ("D", "B"): ("B", "B", 2),
            ("A", "D"): ("D", "A", -2), ("D", "A"): ("A", "D", 2),
            ("B", "C"): ("A", "D", 2), ("C", "B"): ("D", "A", -2)}
+
+
+def tag_pos(tag, i):
+    """The position a table's tag "1" or "i" names."""
+    return 1 if tag == "1" else i
 
 
 def commutator_entry_key(X, Y, i, j):
@@ -136,83 +153,48 @@ def commutator_entry_key(X, Y, i, j):
     return f"commutator:{X}{Y}:{rel}"
 
 
-def commutator_word(ring, n, X, i, x, Y, j, y, corrupt=None):
+def commutator_word(ring, n, X, i, x, Y, j, y):
     """Closed form of [E(X_i)(x), E(Y_j)(y)] as a word."""
     if not (2 <= i <= n and 2 <= j <= n):
         raise BadIndices("positions must lie in 2..n")
-    key = commutator_entry_key(X, Y, i, j)
     xy = ring.mul(x, y)
-    if corrupt == key:
-        xy = ring.neg(xy)
-    if X == Y:
-        return Word(ring, n, [])
-    if i == j:
-        if (X, Y) in _UNIT_AT_1:
-            sh, c = _UNIT_AT_1[(X, Y)]
-            return Word(ring, n, [UnitAtom(sh, 1, ring.scale_int(c, xy))])
-        if (X, Y) in _UNIT_AT_I:
-            sh, c = _UNIT_AT_I[(X, Y)]
-            return Word(ring, n, [UnitAtom(sh, i, ring.scale_int(c, xy))])
-        return Word(ring, n, [DenseAtom(crossing_commutator_matrix(ring, n, X, i, x, Y, y, corrupt).rows)])
-    if (X, Y) in _UNIT_AT_1:
+    if i == j and (X, Y) in _UNIT_BRACKET:
+        sh, tag, c = _UNIT_BRACKET[(X, Y)]
+        return Word(ring, n, [UnitAtom(sh, tag_pos(tag, i), ring.scale_int(c, xy))])
+    if i == j and (X, Y) in _CROSSING:
+        return Word(ring, n, [DenseAtom(crossing_commutator_matrix(ring, n, X, i, x, Y, y).rows)])
+    if i == j or (X, Y) not in _PLACED:
         return Word(ring, n, [])
     sh_lt, sh_gt, c = _PLACED[(X, Y)]
-    sh = sh_lt if i < j else sh_gt
-    off = min(i, j) - 1
-    pos = abs(i - j) + 1
-    return Word(ring, n, [PlacedAtom(off, sh, pos, ring.scale_int(c, xy))])
+    atom = PlacedAtom(min(i, j) - 1, sh_lt if i < j else sh_gt, abs(i - j) + 1,
+                      ring.scale_int(c, xy))
+    return Word(ring, n, [atom])
 
 
-def _shape_sum(ring, terms):
-    """Sum of shape(coeff) blocks as a 2x2 matrix."""
-    M = Matrix.zero(ring, 2, 2)
-    for sh, c in terms:
-        M = M.add(shape_matrix(ring, sh, c))
-    return M
-
-
-def crossing_commutator_matrix(ring, n, X, i, x, Y, y, corrupt=None):
+def crossing_commutator_matrix(ring, n, X, i, x, Y, y):
     """The dense closed form of [E(X_i)(x), E(Y_i)(y)] for the four
     crossing pairs, embedded at the block pair (1, i)."""
     if (X, Y) not in _CROSSING:
         raise BadIndices(f"({X},{Y}) has a shorter closed form")
-    if corrupt == commutator_entry_key(X, Y, i, i):
-        x = ring.neg(x)
     xy = ring.mul(x, y)
-    x2y = ring.mul(xy, x)
-    xy2 = ring.mul(xy, y)
-    x2y2 = ring.mul(xy, xy)
-    s2, s4, s8 = (lambda v: ring.scale_int(2, v)), (lambda v: ring.scale_int(4, v)), (lambda v: ring.scale_int(8, v))
-    neg = ring.neg
-    I2 = Matrix.identity(ring, 2)
-    if (X, Y) == ("A", "D"):
-        TL = I2.add(_shape_sum(ring, [("A", ring.add(s8(x2y2), s2(xy))), ("D", s2(xy))]))
-        TR = _shape_sum(ring, [("D", s4(xy2)), ("A", neg(s4(x2y)))])
-        BL = _shape_sum(ring, [("A", s4(xy2)), ("D", neg(s4(x2y)))])
-        BR = I2.add(_shape_sum(ring, [("A", neg(s2(xy))), ("D", neg(ring.add(s8(x2y2), s2(xy))))]))
-    elif (X, Y) == ("B", "C"):
-        TL = BR = I2.add(_shape_sum(ring, [("A", ring.add(s8(x2y2), s2(xy))), ("D", s2(xy))]))
-        TR = BL = _shape_sum(ring, [("B", neg(s4(x2y))), ("C", s4(xy2))])
-    elif (X, Y) == ("C", "B"):
-        TL = BR = I2.add(_shape_sum(ring, [("A", neg(s2(xy))), ("D", neg(ring.add(s2(xy), s8(x2y2))))]))
-        TR = BL = _shape_sum(ring, [("B", s4(xy2)), ("C", neg(s4(x2y)))])
-    else:  # (D, A)
-        TL = I2.add(_shape_sum(ring, [("A", neg(s2(xy))), ("D", neg(ring.add(s2(xy), s8(x2y2))))]))
-        TR = _shape_sum(ring, [("A", s4(xy2)), ("D", neg(s4(x2y)))])
-        BL = _shape_sum(ring, [("D", s4(xy2)), ("A", neg(s4(x2y)))])
-        BR = I2.add(_shape_sum(ring, [("A", ring.add(s2(xy), s8(x2y2))), ("D", s2(xy))]))
-    M = Matrix.identity(ring, 2 * n)
+    monomials = (xy, ring.mul(xy, x), ring.mul(xy, y), ring.mul(xy, xy))
     r1 = 2 * (i - 1)
-    M = M.paste(0, 0, TL)
-    M = M.paste(0, r1, TR)
-    M = M.paste(r1, 0, BL)
-    M = M.paste(r1, r1, BR)
+    M = Matrix.identity(ring, 2 * n)
+    for (r, c), terms in zip(((0, 0), (0, r1), (r1, 0), (r1, r1)), _CROSSING[(X, Y)]):
+        block = Matrix.identity(ring, 2) if r == c else Matrix.zero(ring, 2, 2)
+        for sh, coeffs in terms:
+            v = reduce(ring.add, (ring.scale_int(k, m) for k, m in zip(coeffs, monomials) if k))
+            block = block.add(shape_matrix(ring, sh, v))
+        M = M.paste(r, c, block)
     return M
 
 
 def commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
+    """The bracket against its closed form, read at -x when ``corrupt``
+    names this entry (the fault-injection control of verify-tables)."""
     lhs = bracket(gen_abcd(ring, n, X, i, x), gen_abcd(ring, n, Y, j, y))
-    rhs = commutator_word(ring, n, X, i, x, Y, j, y, corrupt=corrupt).eval()
+    rx = ring.neg(x) if corrupt == commutator_entry_key(X, Y, i, j) else x
+    rhs = commutator_word(ring, n, X, i, rx, Y, j, y).eval()
     name = f"commutator:{X}{i},{Y}{j}"
     return IdentityInstance(name, ring, n, lhs, rhs, {"x": x, "y": y})
 
@@ -232,19 +214,21 @@ _UNIT_COMMUTATOR = {
 }
 
 
-def tag_pos(tag, i):
-    """The position a table's tag "1" or "i" names."""
-    return 1 if tag == "1" else i
+def unit_rel(i, j):
+    """The _UNIT_COMMUTATOR rel of a generator at i against a unit at j."""
+    return "j1" if j == 1 else ("eq" if i == j else "other")
 
 
-def corrupt_keys():
-    """The fault-injection keys, one per entry of the commutator tables."""
-    keys = {f"commutator:{X}{Y}:eq" for X, Y in (*_UNIT_AT_1, *_UNIT_AT_I, *_CROSSING)}
-    keys |= {f"commutator:{X}{Y}:{rel}" for X, Y in _PLACED for rel in ("lt", "gt")}
+def corrupt_keys(n_values):
+    """The fault-injection keys, one per table entry that some n in
+    ``n_values`` builds an item for: lt and gt need n >= 3."""
+    keys = {f"commutator:{X}{Y}:eq" for X, Y in (*_UNIT_BRACKET, *_CROSSING)}
+    if max(n_values) >= 3:
+        keys |= {f"commutator:{X}{Y}:{rel}" for X, Y in _PLACED for rel in ("lt", "gt")}
     return keys | {f"unit:{X}{Y}:{rel}" for X, Y, rel in _UNIT_COMMUTATOR}
 
 
-def unit_commutator_word(ring, n, X, i, x, Y, j, y, corrupt=None):
+def unit_commutator_word(ring, n, X, i, x, Y, j, y):
     """Closed form of [E(X_i)(x), I perp (I_2 + Y(y)) perp I] as a word."""
     if not (2 <= i <= n):
         raise BadIndices("generator position must lie in 2..n")
@@ -252,20 +236,20 @@ def unit_commutator_word(ring, n, X, i, x, Y, j, y, corrupt=None):
         raise BadIndices("unit position must lie in 1..n")
     if Y not in ("B", "C"):
         raise BadIndices("unit shapes are B and C")
-    rel = "j1" if j == 1 else ("eq" if i == j else "other")
-    if corrupt == f"unit:{X}{Y}:{rel}":
-        x = ring.neg(x)
-    if (X, Y, rel) not in _UNIT_COMMUTATOR:
+    if (X, Y, unit_rel(i, j)) not in _UNIT_COMMUTATOR:
         return Word(ring, n, [])
-    ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, Y, rel)]
+    ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, Y, unit_rel(i, j))]
     xy = ring.mul(x, y)
     return Word(ring, n, [UnitAtom(ush, tag_pos(utag, i), ring.scale_int(uc, ring.mul(xy, x))),
                           ABCDAtom(esh, i, ring.scale_int(ec, xy))])
 
 
 def unit_commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
+    """The bracket against its closed form, read at -x when ``corrupt``
+    names this entry."""
     lhs = bracket(gen_abcd(ring, n, X, i, x), gen_small(ring, n, Y, j, y))
-    rhs = unit_commutator_word(ring, n, X, i, x, Y, j, y, corrupt=corrupt).eval()
+    rx = ring.neg(x) if corrupt == f"unit:{X}{Y}:{unit_rel(i, j)}" else x
+    rhs = unit_commutator_word(ring, n, X, i, rx, Y, j, y).eval()
     name = f"unit-commutator:{X}{i},{Y}@{j}"
     return IdentityInstance(name, ring, n, lhs, rhs, {"x": x, "y": y})
 
@@ -340,22 +324,15 @@ def graded_split(ring, n, k, lam, mu, x, y):
                             {"lam": lam, "mu": mu, "x": x, "y": y})
 
 
-def a_form_split(ring, n, k, lam, mu, a):
-    x, y, up = split_a_form(ring, lam, mu, a)
-    lhs = graded_block(ring, n, lam, mu, a, a, k)
-    rhs = gen_abcd(ring, n, "A", k, x).mul(gen_abcd(ring, n, "C", k, y)) \
-        .mul(gen_small(ring, n, "C", k, up))
-    return IdentityInstance("a-form-split", ring, n, lhs, rhs,
-                            {"lam": lam, "mu": mu, "a": a})
-
-
-def b_form_split(ring, n, k, lam, mu, b):
-    x, y, up = split_b_form(ring, lam, mu, b)
-    lhs = graded_block(ring, n, lam, mu, b, ring.neg(b), k)
-    rhs = gen_abcd(ring, n, "B", k, x).mul(gen_abcd(ring, n, "D", k, y)) \
-        .mul(gen_small(ring, n, "B", k, up))
-    return IdentityInstance("b-form-split", ring, n, lhs, rhs,
-                            {"lam": lam, "mu": mu, "b": b})
+def form_split(ring, n, k, kind, lam, mu, val):
+    """graded(lam,mu;val,+-val) against its _FORM_SPLIT row, kind "A" or "B"."""
+    sx, sy, su, sgn = _FORM_SPLIT[kind]
+    x, y, up = split_form(ring, kind, lam, mu, val)
+    lhs = graded_block(ring, n, lam, mu, val, val if sgn > 0 else ring.neg(val), k)
+    rhs = gen_abcd(ring, n, sx, k, x).mul(gen_abcd(ring, n, sy, k, y)) \
+        .mul(gen_small(ring, n, su, k, up))
+    return IdentityInstance(f"{kind.lower()}-form-split", ring, n, lhs, rhs,
+                            {"lam": lam, "mu": mu, kind.lower(): val})
 
 
 def block_conjugation(ring, n, k, delta, lam, mu, x, y):
@@ -428,15 +405,17 @@ def composite_instance(ring, n, X, Y, i, x, y, z):
 # unit brackets: the shape words that replace placed units
 # ---------------------------------------------------------------------------
 
+# (unit shape, pos tag) -> the pair of its +4 row in _UNIT_BRACKET
+_UNIT_BRACKET_PAIR = {(sh, tag): pair for pair, (sh, tag, c) in _UNIT_BRACKET.items() if c == 4}
+
+
 def unit_bracket_shapes(shape, pos):
     """Shapes (g1, g2) whose same-position bracket [g1(u), g2(v)] is the
-    unit of this shape with parameter 4*u*v at pos (the +4 rows of the
-    _UNIT_AT_1 and _UNIT_AT_I tables)."""
-    if shape == "B":
-        return ("A", "B") if pos == 1 else ("D", "B")
-    if shape == "C":
-        return ("C", "D") if pos == 1 else ("C", "A")
-    raise BadIndices("unit shapes are B and C")
+    unit of this shape with parameter 4*u*v at pos."""
+    pair = _UNIT_BRACKET_PAIR.get((shape, "1" if pos == 1 else "i"))
+    if pair is None:
+        raise BadIndices("unit shapes are B and C")
+    return pair
 
 
 def unit_bracket_atoms(ring, n, shape, pos, param):

@@ -39,14 +39,15 @@ from .errors import (
 from .identities import (
     _COMPOSITE,
     _CROSSING,
-    _UNIT_AT_1,
-    _UNIT_AT_I,
+    _PLACED,
+    _UNIT_BRACKET,
     _UNIT_COMMUTATOR,
     det1_conj_data,
     form_split_atoms,
     tag_pos,
     unit_bracket_atoms,
     unit_bracket_shapes,
+    unit_rel,
 )
 from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element
@@ -131,10 +132,9 @@ def _conj_decompose_ctx(num, s_num, n, Xshape, i, a, k, Yshape, j, m, x):
         raise BadIndices("positions must lie in 2..n")
     em = _Emitter(num)
 
-    if Xshape == Yshape or num.is_zero(a) or num.is_zero(x):
-        em.shape(Yshape, j, m, x)
-    elif i != j and (Xshape, Yshape) in _UNIT_AT_1:
-        # these pairs commute at different positions
+    if Xshape == Yshape or num.is_zero(a) or num.is_zero(x) \
+            or (i != j and (Xshape, Yshape) not in _PLACED):
+        # g commutes with h: pairs absent from _PLACED commute at different positions
         em.shape(Yshape, j, m, x)
     elif i != j or (Xshape, Yshape) not in _CROSSING:
         # the commutator word with the exponent split across the pair
@@ -163,8 +163,8 @@ def _case3_same_position(num, s_num, em, X, Y, i, a, k, m, x):
     [g, h[k,l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1,
     after the final [l,k] h^-1 h [k,l] cancels, leaves
     [g,y_g] y_g [P, Q] with P = [g,z_g] z_g and Q = [g,w_g] w_g.
-    Each bracket with g = E(X_i)(a/s^k) is read from _UNIT_AT_1,
-    _UNIT_AT_I or _UNIT_COMMUTATOR: a bracketed parameter s^e c gives
+    Each bracket with g = E(X_i)(a/s^k) is read from _UNIT_BRACKET or
+    _UNIT_COMMUTATOR: a bracketed parameter s^e c gives
     s^(e-k) on a c and s^(e-2k) on a^2 c.
     """
     m3 = m // 3
@@ -175,7 +175,7 @@ def _case3_same_position(num, s_num, em, X, Y, i, a, k, m, x):
     def conj_unit(sh, pos, e, c):
         """[g, U] U for the unit U = sh(s^e c) at pos; returns its entries."""
         start = len(em.entries)
-        ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, sh, "j1" if pos == 1 else "eq")]
+        ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, sh, unit_rel(i, pos))]
         em.unit(ush, tag_pos(utag, i), i, e - 2 * k, sc(uc, num.mul(num.mul(a, a), c)))
         em.shape(esh, i, e - k, sc(ec, num.mul(a, c)))
         em.unit(sh, pos, i, e, c)
@@ -184,9 +184,8 @@ def _case3_same_position(num, s_num, em, X, Y, i, a, k, m, x):
     def conj_shape(sh, e, c):
         """[g, Z] Z for Z = E(sh_i)(s^e c); returns its entries."""
         start = len(em.entries)
-        corner = (X, sh) in _UNIT_AT_1
-        ush, uc = (_UNIT_AT_1 if corner else _UNIT_AT_I)[(X, sh)]
-        em.unit(ush, 1 if corner else i, i, e - k, sc(uc, num.mul(a, c)))
+        ush, utag, uc = _UNIT_BRACKET[(X, sh)]
+        em.unit(ush, tag_pos(utag, i), i, e - k, sc(uc, num.mul(a, c)))
         em.shape(sh, i, e, c)
         return em.entries[start:]
 

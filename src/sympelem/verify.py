@@ -65,102 +65,76 @@ def _det1_witness(ring, t, u):
     return Matrix(ring, [(one, zero), (t, one)]).mul(Matrix(ring, [(one, u), (zero, one)]))
 
 
-def _symbol_ring(base_names):
-    return PolyRing(Rationals(), tuple(base_names))
-
-
 def iter_table_items(ring, n_values, rng, trials=3, corrupt=None):
-    """Yield (name, n, callable -> IdentityInstance) over every family."""
+    """Yield (name, n, builder, args) over every family; builder(*args)
+    is the item's IdentityInstance."""
     symbolic = isinstance(ring, PolyRing)
 
-    def binds(names, sring):
+    def binds(*names):
+        """The ring an item is built over and its bindings for ``names``."""
         if symbolic:
-            return [sring.var(v) for v in names]
-        return [ring.sample(rng) for _ in names]
+            sring = PolyRing(Rationals(), names)
+            return sring, [sring.var(v) for v in names]
+        return ring, [ring.sample(rng) for _ in names]
 
     reps = 1 if symbolic else trials
 
     for n in n_values:
         for _ in range(reps):
-            # corner conjugation
-            sring = _symbol_ring(("lam", "x", "y")) if symbolic else ring
-            lam, x, y = binds(("lam", "x", "y"), sring)
-            yield ("corner-conjugation", n,
-                   lambda s=sring, a=lam, b=x, c=y, nn=n: idn.corner_conjugation(s, nn, a, b, c))
+            sring, (lam, x, y) = binds("lam", "x", "y")
+            yield "corner-conjugation", n, idn.corner_conjugation, (sring, n, lam, x, y)
             # elementary criterion and det-1 conjugations
-            sring = _symbol_ring(("t", "u", "x", "y")) if symbolic else ring
-            t, u, x, y = binds(("t", "u", "x", "y"), sring)
+            sring, (t, u, x, y) = binds("t", "u", "x", "y")
             eps = _det1_witness(sring, t, u)
-            yield ("elementary-criterion", n,
-                   lambda s=sring, e=eps, a=x, b=y, nn=n: idn.elementary_criterion(s, nn, nn, e, a, b))
+            yield "elementary-criterion", n, idn.elementary_criterion, (sring, n, n, eps, x, y)
             for shape in "ABCD":
                 for i in range(2, n + 1):
-                    yield (f"det1-conjugation:{shape}@{i}", n,
-                           lambda s=sring, e=eps, sh=shape, ii=i, a=x, nn=n:
-                           idn.det1_conjugation(s, nn, e, sh, ii, a))
-            # row conjugation
-            names = ("t", "u") + tuple(f"y{i}" for i in range(3, 2 * n + 1))
-            sring = _symbol_ring(names) if symbolic else ring
-            vals = binds(names, sring)
-            delta = _det1_witness(sring, vals[0], vals[1])
-            yield ("row-conjugation", n,
-                   lambda s=sring, d=delta, ys=vals[2:], nn=n: idn.row_conjugation(s, nn, d, ys))
+                    yield (f"det1-conjugation:{shape}@{i}", n, idn.det1_conjugation,
+                           (sring, n, eps, shape, i, x))
+            sring, (t, u, *ys) = binds("t", "u", *(f"y{i}" for i in range(3, 2 * n + 1)))
+            yield ("row-conjugation", n, idn.row_conjugation,
+                   (sring, n, _det1_witness(sring, t, u), ys))
             # graded split and the two form splits
-            sring = _symbol_ring(("lam", "mu", "x", "y")) if symbolic else ring
-            lam, mu, x, y = binds(("lam", "mu", "x", "y"), sring)
+            sring, (lam, mu, x, y) = binds("lam", "mu", "x", "y")
             for k in range(2, n + 1):
-                yield (f"graded-split@{k}", n,
-                       lambda s=sring, a=lam, b=mu, c=x, d=y, kk=k, nn=n:
-                       idn.graded_split(s, nn, kk, a, b, c, d))
-                yield (f"a-form-split@{k}", n,
-                       lambda s=sring, a=lam, b=mu, c=x, kk=k, nn=n:
-                       idn.a_form_split(s, nn, kk, a, b, c))
-                yield (f"b-form-split@{k}", n,
-                       lambda s=sring, a=lam, b=mu, c=x, kk=k, nn=n:
-                       idn.b_form_split(s, nn, kk, a, b, c))
-            # block conjugation
-            sring = _symbol_ring(("t", "u", "lam", "mu", "x", "y")) if symbolic else ring
-            t, u, lam, mu, x, y = binds(("t", "u", "lam", "mu", "x", "y"), sring)
-            delta = _det1_witness(sring, t, u)
-            yield ("block-conjugation", n,
-                   lambda s=sring, d=delta, a=lam, b=mu, c=x, e=y, nn=n:
-                   idn.block_conjugation(s, nn, 2, d, a, b, c, e))
-            # commutator table
-            sring = _symbol_ring(("x", "y")) if symbolic else ring
-            x, y = binds(("x", "y"), sring)
+                yield f"graded-split@{k}", n, idn.graded_split, (sring, n, k, lam, mu, x, y)
+                for kind in "AB":
+                    yield (f"{kind.lower()}-form-split@{k}", n, idn.form_split,
+                           (sring, n, k, kind, lam, mu, x))
+            sring, (t, u, lam, mu, x, y) = binds("t", "u", "lam", "mu", "x", "y")
+            yield ("block-conjugation", n, idn.block_conjugation,
+                   (sring, n, 2, _det1_witness(sring, t, u), lam, mu, x, y))
+            # the two commutator tables
+            sring, (x, y) = binds("x", "y")
             for X in "ABCD":
                 for Y in "ABCD":
                     for i in range(2, n + 1):
                         for j in range(2, n + 1):
-                            yield (f"commutator:{X}{i},{Y}{j}", n,
-                                   lambda s=sring, a=X, ii=i, b=Y, jj=j, c=x, d=y, nn=n:
-                                   idn.commutator_instance(s, nn, a, ii, c, b, jj, d, corrupt=corrupt))
-            # unit commutator table
+                            yield (f"commutator:{X}{i},{Y}{j}", n, idn.commutator_instance,
+                                   (sring, n, X, i, x, Y, j, y, corrupt))
             for X in "ABCD":
                 for Y in "BC":
                     for i in range(2, n + 1):
                         for j in range(1, n + 1):
                             yield (f"unit-commutator:{X}{i},{Y}@{j}", n,
-                                   lambda s=sring, a=X, ii=i, b=Y, jj=j, c=x, d=y, nn=n:
-                                   idn.unit_commutator_instance(s, nn, a, ii, c, b, jj, d, corrupt=corrupt))
-            # composite identities
-            sring = _symbol_ring(("x", "y", "z")) if symbolic else ring
-            x, y, z = binds(("x", "y", "z"), sring)
-            for (X, Y) in (("A", "D"), ("B", "C"), ("D", "A"), ("C", "B")):
+                                   idn.unit_commutator_instance,
+                                   (sring, n, X, i, x, Y, j, y, corrupt))
+            sring, (x, y, z) = binds("x", "y", "z")
+            for X, Y in idn._COMPOSITE:
                 for i in range(2, n + 1):
-                    yield (f"composite:{X}{Y}@{i}", n,
-                           lambda s=sring, a=X, b=Y, ii=i, c=x, d=y, e=z, nn=n:
-                           idn.composite_instance(s, nn, a, b, ii, c, d, e))
+                    yield (f"composite:{X}{Y}@{i}", n, idn.composite_instance,
+                           (sring, n, X, Y, i, x, y, z))
 
 
 def run_verify_tables(ring, n_values, seed=0, trials=3, corrupt=None, out_stream=None):
     rng = random.Random(seed)
     report = RunReport("verify-tables", ring.descriptor())
-    for name, n, build in iter_table_items(ring, n_values, rng, trials=trials, corrupt=corrupt):
+    for name, n, builder, args in iter_table_items(ring, n_values, rng, trials=trials,
+                                                   corrupt=corrupt):
         t0 = time.perf_counter()
         checked_over = ring  # the ring the instance was built over, once built
         try:
-            inst = build()
+            inst = builder(*args)
             checked_over = inst.ring
             ok = inst.holds()
             bindings = inst.bindings_str()

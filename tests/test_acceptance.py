@@ -97,8 +97,8 @@ def test_criterion_03_named_identities_symbolic():
         for n in (2, 3):
             for k in range(2, n + 1):
                 assert idn.graded_split(r4, n, k, lam, mu, x, y).holds()
-                assert idn.a_form_split(r4, n, k, lam, mu, x).holds()
-                assert idn.b_form_split(r4, n, k, lam, mu, x).holds()
+                assert idn.form_split(r4, n, k, "A", lam, mu, x).holds()
+                assert idn.form_split(r4, n, k, "B", lam, mu, x).holds()
         r5 = PolyRing(Q, ("t", "u", "lam", "mu", "x", "y"))
         t, u, lam, mu, x, y = (r5.var(v) for v in ("t", "u", "lam", "mu", "x", "y"))
         one, zero = r5.one, r5.zero

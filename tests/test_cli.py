@@ -66,6 +66,16 @@ def test_verify_tables_unknown_corrupt_key_is_a_parse_error(capsys):
     assert "nosuch:key names no table entry" in stderr and "unit:AC:j1" in stderr
 
 
+def test_verify_tables_corrupt_key_the_n_range_never_builds(capsys):
+    # at n = 2 every commutator item sits at one position: no lt/gt item
+    assert run(["verify-tables", "--ring", "zmod:15", "--n", "2",
+                "--corrupt", "commutator:AC:lt"]) == 2
+    assert "commutator:AC:lt names no table entry that --n 2 builds" in capsys.readouterr().err
+    assert run(["verify-tables", "--ring", "zmod:15", "--n", "2..3",
+                "--corrupt", "commutator:AC:lt"]) == 1
+    assert "FAIL commutator:A2,C3 " in capsys.readouterr().out
+
+
 def test_verify_tables_corrupt_unit_key_fails_its_item(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     assert run(["verify-tables", "--ring", "zmod:15", "--n", "2", "--seed", "3",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from sympelem import identities as idn
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod
 from sympelem.symplectic import gen_abcd, gen_small
+from sympelem.verify import run_verify_tables
 
 Q = Rationals()
 PXY = PolyRing(Q, ("x", "y"))
@@ -190,13 +192,13 @@ def test_form_splits():
     ring = PolyRing(Q, ("lam", "mu", "a"))
     lam, mu, a = (ring.var(v) for v in ("lam", "mu", "a"))
     for n, k in ((2, 2), (3, 2), (3, 3)):
-        assert idn.a_form_split(ring, n, k, lam, mu, a).holds()
-        assert idn.b_form_split(ring, n, k, lam, mu, a).holds()
+        assert idn.form_split(ring, n, k, "A", lam, mu, a).holds()
+        assert idn.form_split(ring, n, k, "B", lam, mu, a).holds()
     # lam = mu kills the second factor of the A-form split
-    x, y, up = idn.split_a_form(Z15, 3, 3, 7)
+    x, y, up = idn.split_form(Z15, "A", 3, 3, 7)
     assert y == 0 and up == 0
     # lam = 1, mu = 0: x = y = a/2
-    x, y, up = idn.split_a_form(Z15, 1, 0, 7)
+    x, y, up = idn.split_form(Z15, "A", 1, 0, 7)
     assert x == y == Z15.half(7)
 
 
@@ -233,6 +235,33 @@ def test_corruption_is_caught():
     inst = idn.commutator_instance(Z15, 2, "A", 2, 7, "C", 2, 4,
                                    corrupt="commutator:AB:eq")
     assert inst.holds()
+
+
+def _entry_key(item):
+    """The corruption key of a commutator item's table entry, else None."""
+    m = re.fullmatch(r"commutator:([A-D])(\d+),([A-D])(\d+)", item)
+    if m:
+        X, i, Y, j = m[1], int(m[2]), m[3], int(m[4])
+        return f"commutator:{X}{Y}:{'eq' if i == j else 'lt' if i < j else 'gt'}"
+    m = re.fullmatch(r"unit-commutator:([A-D])(\d+),([BC])@(\d+)", item)
+    if m:
+        X, i, Y, j = m[1], int(m[2]), m[3], int(m[4])
+        return f"unit:{X}{Y}:{'j1' if j == 1 else 'eq' if i == j else 'other'}"
+    return None
+
+
+@pytest.mark.parametrize("key", sorted(idn.corrupt_keys([3])))
+def test_every_corrupt_key_fails_exactly_its_own_items(key):
+    report = run_verify_tables(PXY, [3], corrupt=key)
+    failed = [r.name for r in report.records if r.status != "PASS"]
+    assert failed and all(_entry_key(name) == key for name in failed), failed
+
+
+def test_corrupt_keys_follow_the_n_range():
+    assert len(idn.corrupt_keys([3])) == 36
+    at2 = idn.corrupt_keys([2])
+    assert at2 == {k for k in idn.corrupt_keys([2, 3]) if not k.endswith((":lt", ":gt"))}
+    assert "commutator:AC:eq" in at2 and "commutator:AC:lt" not in at2
 
 
 def test_unit_bracket_atoms():
