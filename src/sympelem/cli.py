@@ -15,7 +15,6 @@ import sys
 from . import errors as err
 from .identities import corrupt_keys
 from .localglobal import DEFAULT_FUEL, CoverData, conj_decompose, dilate, normality_demo, patch
-from .matrices import Matrix
 from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element, ring_from_descriptor
 from .verify import run_verify_tables
@@ -148,28 +147,10 @@ def cmd_patch(args):
     return 0
 
 
-def _gamma_word_from_file(base, n, text):
-    """The conjugating element: a generator word file, or a matrix file
-    whose matrix is a det-1 corner block (delta perp I)."""
-    stripped = text.lstrip()
-    if not stripped.startswith("sympmat"):
-        return word_from_text(base, n, text)
-    from .matrices import matrix_from_text
-    from .words import CornerMatrixAtom
-    m = matrix_from_text(stripped.splitlines()[0], base)
-    ident = Matrix.identity(base, 2 * n)
-    corner = m.submatrix(0, 0, 2, 2)
-    probe = ident.paste(0, 0, corner)
-    if probe != m or not base.is_one(corner.det2()):
-        raise err.ParseError("matrix gamma must be a det-1 corner block "
-                             "(use a generator word otherwise)")
-    return Word(base, n, [CornerMatrixAtom(corner.rows)])
-
-
 def cmd_normality(args):
     base = ring_from_descriptor(args.ring)
     cover = CoverData.from_text(base, _read(args.cover))
-    gamma_word = _gamma_word_from_file(base, args.n, _read(args.gamma))
+    gamma_word = word_from_text(base, args.n, _read(args.gamma))
     h_word = word_from_text(base, args.n, _read(args.h))
     out = normality_demo(base, args.n, gamma_word, h_word, cover)
     print(f"PASS normality-demo output_atoms={len(out)}")
@@ -263,7 +244,7 @@ def build_parser():
     p = sub.add_parser("normality-demo", help="conjugate a shape word by a symplectic element")
     p.add_argument("--ring", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--gamma", required=True, help="generator word file")
+    p.add_argument("--gamma", required=True, help="generator word file, or one CORNER line")
     p.add_argument("--h", required=True, help="shape word file")
     p.add_argument("--cover", required=True)
     p.add_argument("--out", default=None)

@@ -491,6 +491,10 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
         if not isinstance(atom, ABCDAtom):
             raise AlphabetViolation(f"h must be a shape word (A, B, C, D atoms only); "
                                     f"atom {idx} is {atom._text(base_ring)!r}")
+    for idx, atom in enumerate(gamma_word.atoms, start=1):
+        if isinstance(atom, CornerMatrixAtom) and len(gamma_word) > 1:
+            raise AlphabetViolation(f"a CORNER atom must be gamma's only atom; "
+                                    f"atom {idx} is {atom._text(base_ring)!r}")
     RT = PolyRing(base_ring, ("T",))
     h_t = h_word.map_params(lambda p: RT.mul(RT.const(p), RT.var("T")), RT)
     gamma = gamma_word.eval()

@@ -9,7 +9,7 @@ column updates, not by products of these matrices.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch
 
 
 class Matrix:
@@ -108,35 +108,3 @@ class Matrix:
 
     def __repr__(self):
         return f"<{self.nrows}x{self.ncols} over {self.ring.descriptor()}>"
-
-
-def matrix_from_text(line, ring=None):
-    from .rings import parse_element, ring_from_descriptor
-
-    line = line.strip()
-    if not line.startswith("sympmat "):
-        raise ValueError("not a sympmat line")
-    toks = line.split()[1:]
-    fields = {}
-    rest = []
-    for idx, part in enumerate(toks):
-        key, _, value = part.partition("=")
-        fields[key] = value
-        if key == "entries":
-            rest = [value] + toks[idx + 1:]
-            break
-    try:
-        n = int(fields["n"])
-    except (KeyError, ValueError):
-        raise ParseError(f"sympmat needs an integer n= field, got {fields.get('n')!r}",
-                         line=1) from None
-    if ring is None:
-        if "ring" not in fields:
-            raise ParseError("sympmat needs a ring= field", line=1)
-        ring = ring_from_descriptor(fields["ring"])
-    entries = [parse_element(ring, tok) for tok in rest]
-    size = 2 * n
-    if len(entries) != size * size:
-        raise ValueError(f"expected {size*size} entries, got {len(entries)}")
-    rows = [entries[i * size:(i + 1) * size] for i in range(size)]
-    return Matrix(ring, rows)

@@ -28,7 +28,7 @@ from .words import (
 
 
 def _alphabet_error(ring, what, atom):
-    hint = (" (a CORNER atom is accepted only by normality-demo --gamma)"
+    hint = (" (a CORNER atom is accepted only as the one atom of normality-demo --gamma)"
             if isinstance(atom, CornerMatrixAtom) else "")
     return AlphabetViolation(f"{what} {atom._text(ring)!r}{hint}")
 

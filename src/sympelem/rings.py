@@ -430,9 +430,6 @@ class PolyRing(Ring):
             return a[0][1]
         return None
 
-    def total_degree(self, a):
-        return max((sum(e) for e, _ in a), default=0)
-
     def subst(self, a, assignment):
         """Substitute variables by elements of this same ring (a ring hom)."""
         values = {}
@@ -483,7 +480,6 @@ class PolyRing(Ring):
         lead_e, lead_c = d[0]
         rem = a
         quo = {}
-        guard = len(a) * (self.total_degree(a) + 2) + 8
         while rem:
             e, c = rem[0]
             if any(ei < di for ei, di in zip(e, lead_e)):
@@ -494,8 +490,9 @@ class PolyRing(Ring):
             qe = tuple(ei - di for ei, di in zip(e, lead_e))
             quo[qe] = self.base.add(quo.get(qe, self.base.zero), q)
             rem = self.sub(rem, self.mul(((qe, q),), d))
-            guard -= 1
-            if guard < 0:
+            # refuse a leading term that did not cancel; otherwise the leading
+            # monomial of rem strictly decreases in grlex, a well-order, so the loop ends
+            if rem and rem[0][0] == e:
                 return None
         return self.freeze(quo)
 
@@ -716,7 +713,10 @@ class Localized(Ring):
 
 def ring_from_descriptor(text):
     toks = text.strip().split(":")
-    ring, rest = _parse_descriptor(toks)
+    try:
+        ring, rest = _parse_descriptor(toks)
+    except RecursionError:
+        raise ParseError("ring descriptor is nested too deeply") from None
     if rest:
         raise ParseError(f"trailing descriptor tokens: {':'.join(rest)}")
     return ring
@@ -756,16 +756,6 @@ _TOKEN_CHARS = set("+-*/^()")
 # largest exponent times operand size that a parsed power may have, so that
 # no element text expands into an unbounded amount of arithmetic
 MAX_POWER_SIZE = 64
-
-
-def _size(ring, a):
-    """Number of root-level terms of a: a polynomial counts the terms of its
-    coefficients, a fraction those of its numerator, anything else is 1."""
-    if isinstance(ring, PolyRing):
-        return sum(_size(ring.base, c) for _, c in a)
-    if isinstance(ring, Localized):
-        return _size(ring.base, a[0])
-    return 1
 
 
 def _tokenize(text):
@@ -847,8 +837,9 @@ class _ElementParser:
             t = self.take()
             if not (isinstance(t, tuple) and t[0] == "int"):
                 raise ParseError("exponent must be an integer literal")
-            if t[1] * _size(self.ring, base) > MAX_POWER_SIZE:
-                raise ParseError(f"power ^{t[1]} of a {_size(self.ring, base)}-term element "
+            size = sum(1 for _ in _root_coefficients(self.ring, base))
+            if t[1] * size > MAX_POWER_SIZE:
+                raise ParseError(f"power ^{t[1]} of a {size}-term element "
                                  f"exceeds the size bound {MAX_POWER_SIZE}")
             return self.ring.pow_int(base, t[1])
         return base
@@ -897,7 +888,10 @@ def parse_element(ring, text):
     if not toks:
         raise ParseError("empty element")
     p = _ElementParser(ring, toks)
-    v = p.expr()
+    try:
+        v = p.expr()
+    except RecursionError:
+        raise ParseError("element is nested too deeply") from None
     if p.peek() is not None:
         raise ParseError(f"trailing tokens in element {text!r}")
     return v

@@ -385,7 +385,8 @@ def test_decompose_names_corner_atom_by_text(tmp_path, capsys):
     src.write_text("CORNER 1 1 0 1\n")
     assert run(["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(src)]) == 2
     err = capsys.readouterr().err
-    assert "CORNER 1 1 0 1" in err and "normality-demo --gamma" in err and "Atom(" not in err
+    assert "CORNER 1 1 0 1" in err and "Atom(" not in err
+    assert "only as the one atom of normality-demo --gamma" in err
 
 
 def test_malformed_cover_is_a_parse_error(tmp_path, capsys):
@@ -401,18 +402,45 @@ def test_malformed_cover_is_a_parse_error(tmp_path, capsys):
         assert "line 1" in capsys.readouterr().err
 
 
-def test_matrix_gamma_without_integer_n_is_a_parse_error(tmp_path, capsys):
-    cover = tmp_path / "cover.txt"
-    cover.write_text("s=2 c=1 b=2 N=1\ns=4 c=11 b=4 N=1\n")
-    h = tmp_path / "h.txt"
-    h.write_text("A 2 3\n")
+def test_matrix_gamma_file_is_a_parse_error(tmp_path, capsys):
+    # a det-1 corner gamma is one CORNER line; a matrix file is no word file
     gamma = tmp_path / "g.txt"
-    for head in ("sympmat", "sympmat n=two"):
-        gamma.write_text(f"{head} ring=zmod:15 entries=1 0 0 1\n")
-        assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
-                    "--h", str(h), "--cover", str(cover)]) == 2
-        err = capsys.readouterr().err
-        assert "line 1" in err and "n=" in err
+    gamma.write_text("sympmat n=2 ring=zmod:7 entries=2 3 0 0 1 2 0 0 0 0 1 0 0 0 0 1\n")
+    assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
+                "--h", str(EXAMPLES / "h_z15.txt"),
+                "--cover", str(EXAMPLES / "cover_z15.txt")]) == 2
+    assert "line 1: unknown atom kind 'sympmat'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ring,corner,example,atoms,digest", [
+    ("zmod:15", "CORNER 2 3 1 2", "z15", 650,
+     "fa1fd411b244ec06294e78db0cbf7322c622d6d918932606ebb05f54e28288e9"),
+    ("poly:q:t", "CORNER 1 t 0 1", "qt", 216,
+     "9a07134215ecf3732b67bb0487581df4c3c71d9605f9ba3f517e9873a235ef29"),
+], ids=["z15", "qt"])
+def test_normality_corner_gamma_output_is_pinned(ring, corner, example, atoms, digest,
+                                                 tmp_path, capsys):
+    gamma = tmp_path / "g.txt"
+    gamma.write_text(corner + "\n")
+    out = tmp_path / "out.txt"
+    assert run(["normality-demo", "--ring", ring, "--n", "2", "--gamma", str(gamma),
+                "--h", str(EXAMPLES / f"h_{example}.txt"),
+                "--cover", str(EXAMPLES / f"cover_{example}.txt"), "--out", str(out)]) == 0
+    assert f"output_atoms={atoms}" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text,idx", [("CORNER 1 0 0 1\nS 1 3 4\n", 1),
+                                      ("S 1 3 4\nCORNER 1 0 0 1\n", 2)])
+def test_normality_corner_gamma_must_be_the_only_atom(text, idx, tmp_path, capsys):
+    gamma = tmp_path / "g.txt"
+    gamma.write_text(text)
+    assert run(["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(gamma),
+                "--h", str(EXAMPLES / "h_z15.txt"),
+                "--cover", str(EXAMPLES / "cover_z15.txt")]) == 2
+    err = capsys.readouterr().err
+    assert f"gamma's only atom; atom {idx} is 'CORNER 1 0 0 1'" in err
+    assert "accepted only" not in err
 
 
 def test_localization_at_a_zero_divisor_in_a_tower(tmp_path, capsys):
@@ -460,3 +488,19 @@ def test_oversized_power_is_a_parse_error_not_a_hang(tmp_path):
     assert done.returncode == 2
     assert "line 1" in done.stderr and "^100000" in done.stderr
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("ring,line", [
+    ("zmod:15", "S 1 3 " + "(" * 400 + "1" + ")" * 400),
+    ("zmod:15", "S 1 3 " + "-" * 2000 + "1"),
+    ("poly:" * 1200 + "q", "S 1 3 4"),
+], ids=["parentheses", "minus-signs", "poly-levels"])
+def test_deep_nesting_is_a_parse_error(ring, line, tmp_path):
+    src = tmp_path / "w.txt"
+    src.write_text(line + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "sympelem.cli", "decompose", "--ring", ring,
+                           "--n", "2", "--in", str(src)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert "nested too deeply" in done.stderr and "Traceback" not in done.stderr

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sympelem.cli import USAGE_ERRORS
 from sympelem.localglobal import CoverData
-from sympelem.matrices import matrix_from_text
 from sympelem.rings import parse_element, ring_from_descriptor
 from sympelem.words import word_from_text
 
@@ -98,22 +97,3 @@ COVER_RINGS = [ring_from_descriptor(text) for text in ("zmod:15", "poly:q:t")]
                  .map("\n".join)))
 def test_cover_from_text_fuzz(ring_index, text):
     _parses_or_usage_error(lambda t: CoverData.from_text(COVER_RINGS[ring_index], t), text)
-
-
-SYMPMAT_TOKENS = ["sympmat", "n=", "ring=", "entries=", "1", "2", "-1", "0", "t", "1/2", "x",
-                  "zmod:15", "q", "poly:q:t", "zmod:4", "=", " "]
-# sympmat lines by their grammar, each field possibly missing
-SYMPMAT_LINES = st.builds(
-    lambda *fields: " ".join(["sympmat"] + [f for f in fields if f is not None]),
-    st.none() | st.sampled_from(["1", "2", "0", "-1", "x", ""]).map("n={}".format),
-    st.none() | st.sampled_from(["zmod:15", "poly:q:t", "q", "zmod:4", "loc:q:s=0", ""])
-    .map("ring={}".format),
-    st.none() | st.lists(st.sampled_from(WORD_ARGS), max_size=17).map(" ".join)
-    .map("entries={}".format))
-
-
-@FUZZ
-@given(st.sampled_from([None] + COVER_RINGS),
-       st.one_of(_token_text(SYMPMAT_TOKENS, 40, sep=" "), SYMPMAT_LINES))
-def test_matrix_from_text_fuzz(ring, text):
-    _parses_or_usage_error(lambda t: matrix_from_text(t, ring), text)

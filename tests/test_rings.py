@@ -179,6 +179,18 @@ def test_localized_equality_by_cross_multiplication():
     assert a == loc.embed(x)
 
 
+def test_poly_exact_div_with_a_long_quotient():
+    # (x^n-1)(y^n-1) / (x-1)(y-1) has n^2 terms, so the division takes n^2
+    # steps on a dividend of four terms
+    loc = ring_from_descriptor("loc:poly:q:x,y:s=(x-1)*(y-1)")
+    pxy = loc.base
+    for n in range(3, 13):
+        a = parse_element(pxy, f"(x^{n}-1)*(y^{n}-1)")
+        q = pxy.try_exact_div(a, loc.s)
+        assert q is not None and len(q) == n * n and pxy.mul(q, loc.s) == a, n
+        assert parse_element(loc, f"(x^{n}-1)*(y^{n}-1)/s") == (q, 0), n
+
+
 def test_poly_eval_hom():
     q = Rationals()
     qx = PolyRing(q, ("x",))

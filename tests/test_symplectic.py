@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympelem.errors import BadIndices, NonZeroDet
-from sympelem.matrices import Matrix, matrix_from_text
+from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import (
     block2_make,
@@ -247,13 +247,6 @@ def test_constructors_symplectic_symbolically():
             assert is_symplectic(gen_abcd(PXY, n, shape, n, X))
         assert is_symplectic(gen_small(PXY, n, "C", 1, Y))
         assert is_symplectic(graded_block(PXY, n, X, Y, X, Y, 2))
-
-
-def test_matrix_from_text():
-    line = "sympmat n=2 ring=poly:q:x,y entries=1 0 x x 0 1 x x -x x 1 0 x -x 0 1"
-    assert matrix_from_text(line) == gen_abcd(PXY, 2, "A", 2, X)
-    line = "sympmat n=1 ring=zmod:15 entries=1 16 0 -1"
-    assert matrix_from_text(line) == int_matrix(Z15, [[1, 1], [0, 14]])
 
 
 def test_is_symplectic_rejects_odd_size():
