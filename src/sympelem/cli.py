@@ -14,14 +14,15 @@ import sys
 
 from . import errors as err
 from .identities import corrupt_keys
-from .localglobal import DEFAULT_FUEL, CoverData, conj_decompose, dilate, normality_demo, patch
+from .localglobal import CoverData, conj_decompose, dilate, normality_demo, patch
 from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element, ring_from_descriptor
 from .verify import run_verify_tables
 from .words import Word, word_from_text
 
 USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.NilpotentS, err.ZeroDivisorS,
-                err.BadIndices, err.AlphabetViolation, FileNotFoundError, ValueError)
+                err.BadIndices, err.AlphabetViolation, err.ExponentTooSmall, FileNotFoundError,
+                ValueError)
 
 
 def _parse_n_range(text):
@@ -93,11 +94,6 @@ def cmd_decompose(args):
 
 
 def cmd_conj(args):
-    if args.m <= args.k:
-        raise err.ParseError(f"--m {args.m} must be greater than --k {args.k}")
-    if max(abs(args.k), abs(args.m)) > DEFAULT_FUEL:
-        raise err.ParseError(f"--k {args.k} and --m {args.m} must lie in "
-                             f"-{DEFAULT_FUEL}..{DEFAULT_FUEL}")
     base = ring_from_descriptor(args.ring)
     s = parse_element(base, args.s)
     loc = Localized(base, s)

@@ -418,12 +418,48 @@ def unit_bracket_shapes(shape, pos):
     return pair
 
 
+def _bracket_atoms(ring, X, i, u, Y, j):
+    """The word of [E(X_i)(u), E(Y_j)(1)] = g h g^-1 h^-1."""
+    one = ring.one
+    return [ABCDAtom(X, i, u), ABCDAtom(Y, j, one),
+            ABCDAtom(X, i, ring.neg(u)), ABCDAtom(Y, j, ring.neg(one))]
+
+
 def unit_bracket_atoms(ring, n, shape, pos, param):
     """A 4-atom commutator word evaluating to I perp (I_2+shape(param)) perp I:
     the same-position bracket [g1(param/4), g2(1)] of unit_bracket_shapes."""
     g1, g2 = unit_bracket_shapes(shape, pos)
     gpos = 2 if pos == 1 else pos
-    u = ring.mul(param, ring.mul(ring.inv2, ring.inv2))
-    one = ring.one
-    return [ABCDAtom(g1, gpos, u), ABCDAtom(g2, gpos, one),
-            ABCDAtom(g1, gpos, ring.neg(u)), ABCDAtom(g2, gpos, ring.neg(one))]
+    return _bracket_atoms(ring, g1, gpos, ring.mul(param, ring.mul(ring.inv2, ring.inv2)),
+                          g2, gpos)
+
+
+def corner_unit_atoms(ring, n, kind, pos, x):
+    """A 12-atom shape word for the transvection E12(x) or E21(x) of the
+    2x2 block at pos (position 1 is the leading corner): three units at
+    pos, each the bracket of unit_bracket_atoms,
+
+        E12(x) = U_C(1/2) U_B(-x/4) U_C(-1/2),
+        E21(x) = U_B(-1/2) U_C(-x/4) U_B(1/2).
+    """
+    half = ring.inv2
+    outer, inner, u = ("C", "B", half) if kind == "E12" else ("B", "C", ring.neg(half))
+    v = ring.neg(ring.mul(x, ring.mul(half, half)))
+    return (unit_bracket_atoms(ring, n, outer, pos, u)
+            + unit_bracket_atoms(ring, n, inner, pos, v)
+            + unit_bracket_atoms(ring, n, outer, pos, ring.neg(u)))
+
+
+# shape Z -> the first _PLACED pair (X, Y) whose bracket at positions i < j
+# is Z, with its +-2. For C and D that is (A, C) and (A, D): their brackets
+# end in C_j and D_j, which merge with the first atom of the unit bracket
+# that follows them in a form split (unit_bracket_atoms).
+_PLACED_PAIR = {sh_lt: (X, Y, c) for (X, Y), (sh_lt, _, c) in reversed(_PLACED.items())}
+
+
+def placed_bracket_atoms(ring, n, shape, p, q, e):
+    """A 4-atom commutator word evaluating to PLACED p-1 shape q-p+1 (e),
+    for 2 <= p < q <= n: the bracket [E(X_p)(e/c), E(Y_q)(1)] of the
+    _PLACED row (X, Y) whose i < j shape is ``shape``, with c = +-2."""
+    X, Y, c = _PLACED_PAIR[shape]
+    return _bracket_atoms(ring, X, p, ring.half(e) if c > 0 else ring.neg(ring.half(e)), Y, q)

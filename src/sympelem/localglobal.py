@@ -109,9 +109,13 @@ class _Emitter:
 
 def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
     """Word for E(X_i)(a/s^k) E(Y_j)(s^m x) E(X_i)(a/s^k)^-1 over R_s,
-    together with its valuation trace. Requires m > k."""
+    together with its valuation trace. Requires m > k, and both in
+    -DEFAULT_FUEL..DEFAULT_FUEL, as the cost grows with m - k; the usage
+    errors name k and m as the conj command's flags."""
     if m <= k:
-        raise ExponentTooSmall(f"need m > k, got m={m}, k={k}")
+        raise ExponentTooSmall(f"--m {m} must be greater than --k {k}")
+    if max(abs(k), abs(m)) > DEFAULT_FUEL:
+        raise ValueError(f"--k {k} and --m {m} must lie in -{DEFAULT_FUEL}..{DEFAULT_FUEL}")
     entries = _conj_decompose_ctx(locring.base, locring.s, n, Xshape, i, a, k, Yshape, j, m, x)
 
     def atom(sh, pos, e, c):

@@ -3,7 +3,7 @@
 Every rule application verifies, by exact matrix arithmetic on the spliced
 segment, that the evaluation is preserved; a failure raises
 StepVerificationFailed with the offending rule in the message. The
-initial decomposition re-verifies its stage boundary on the whole word.
+initial decomposition re-verifies its stage boundary on each segment.
 The final certificate records the step trace: the rule name, the replaced
 atoms and the atoms that replace them.
 """
@@ -11,20 +11,17 @@ atoms and the atoms that replace them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .errors import AlphabetViolation, BadIndices, StepVerificationFailed
-from .identities import form_split_atoms, unit_bracket_atoms
-from .symplectic import pi_swap
-from .words import (
-    ABCDAtom,
-    CornerAtom,
-    CornerMatrixAtom,
-    SAtom,
-    UnitAtom,
-    Word,
-    _single_terms,
-    eval_atoms,
+from .errors import AlphabetViolation, StepVerificationFailed
+from .identities import (
+    corner_unit_atoms,
+    form_split_atoms,
+    placed_bracket_atoms,
+    unit_bracket_atoms,
 )
+from .symplectic import pi_swap
+from .words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, UnitAtom, Word, eval_atoms
 
 
 def _alphabet_error(ring, what, atom):
@@ -52,173 +49,137 @@ def _check(ring, n, rule, before_atoms, after_atoms, trace):
 
 
 # ---------------------------------------------------------------------------
-# reduction of the full transvection alphabet to rows 1 and 2
+# one transvection: its correction and its form splits
 # ---------------------------------------------------------------------------
 
-def _bracket_rule(i, j):
-    """The commutator rule (g, h, c) for S_ij with 3 <= i, j <= 2n and
-    j not in {i, pi(i)}: [g(x), h(y)] = S_ij(c*x*y) with c = +-1, where
-    g = S_1a and h = S_2b are row-1/2 transvections given as (row, column).
-    It is [S_1a(x), S_2b(y)] = S_{pi(a) b}(+-xy), read through the mirror
-    S_ij(e) = S_{pi(j) pi(i)}(+-e) when i > j."""
-    c = 1 if i % 2 == 1 else -1
-    if i < j:
-        return (1, pi_swap(i)), (2, j), c
-    return (1, j), (2, pi_swap(i)), c
+def _split(ring, atom):
+    """A row-1/2 transvection S_rj(e) as (correction, forms) with
+    S = correction * forms.
+
+    S is the graded block of the unit vector (lam, mu) of row r with
+    (x, y) = (e, 0) for odd j and (0, e) for even j. With a = (x+y)/2 and
+    b = (x-y)/2 it is the correction E12(2ab) (row 1) or E21(-2ab) (row 2)
+    times the form_split_atoms of its A-form and its B-form."""
+    r, j = atom.i, atom.j
+    zero, one = ring.zero, ring.one
+    a = ring.half(atom.e)
+    b = a if j % 2 else ring.neg(a)
+    ab2 = ring.scale_int(2, ring.mul(a, b))
+    lam, mu = (one, zero) if r == 1 else (zero, one)
+    corr = CornerAtom("E12", ab2) if r == 1 else CornerAtom("E21", ring.neg(ab2))
+    pos = (j + 1) // 2
+    return corr, (form_split_atoms(ring, "A", lam, mu, a, pos)
+                  + form_split_atoms(ring, "B", lam, mu, b, pos))
+
+
+# ---------------------------------------------------------------------------
+# transvections with row >= 3
+# ---------------------------------------------------------------------------
+
+def _mirror(ring, atom):
+    """S_ij(e) = S_{pi(j) pi(i)}(-(-1)^(i+j) e)."""
+    i, j, e = atom.i, atom.j, atom.e
+    return SAtom(pi_swap(j), pi_swap(i), ring.neg(e) if (i + j) % 2 == 0 else e)
+
+
+def _placed_rule(ring, n, atom):
+    """S_ij with i, j >= 3 and j not in {i, pi(i)} as 36 shape atoms.
+
+    Of S_ij and its mirror, the one whose row lies in the lower block p is
+    a row-1/2 transvection of I_{2(p-1)} perp Sp_{2(n-p+1)}, with column
+    block q'. Its _split maps back piece by piece: the correction to three
+    units at p (corner_unit_atoms), each shape Z at q' to the 4-atom
+    bracket of PLACED p-1 Z q' (placed_bracket_atoms), and each unit at q'
+    to the bracket of a unit at q = p + q' - 1."""
+    rep = atom if atom.i < atom.j else _mirror(ring, atom)
+    p = (rep.i + 1) // 2
+    off = 2 * (p - 1)
+    corr, forms = _split(ring, SAtom(rep.i - off, rep.j - off, rep.e))
+    out = [] if ring.is_zero(corr.e) else corner_unit_atoms(ring, n, corr.kind, p, corr.e)
+    for f in forms:
+        q = p + f.pos - 1
+        out += (unit_bracket_atoms(ring, n, f.shape, q, f.e) if isinstance(f, UnitAtom)
+                else placed_bracket_atoms(ring, n, f.shape, p, q, f.e))
+    return out
 
 
 def reduce_to_row12(word, trace=None):
-    """Rewrite transvections with row >= 3 into the row-1/2 alphabet. A
-    transvection S_ij(e) with j <= 2 is mirrored to S_{pi(j) pi(i)}; any
-    other one becomes the 4-atom bracket of its rule."""
+    """Rewrite every transvection with row >= 3. S_ij(e) with j <= 2 is
+    mirrored to the row-1/2 transvection S_{pi(j) pi(i)}(+-e); any other
+    one becomes 36 shape atoms by the placed-subgroup rule."""
     ring, n = word.ring, word.n
     trace = [] if trace is None else trace
     out = []
     for atom in word.atoms:
         if not (isinstance(atom, SAtom) and atom.i >= 3):
             raise _alphabet_error(ring, "not a transvection with row >= 3: atom", atom)
-        i, j, e = atom.i, atom.j, atom.e
-        if j <= 2:
-            rep = [SAtom(pi_swap(j), pi_swap(i), ring.neg(e) if (i + j) % 2 == 0 else e)]
+        if atom.j <= 2:
+            rep = [_mirror(ring, atom)]
             _check(ring, n, "mirror", [atom], rep, trace)
         else:
-            g, h, c = _bracket_rule(i, j)
-            xhat = e if c == 1 else ring.neg(e)
-            one = ring.one
-            rep = [SAtom(*g, xhat), SAtom(*h, one),
-                   SAtom(*g, ring.neg(xhat)), SAtom(*h, ring.neg(one))]
-            _check(ring, n, "bracket-rule", [atom], rep, trace)
+            rep = _placed_rule(ring, n, atom)
+            _check(ring, n, "placed-subgroup", [atom], rep, trace)
         out.extend(rep)
     return Word(ring, n, out)
 
 
 # ---------------------------------------------------------------------------
-# stage one: row-1/2 transvections into graded one-block matrices
+# stage one: a same-row segment into a corner and a body
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GradedForm:
-    """A one-block graded matrix [[lam x, lam y],[mu x, mu y]] at pos,
-    evaluable like any atom."""
-    lam: object
-    mu: object
-    x: object
-    y: object
-    pos: int
-
-    def _terms(self, ring, n):
-        """E(X) - I for X = (lam, mu)^t (x, y): X in rows 1-2 and
-        W = psi X^t psi = [[-mu y, lam y], [mu x, -lam x]] in the block's rows."""
-        if not 2 <= self.pos <= n:
-            raise BadIndices(f"position {self.pos} out of 2..{n} for n={n}")
-        mul, neg = ring.mul, ring.neg
-        lx, ly = mul(self.lam, self.x), mul(self.lam, self.y)
-        mx, my = mul(self.mu, self.x), mul(self.mu, self.y)
-        b = 2 * (self.pos - 1)
-        return _single_terms([(0, b, lx), (0, b + 1, ly), (1, b, mx), (1, b + 1, my),
-                              (b, 0, neg(my)), (b, 1, ly), (b + 1, 0, mx), (b + 1, 1, neg(lx))],
-                             ring.zero)
-
-    def _text(self, ring):
-        return "GRADED " + " ".join(ring.show(v) for v in (self.lam, self.mu, self.x, self.y)) \
-            + f" @{self.pos}"
-
-
-@dataclass
 class CornerWitness:
-    """The corner of a decomposed run, as a corner transvection word."""
+    """The corner of a decomposed segment, as a corner transvection word."""
     word: tuple  # CornerAtoms
 
 
-def _s_to_graded(ring, atom):
-    """A row-1/2 transvection is a single graded block with (lam, mu) the
-    unit vector of its row."""
-    i, j, e = atom.i, atom.j, atom.e
-    pos = (j + 1) // 2
-    zero, one = ring.zero, ring.one
-    lam, mu = (one, zero) if i == 1 else (zero, one)
-    if j % 2 == 1:
-        return GradedForm(lam, mu, e, zero, pos)
-    return GradedForm(lam, mu, zero, e, pos)
+def _row(atom):
+    """The row of a segment atom: a transvection's row, 1 for an E12 and 2
+    for an E21 (an E12 fixes every row-1 form, an E21 every row-2 form)."""
+    if isinstance(atom, CornerAtom):
+        return {"E12": 1, "E21": 2}.get(atom.kind)
+    return atom.i if isinstance(atom, SAtom) else None
+
+
+def _merge_corrections(ring, corrections):
+    """The corrections of a same-row segment are all E12 or all E21, so
+    they add up to one corner atom, or none when the sum is zero."""
+    if not corrections:
+        return []
+    total = reduce(ring.add, (c.e for c in corrections))
+    return [] if ring.is_zero(total) else [CornerAtom(corrections[0].kind, total)]
 
 
 def decompose_initial(word, trace=None):
-    """Split a row-1/2 transvection run as (corner delta, body over shapes
-    and units).
+    """Split a segment of one row r in {1, 2} as (corner, body over shapes
+    and units). The segment holds row-r transvections and the corner
+    transvections of that row (_row).
 
-    The run is corner-free: decompose_full cuts its runs at corner atoms,
-    and the reduction rules use row-1/2 transvections only. So every block
-    is graded by a unit vector (lam, mu), and every correction corner is
-    the single transvection E12(2ab) or E21(-2ab). The corner is carried
-    as those transvections only, and every check is made on atom words:
-    the graded split, each fold of a correction across the pending forms,
-    and the stage boundary delta * body = word. The body contains only
-    one-block generators and placed units.
+    Each transvection is checked once against its correction followed by
+    its form splits (_split). An E12 fixes every row-1 form and an E21
+    every row-2 form, so across the segment the corrections and the
+    corner atoms move to the front, where they add up to the corner. The
+    stage boundary segment = corner * body is checked on the whole
+    segment.
     """
     ring, n = word.ring, word.n
     trace = [] if trace is None else trace
-
-    # stage (a): each transvection becomes one graded block
-    blocks = []
+    row = _row(word.atoms[0]) if word.atoms else None
+    corrections, body = [], []
     for atom in word.atoms:
-        if not (isinstance(atom, SAtom) and atom.i in (1, 2) and atom.j >= 3):
-            raise _alphabet_error(ring, "outside the row-1/2 transvection alphabet: atom", atom)
-        g = _s_to_graded(ring, atom)
-        _check(ring, n, "transvection-to-block", [atom], [g], trace)
-        blocks.append(g)
-
-    # stage (b): extract corner corrections block by block, then split forms
-    delta_word = []
-    forms = []  # (kind "A"|"B", lam, mu, val, pos)
-    for g in blocks:
-        if ring.is_zero(g.x) and ring.is_zero(g.y):
+        if row not in (1, 2) or _row(atom) != row:
+            raise _alphabet_error(ring, "outside a same-row segment of rows 1 and 2: atom", atom)
+        if isinstance(atom, CornerAtom):
+            corrections.append(atom)
             continue
-        a = ring.half(ring.add(g.x, g.y))
-        b = ring.half(ring.sub(g.x, g.y))
-        ab2 = ring.scale_int(2, ring.mul(a, b))
-        if ring.is_zero(ab2):
-            ch_word = []
-        elif ring.is_zero(g.mu):
-            ch_word = [CornerAtom("E12", ab2)]
-        else:
-            ch_word = [CornerAtom("E21", ring.neg(ab2))]
-        # graded = ch * A-form * B-form
-        af = GradedForm(g.lam, g.mu, a, a, g.pos)
-        bf = GradedForm(g.lam, g.mu, b, ring.neg(b), g.pos)
-        _same(ring, n, "graded-split", [g], ch_word + [af, bf])
-        trace.append(("graded-split", [g], [af, bf]))
-        # fold ch left across the pending forms
-        if ch_word:
-            ch = ch_word[0]
-            ch_inv = ch._inverse(ring)
-            top, bottom = eval_atoms(ring, 1, [ch_inv]).rows
-            new_forms, regraded = [], []
-            for (kind, lam, mu, val, pos) in forms:
-                lam2, mu2 = ring.dot(top, (lam, mu)), ring.dot(bottom, (lam, mu))
-                y_old = val if kind == "A" else ring.neg(val)
-                before = GradedForm(lam, mu, val, y_old, pos)
-                after = GradedForm(lam2, mu2, val, y_old, pos)
-                _same(ring, n, "correction-fold", [ch_inv, before, ch], [after])
-                new_forms.append((kind, lam2, mu2, val, pos))
-                regraded.append(after)
-            trace.append(("correction-fold", ch_word, regraded))
-            forms = new_forms
-            delta_word.extend(ch_word)
-        if not ring.is_zero(a):
-            forms.append(("A", g.lam, g.mu, a, g.pos))
-        if not ring.is_zero(b):
-            forms.append(("B", g.lam, g.mu, b, g.pos))
-
-    # stage (b2): split each form into pure shapes and a unit
-    body = []
-    for (kind, lam, mu, val, pos) in forms:
-        before = GradedForm(lam, mu, val, val if kind == "A" else ring.neg(val), pos)
-        atoms = form_split_atoms(ring, kind, lam, mu, val, pos)
-        _check(ring, n, "form-split", [before], atoms, trace)
-        body.extend(atoms)
-
-    _same(ring, n, "stage boundary", delta_word + body, word.atoms)
-    return CornerWitness(tuple(delta_word)), Word(ring, n, body), trace
+        corr, forms = _split(ring, atom)
+        after = forms if ring.is_zero(corr.e) else [corr] + forms
+        _check(ring, n, "transvection-split", [atom], after, trace)
+        corrections.append(corr)
+        body.extend(forms)
+    corner = _merge_corrections(ring, corrections)
+    _same(ring, n, "stage boundary", list(word.atoms), corner + body)
+    return CornerWitness(tuple(corner)), Word(ring, n, body), trace
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +187,16 @@ def decompose_initial(word, trace=None):
 # ---------------------------------------------------------------------------
 
 def corner_to_abcd(ring, n, corner_atoms, trace=None):
-    """Rewrite a word of corner transvections into a pure shape word.
-
-    Each corner transvection is a product of three corner units (placed
-    units at position 1), each the 4-atom bracket of unit_bracket_atoms:
-
-        E12(x) = U_C(1/2) U_B(-x/4) U_C(-1/2),
-        E21(x) = U_B(-1/2) U_C(-x/4) U_B(1/2),
-
-    so it costs 12 shape atoms.
-    """
+    """Rewrite a word of corner transvections into a pure shape word: each
+    nonzero one is the 12-atom corner_unit_atoms word at position 1."""
     trace = [] if trace is None else trace
     out = []
-    half = ring.inv2
     for atom in corner_atoms:
         if not isinstance(atom, CornerAtom):
             raise _alphabet_error(ring, "not a corner transvection: atom", atom)
         if ring.is_zero(atom.e):
             continue
-        outer, inner, u = ("C", "B", half) if atom.kind == "E12" else ("B", "C", ring.neg(half))
-        v = ring.neg(ring.mul(atom.e, ring.mul(half, half)))  # -x/4
-        rep = (unit_bracket_atoms(ring, n, outer, 1, u)
-               + unit_bracket_atoms(ring, n, inner, 1, v)
-               + unit_bracket_atoms(ring, n, outer, 1, ring.neg(u)))
+        rep = corner_unit_atoms(ring, n, atom.kind, 1, atom.e)
         _check(ring, n, "corner-to-shapes", [atom], rep, trace)
         out.extend(rep)
     return Word(ring, n, out), trace
@@ -281,7 +229,7 @@ def simplify_shape_word(word, trace=None):
         if atoms and isinstance(a, ABCDAtom) and isinstance(atoms[-1], ABCDAtom) \
                 and atoms[-1].shape == a.shape and atoms[-1].pos == a.pos:
             prev = atoms.pop()
-            merged = ABCDAtom(a.shape, a.pos, ring.add(prev.e, a.e))
+            merged = prev._map(lambda e: ring.add(e, a.e))
             _check(ring, n, "merge-adjacent", [prev, a],
                    [merged] if not ring.is_zero(merged.e) else [], trace)
             if not ring.is_zero(merged.e):
@@ -289,25 +237,6 @@ def simplify_shape_word(word, trace=None):
         else:
             atoms.append(a)
     return Word(ring, n, atoms), trace
-
-
-def merge_corner_atoms(ring, atoms, trace=None):
-    """Peephole on a corner word: drop zeros, merge adjacent same-kind
-    transvections (their parameters add), cancel trivial results."""
-    trace = [] if trace is None else trace
-    out = []
-    for a in atoms:
-        if ring.is_zero(a.e):
-            continue
-        if out and out[-1].kind == a.kind:
-            prev = out.pop()
-            merged = CornerAtom(a.kind, ring.add(prev.e, a.e))
-            rep = [] if ring.is_zero(merged.e) else [merged]
-            _check(ring, 1, "corner-merge", [prev, a], rep, trace)
-            out.extend(rep)
-        else:
-            out.append(a)
-    return out
 
 
 def eliminate_units_inplace(word, trace=None):
@@ -333,17 +262,13 @@ def eliminate_units_inplace(word, trace=None):
     return Word(ring, n, out), trace
 
 
-def _convert_segment(ring, n, s_atoms, trace):
-    """One row-1/2 transvection run through the rewrite stages: initial
-    decomposition, in-place unit elimination, corner elimination. The run
-    is corner-free, because decompose_full cuts runs at corner atoms and
-    the reduction rules emit no corners; so every correction factor is a
-    single transvection, and nothing here inflates parameters."""
-    if not s_atoms:
+def _convert_segment(ring, n, segment, trace):
+    """One same-row segment through the rewrite stages: initial
+    decomposition, corner elimination, in-place unit elimination."""
+    if not segment:
         return []
-    witness, body, _ = decompose_initial(Word(ring, n, s_atoms), trace)
-    delta_atoms = merge_corner_atoms(ring, list(witness.word), trace)
-    corner_word, _ = corner_to_abcd(ring, n, delta_atoms, trace)
+    witness, body, _ = decompose_initial(Word(ring, n, segment), trace)
+    corner_word, _ = corner_to_abcd(ring, n, witness.word, trace)
     flat, _ = eliminate_units_inplace(body, trace)
     return list(corner_word.atoms) + list(flat.atoms)
 
@@ -352,37 +277,45 @@ def decompose_full(word):
     """Rewrite any generator word into a pure shape word, with a verified
     certificate.
 
-    Corner atoms are eliminated where they stand, and each corner-free
-    run of transvections between them is converted on its own. Folding
-    the corners leftward through the whole word instead would regrade
-    every later block, so the correction factors would carry conjugated
-    corner words and inflate the output; converting run by run keeps
-    every correction a single transvection. Every step is verified.
+    Transvections with row >= 3 go through reduce_to_row12 first. The
+    row-1/2 transvections and the corner atoms are cut into maximal
+    same-row segments (_row), each converted on its own, so its
+    corrections and corners merge into one corner atom without regrading
+    any form; adjacent transvections S_ij merge first. Placed units are
+    eliminated where they stand, and shape atoms (e.g. a previous output)
+    pass straight through, so the decomposition is idempotent on its
+    image. Every step is verified.
     """
     ring, n = word.ring, word.n
     if n < 2:
         raise AlphabetViolation("decomposition needs n >= 2")
     trace = []
     out_atoms = []
-    run = []
+    segment = []
+
+    def flush():
+        out_atoms.extend(_convert_segment(ring, n, segment, trace))
+        segment.clear()
+
     for atom in word.atoms:
-        if isinstance(atom, SAtom) and atom.i in (1, 2):
-            run.append(atom)
-            continue
-        if isinstance(atom, SAtom):
-            run.extend(reduce_to_row12(Word(ring, n, [atom]), trace).atoms)
-            continue
-        out_atoms.extend(_convert_segment(ring, n, run, trace))
-        run = []
-        if isinstance(atom, CornerAtom):
-            done, _ = corner_to_abcd(ring, n, [atom], trace)
-        else:
-            # placed units become brackets and shape atoms (e.g. a previous
-            # output) pass straight through, so the decomposition is
-            # idempotent on its image
-            done, _ = eliminate_units_inplace(Word(ring, n, [atom]), trace)
-        out_atoms.extend(done.atoms)
-    out_atoms.extend(_convert_segment(ring, n, run, trace))
+        pieces = (reduce_to_row12(Word(ring, n, [atom]), trace).atoms
+                  if isinstance(atom, SAtom) and atom.i >= 3 else (atom,))
+        for a in pieces:
+            if not isinstance(a, (SAtom, CornerAtom)):
+                flush()
+                out_atoms.extend(eliminate_units_inplace(Word(ring, n, [a]), trace)[0].atoms)
+                continue
+            if segment and _row(segment[0]) != _row(a):
+                flush()
+            prev = segment[-1] if segment else None
+            if isinstance(a, SAtom) and isinstance(prev, SAtom) and prev.j == a.j:
+                # S_ij(x) S_ij(y) = S_ij(x + y)
+                merged = prev._map(lambda e: ring.add(e, a.e))
+                _check(ring, n, "merge-adjacent", [prev, a], [merged], trace)
+                segment[-1] = merged
+            else:
+                segment.append(a)
+    flush()
     out, _ = simplify_shape_word(Word(ring, n, out_atoms), trace)
     # soundness is the composition of the per-step checks above; the
     # output alphabet is checked outright

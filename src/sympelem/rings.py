@@ -711,6 +711,14 @@ class Localized(Ring):
 # descriptor and element parsing (the CLI's textual surface)
 # ---------------------------------------------------------------------------
 
+# The most poly: and loc: levels a descriptor may nest. Ring arithmetic
+# recurses through the levels, a few frames each. Measured on Python 3.11
+# with the default recursion limit of 1000 and 100 caller frames on the
+# stack: every subcommand ran at 290 levels, and dilate raised
+# RecursionError from 300.
+MAX_TOWER_DEPTH = 290
+
+
 def ring_from_descriptor(text):
     toks = text.strip().split(":")
     try:
@@ -719,6 +727,12 @@ def ring_from_descriptor(text):
         raise ParseError("ring descriptor is nested too deeply") from None
     if rest:
         raise ParseError(f"trailing descriptor tokens: {':'.join(rest)}")
+    depth, level = 0, ring
+    while isinstance(level, (PolyRing, Localized)):
+        depth, level = depth + 1, level.base
+    if depth > MAX_TOWER_DEPTH:
+        raise ParseError(f"ring descriptor nests {depth} poly/loc levels; "
+                         f"at most {MAX_TOWER_DEPTH} are supported")
     return ring
 
 

@@ -12,7 +12,7 @@ import pytest
 from sympelem import cli
 from sympelem import errors as err
 from sympelem.cli import main
-from sympelem.rings import ring_from_descriptor
+from sympelem.rings import MAX_TOWER_DEPTH, ring_from_descriptor
 from sympelem.words import word_from_text
 
 
@@ -122,20 +122,19 @@ def test_decompose_round_trip(tmp_path, capsys):
 
 def test_decompose_trace_lines_are_pinned(tmp_path, capsys):
     # the trace holds atom lists; the CLI digests them when it writes the
-    # file. The count and the hash of every line but the correction-fold
-    # ones were re-recorded when each corner transvection became three
-    # corner-unit brackets.
+    # file. The count and the hash of every line were re-recorded when the
+    # rewrite stages became closed forms checked once per transvection.
     example = Path(__file__).resolve().parents[1] / "docs" / "examples" / "word_z15.txt"
     trace = tmp_path / "trace.txt"
     assert run(["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(example),
                 "--trace", str(trace)]) == 0
     capsys.readouterr()
     lines = trace.read_text().splitlines()
-    assert len(lines) == 33
-    assert lines[0] == "transvection-to-block 53bb2e4cc637 cb389bd0f5ae"
-    kept = "".join(line + "\n" for line in lines if not line.startswith("correction-fold "))
+    assert len(lines) == 14
+    assert lines[0] == "transvection-split 53bb2e4cc637 17593d862185"
+    kept = "".join(line + "\n" for line in lines)
     assert hashlib.sha256(kept.encode()).hexdigest() == \
-        "685eea0911f35ad87c3342d44a7382bad213a98acba8be5d4887b8c2c26dcc69"
+        "172178dbb82ce0420683b548ab4f6adcbe6fb20de6dfe2babb160947a33de0bd"
 
 
 def test_decompose_empty_file(tmp_path, capsys):
@@ -504,3 +503,20 @@ def test_deep_nesting_is_a_parse_error(ring, line, tmp_path):
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 2
     assert "nested too deeply" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_tower_too_deep_to_compute_in_is_a_parse_error(tmp_path):
+    # 600 poly levels parse, but the arithmetic on them raised RecursionError
+    src = tmp_path / "w.txt"
+    src.write_text("S 1 3 4\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "sympelem.cli", "decompose", "--ring",
+                           "poly:" * 600 + "q" + ":t" * 600, "--n", "2", "--in", str(src)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert f"nests 600 poly/loc levels; at most {MAX_TOWER_DEPTH}" in done.stderr
+    assert "Traceback" not in done.stderr
+    depth = MAX_TOWER_DEPTH
+    ring_from_descriptor("loc:" + "poly:" * (depth - 1) + "q" + ":t" * (depth - 1) + ":s=t")
+    with pytest.raises(err.ParseError, match=f"nests {depth + 1} poly/loc levels"):
+        ring_from_descriptor("loc:" + "poly:" * depth + "q" + ":t" * depth + ":s=t")

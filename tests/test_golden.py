@@ -2,9 +2,12 @@
 rewrite stages that alters an output word or a certificate's step count
 fails here, not only in a manual before/after comparison.
 
-The values were last re-recorded when each corner transvection became
-three corner-unit brackets; ``LENGTH_CEILINGS`` keeps the output lengths
-from before, and no re-recorded output may be longer. To re-record after
+The values were last re-recorded when the rewrite stages became closed
+forms: same-row segments whose corrections and corner atoms merge into
+one corner, one check per transvection, and the 36-atom placed-subgroup
+rule for a transvection S_ij with i, j >= 3. ``LENGTH_CEILINGS`` keeps
+the output lengths from before every re-recording, and no re-recorded
+output may be longer. To re-record after
 an intended output change, run this file as a script
 (``PYTHONPATH=src python tests/test_golden.py``) and paste what it prints.
 """
@@ -236,86 +239,86 @@ def crossing_conjugation_digests(descriptor):
 
 # (input digest, output digest, len(output), len(cert.trace))
 GOLDEN_DECOMPOSITIONS = [
-    ('c6d487ff9e41fab4', '6f6423dbebaac437', 74, 44),
-    ('e028167f9b175d04', '6b5c9e8e20585fed', 86, 45),
-    ('bf922a96213596fa', '12057b4e45b76994', 30, 14),
-    ('5a91ee1805f0d601', '266c287a39c53921', 32, 12),
+    ('c6d487ff9e41fab4', '0c1b5c1836428aad', 60, 26),
+    ('e028167f9b175d04', '25c18408986310d6', 64, 23),
+    ('bf922a96213596fa', '23fec112ffa17735', 18, 9),
+    ('5a91ee1805f0d601', '7c98312f24022f98', 20, 7),
     ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0, 0),
     ('1c68f6ce583b795a', '1df91119e6f7cbb7', 12, 1),
-    ('570bd736483cf0e0', 'df68705041bf44f9', 66, 24),
-    ('557a5f87589ad165', 'c803173862ecd827', 20, 12),
+    ('570bd736483cf0e0', 'd447ae28514600ef', 30, 13),
+    ('557a5f87589ad165', 'c803173862ecd827', 20, 8),
     ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
-    ('682c920aeacf6cb1', '88390f60cea4f5ed', 100, 42),
-    ('69ceb1409bf53224', 'ef53f7cec13a233b', 76, 50),
-    ('2a3aeed84b6abf35', '2b9cba2cd553ad6f', 108, 66),
-    ('c98d5746cea44943', '346debd42c296c79', 124, 50),
+    ('682c920aeacf6cb1', '6a18563ec95989f7', 45, 5),
+    ('69ceb1409bf53224', '5d63834f72200b8b', 40, 15),
+    ('2a3aeed84b6abf35', '477f150795700440', 94, 24),
+    ('c98d5746cea44943', '6f6fbefc772b6e5c', 80, 11),
     ('3e77ba4fc2d5a855', 'e6c7f4ac0421e80f', 12, 1),
     ('cb163ff7c87628ec', '49aeae30c6d092ec', 12, 1),
     ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
-    ('fd2bb03d7411f4f3', '144905eadd3a0077', 62, 44),
-    ('9ab2d9bf5f95051b', 'c2765f7c8a09d856', 76, 33),
-    ('d9e4a3054d38426b', 'daeb02da5090cbea', 72, 36),
-    ('57e1df25f52f4fd2', '27e516a034df31de', 54, 25),
-    ('787d0ddab2c2ecec', 'd5aad4c183a377a6', 56, 15),
+    ('fd2bb03d7411f4f3', 'ef52e07e483f8cbb', 36, 23),
+    ('9ab2d9bf5f95051b', 'e5195230c036acdc', 66, 19),
+    ('d9e4a3054d38426b', 'b17e188b34ffb78d', 64, 21),
+    ('57e1df25f52f4fd2', 'fa49569f0753f296', 54, 17),
+    ('787d0ddab2c2ecec', 'e2d3747f368289fa', 44, 10),
     ('b11e32029b23d930', 'e0060975675c09be', 12, 1),
-    ('2fe738efb5ee0416', '14ae1f39703d2d8f', 34, 12),
-    ('68255d90af96d83e', 'b1b17d2c3c10d7fe', 54, 32),
-    ('4b0be1cec020453a', 'b0938dcbb68b1f73', 58, 13),
-    ('7db7992d98d3e91b', 'c2c78cc05924a617', 222, 94),
-    ('d40e1aac77e32753', '7fe411af74870431', 34, 11),
-    ('78d6ce066677bece', '7859a5c6143ddbfb', 66, 25),
-    ('e93a0f7e8a4d86a8', '8029dbed9af3063b', 109, 44),
-    ('cfafffd213d5590d', 'b1ba8922ff0f4a85', 34, 11),
-    ('22e92f70bf57bc07', '9cec6a99b4e9d3fe', 22, 10),
+    ('2fe738efb5ee0416', '14ae1f39703d2d8f', 34, 8),
+    ('68255d90af96d83e', '26b97ec2a2046f55', 54, 19),
+    ('4b0be1cec020453a', '2ce00fcb4d5e61b5', 46, 8),
+    ('7db7992d98d3e91b', '71d7c0614e5f07d3', 112, 16),
+    ('d40e1aac77e32753', '7fe411af74870431', 34, 7),
+    ('78d6ce066677bece', '7859a5c6143ddbfb', 66, 17),
+    ('e93a0f7e8a4d86a8', 'f0c159714a7c2764', 55, 6),
+    ('cfafffd213d5590d', 'b1ba8922ff0f4a85', 34, 7),
+    ('22e92f70bf57bc07', '9cec6a99b4e9d3fe', 22, 6),
     ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0, 0),
     ('eb7f7ce97b41fc33', 'eb7f7ce97b41fc33', 0, 0),
-    ('c89106d3f0da141b', 'a9c67d36f184b521', 22, 11),
-    ('931b54a943d49c2c', '9756a3dea8ea3d71', 20, 11),
-    ('3fc3ce55954efd4b', '9fdecc3085bc8f94', 32, 20),
-    ('3c8266a5e6f4323e', 'a27d05e855164d5d', 40, 22),
-    ('5a934201fdf5ef6a', '05a77d3af1e93cf7', 32, 22),
-    ('87cca7cf34ff3e86', '8b48b14c8a08b526', 48, 18),
-    ('43265cad7bf88fe4', '58fb0080d614dc0c', 68, 23),
-    ('ce5399291fed7b7f', 'd74795838323839f', 70, 27),
-    ('b2278a48288bb304', '7a7e7123ca15e2b4', 76, 45),
-    ('999dc0587b3c9535', 'c6169e0ff88a7dab', 86, 35),
-    ('7982898dd910f2f3', 'bcc557bc0e4e56a0', 66, 35),
-    ('54b2f368ae4376cd', 'c003e3052da554be', 104, 63),
-    ('8d429fcc7dbe0e6f', '8b9e76e7e492a4e6', 98, 53),
-    ('3d5036bb02d81ff9', '2fe6689705929bf6', 92, 51),
-    ('89322a4058d29824', 'bd2969262c8da458', 106, 74),
-    ('6e1038b675e9f941', 'd7708d32450c88dd', 108, 57),
+    ('c89106d3f0da141b', 'a9c67d36f184b521', 22, 7),
+    ('931b54a943d49c2c', '9756a3dea8ea3d71', 20, 7),
+    ('3fc3ce55954efd4b', '9fdecc3085bc8f94', 32, 11),
+    ('3c8266a5e6f4323e', '7d73ad2cdc4e51e5', 40, 14),
+    ('5a934201fdf5ef6a', '05a77d3af1e93cf7', 32, 13),
+    ('87cca7cf34ff3e86', '931375fd9a51b980', 56, 14),
+    ('43265cad7bf88fe4', '463fa4a67fddadcc', 56, 14),
+    ('ce5399291fed7b7f', '05ea7af2a46d6ba1', 66, 18),
+    ('b2278a48288bb304', '59440b21081bd935', 44, 18),
+    ('999dc0587b3c9535', '3e776ce31e4465db', 60, 22),
+    ('7982898dd910f2f3', '49f563dae2cad611', 56, 18),
+    ('54b2f368ae4376cd', '65d3d9b882c2d0a8', 108, 34),
+    ('8d429fcc7dbe0e6f', '970c711605f3a7e2', 44, 17),
+    ('3d5036bb02d81ff9', '7324c9ba74480d6e', 78, 25),
+    ('89322a4058d29824', 'f4737b0f6146d48d', 86, 35),
+    ('6e1038b675e9f941', '54fffe3d3b97535f', 72, 33),
     ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
     ('c612efdb0f2c53b5', 'c612efdb0f2c53b5', 0, 0),
-    ('ded4e6cab2eb6b45', '6057f91342dfc7f6', 88, 41),
-    ('0b82e46207d42e06', 'dd642e9a65dc381f', 76, 39),
-    ('26505dc252d892d4', 'f5fa751af2b2b7a2', 22, 12),
-    ('191275388f8f38d1', 'd1b249da2a56a282', 172, 84),
-    ('94dc97517dea91d4', 'db1fc037fef7bda9', 56, 25),
-    ('2ab533e742c26222', '73f6faea785384ab', 54, 30),
-    ('9840e0592d710540', 'a35d254d62a31821', 134, 54),
-    ('7cdc43aef62ea890', 'a19d3f2d9745419b', 138, 65),
-    ('0ac496a593397102', '66276019ed785f15', 156, 64),
-    ('323c1c30c2f12587', '83086e3e0fa6ccbf', 76, 26),
-    ('7dc5e2d9e7612e89', '1874a60a3c0848b0', 230, 113),
-    ('95e70afb9ba1151f', 'a623b206a4b7fdd2', 262, 135),
-    ('66d231eeeae800ac', '27ba370b1afb6f1c', 116, 85),
-    ('c3cc24cbd865ca16', '2085f43f6fe64fd3', 252, 114),
-    ('91884b4f35bb1e7f', 'f6b52a2a6042c995', 112, 45),
-    ('664b3f724ab41427', 'f598dd75c7d53b19', 118, 57),
+    ('ded4e6cab2eb6b45', '813ef687a2c15436', 34, 3),
+    ('0b82e46207d42e06', 'f5c3671b86d4d9b7', 34, 3),
+    ('26505dc252d892d4', 'f5fa751af2b2b7a2', 22, 8),
+    ('191275388f8f38d1', 'dec6a798a98499b4', 68, 6),
+    ('94dc97517dea91d4', 'b519c13cea201467', 24, 3),
+    ('2ab533e742c26222', '0ef19b9017a4f92b', 54, 17),
+    ('9840e0592d710540', '2c4ebd19ea2abb69', 68, 11),
+    ('7cdc43aef62ea890', '402b48abcffcb066', 87, 18),
+    ('0ac496a593397102', '25d402cffe49e88b', 90, 17),
+    ('323c1c30c2f12587', '12ce7f5f3411cb9c', 40, 15),
+    ('7dc5e2d9e7612e89', '1f8e8bc2205e85f5', 134, 24),
+    ('95e70afb9ba1151f', '8cf39130debda5a1', 144, 24),
+    ('66d231eeeae800ac', '50797c06bc29184b', 96, 36),
+    ('c3cc24cbd865ca16', '7ffb11db725b7859', 168, 33),
+    ('91884b4f35bb1e7f', '12b153da61ebe811', 102, 24),
+    ('664b3f724ab41427', 'c1909c581121e62e', 74, 27),
 ]
 
 GOLDEN_EXAMPLES = {
     'normality_demo': ('29043f84c1e990cd', 280),
-    'normality_demo_seeded': [('a14048872a41bce2', 170), ('b66ed59ade6f3ffe', 138), ('4ea96d41cbb34d70', 340), ('d3ffcd5027648040', 344)],
+    'normality_demo_seeded': [('a14048872a41bce2', 170), ('35827eb7e53bbc31', 90), ('97903d50533211c1', 340), ('e64614e1fc930cd3', 344)],
     'patch': ('5e2a9f4a65ce68a3', 2),
     'dilate': (1, 'aaf7da5d86617d13', 1),
 }
 
 # ring descriptor -> (output digest, len(output)) of qt_normality_digests
 GOLDEN_QT_NORMALITY = {
-    'poly:q:t': [('5b7e990c578fca86', 90), ('aea02d3bd0e089f0', 90), ('ba63ad6ef6e035e6', 360)],
-    'poly:zmod:15:t': [('717e71e4afa6a5d9', 90), ('146fea4efb2aa0d6', 90), ('7578191d6562e628', 360)],
+    'poly:q:t': [('5b7e990c578fca86', 90), ('aea02d3bd0e089f0', 90), ('df06754540f8eb93', 360)],
+    'poly:zmod:15:t': [('717e71e4afa6a5d9', 90), ('146fea4efb2aa0d6', 90), ('2ca8da5a117e67e4', 360)],
 }
 
 # (output digest, len(output)) of corner_normality_digests

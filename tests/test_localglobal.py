@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,18 @@ def test_crossing_conjugation_reads_the_checked_unit_table(monkeypatch):
 def test_conj_decompose_exponent_guard():
     with pytest.raises(ExponentTooSmall):
         lg.conj_decompose(RT, 3, "A", 2, QT.one, 2, "B", 2, 2, QT.one)
+
+
+@pytest.mark.parametrize("k, m, error, words", [(1, 1, ExponentTooSmall, "--m 1 must be greater"),
+                                                (1, 1600, ValueError, "must lie in -64..64"),
+                                                (-65, 4, ValueError, "must lie in -64..64")])
+def test_conj_decompose_bounds_its_exponents(k, m, error, words):
+    # the library refuses what the conj command refuses, before any work:
+    # an unbounded m - k expands s^(m - k) for minutes
+    start = time.perf_counter()
+    with pytest.raises(error, match=words):
+        lg.conj_decompose(RT, 3, "A", 2, QT.one, k, "D", 2, m, QT.one)
+    assert time.perf_counter() - start < 2
 
 
 _UNIT_AT_1_PAIRS = {("A", "B"), ("B", "A"), ("C", "D"), ("D", "C")}

@@ -1,12 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from sympelem import cli
+from sympelem import identities as idn
 from sympelem import rewrite as rw
 from sympelem.errors import AlphabetViolation, StepVerificationFailed
 from sympelem.localglobal import conj_abcd_atom
 from sympelem.matrices import Matrix
-from sympelem.rings import PolyRing, Rationals, Zmod, ring_from_descriptor
+from sympelem.rings import PolyRing, Rationals, Zmod, parse_element, ring_from_descriptor
 from sympelem.symplectic import corner_embed, gen_corner, gen_s, pi_swap, symp_inverse
 from sympelem.words import ABCDAtom, CornerAtom, SAtom, UnitAtom, Word, word_from_text
 
@@ -35,20 +38,25 @@ def rand_gen_word(ring, n, length, rng, corner_prob=0.3):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_rules_are_row12_transvections_covering_every_index(n):
-    # every S_ij with 3 <= i, j <= 2n has a rule, built from row-1/2
-    # transvections (the only ones decompose_initial accepts), whose dense
-    # bracket over Q[x, y] is S_ij(c*x*y)
+    # every S_ij with 3 <= i, j <= 2n and j not in {i, pi(i)} has a rule:
+    # of S_ij and its mirror, the one whose row lies in the lower block p
+    # is a row-1/2 transvection of I_{2(p-1)} perp Sp_{2(n-p+1)}, and the
+    # placed-subgroup rule's 36 shape atoms evaluate over Q[x, y] to the
+    # dense S_ij(x*y)
     ring = PolyRing(Q, ("x", "y"))
-    x, y = ring.var("x"), ring.var("y")
+    xy = ring.mul(ring.var("x"), ring.var("y"))
     for i in range(3, 2 * n + 1):
         for j in range(3, 2 * n + 1):
             if j in (i, pi_swap(i)):
                 continue
-            g, h, c = rw._bracket_rule(i, j)
-            assert [row for row, _ in (g, h)] == [1, 2] and c in (1, -1)
-            gm, hm = gen_s(ring, n, *g, x), gen_s(ring, n, *h, y)
-            bracket = gm.mul(hm).mul(symp_inverse(gm)).mul(symp_inverse(hm))
-            assert bracket == gen_s(ring, n, i, j, ring.scale_int(c, ring.mul(x, y))), (i, j)
+            want = gen_s(ring, n, i, j, xy)
+            rep = SAtom(i, j, xy) if i < j else rw._mirror(ring, SAtom(i, j, xy))
+            p = (rep.i + 1) // 2
+            assert rep.i - 2 * (p - 1) in (1, 2) and (rep.j + 1) // 2 > p
+            assert Word(ring, n, [rep]).eval() == want, (i, j)
+            word = rw.reduce_to_row12(Word(ring, n, [SAtom(i, j, xy)]))
+            assert len(word) == 36 and all(isinstance(a, ABCDAtom) for a in word.atoms)
+            assert word.eval() == want, (i, j)
 
 
 def test_reduce_to_row12():
@@ -71,7 +79,11 @@ def test_reduce_to_row12():
             w = Word(Z15, n, atoms)
             r = rw.reduce_to_row12(w)
             assert r.eval() == w.eval()
-            assert all(isinstance(a, SAtom) and a.i in (1, 2) for a in r.atoms)
+            # a mirror is one row-1/2 transvection; any other atom becomes
+            # the 36 shape atoms of the placed-subgroup rule, none at zero
+            assert all(isinstance(a, ABCDAtom) or (isinstance(a, SAtom) and a.i in (1, 2))
+                       for a in r.atoms)
+            assert len(r) == sum(1 if a.j <= 2 else 36 * (a.e != 0) for a in atoms)
     # only transvections with row >= 3 are accepted
     for atom in (CornerAtom("E12", 1), SAtom(1, 3, 4), ABCDAtom("A", 2, 1)):
         with pytest.raises(AlphabetViolation):
@@ -209,7 +221,7 @@ def test_certificate_trace_records_steps():
     cert = rw.decompose_full(w)
     assert cert.trace
     rules = {r for r, _, _ in cert.trace}
-    assert "graded-split" in rules or "form-split" in rules
+    assert "transvection-split" in rules
     assert cert.summary().startswith("in=2 atoms")
 
 
@@ -223,14 +235,13 @@ def test_decompose_full_n4():
 
 
 def test_step_failure_names_ring_and_n_and_replays(monkeypatch):
-    # a sign fault in every commutator rule breaks the bracket-rule step
-    rule = rw._bracket_rule
+    # a sign fault in every placed bracket breaks the placed-subgroup step
+    bracket = rw.placed_bracket_atoms
 
-    def negated(i, j):
-        g, h, c = rule(i, j)
-        return g, h, -c
+    def negated(ring, n, shape, p, q, e):
+        return bracket(ring, n, shape, p, q, ring.neg(e))
 
-    monkeypatch.setattr(rw, "_bracket_rule", negated)
+    monkeypatch.setattr(rw, "placed_bracket_atoms", negated)
     ring = PolyRing(Q, ("t",))
     word = Word(ring, 3, [SAtom(1, 3, ring.from_int(4)),
                           SAtom(3, 5, ring.add(ring.one, ring.var("t")))])
@@ -239,11 +250,98 @@ def test_step_failure_names_ring_and_n_and_replays(monkeypatch):
     msg = str(exc.value)
     head, rest = msg.split("\nbefore:\n", 1)
     before, after = rest.split("after:\n", 1)
-    assert head == "rule 'bracket-rule' changed the evaluation over poly:q:t at n=3"
-    assert before == "S 3 5 t+1\n" and after.count("\n") == 4
+    assert head == "rule 'placed-subgroup' changed the evaluation over poly:q:t at n=3"
+    assert before == "S 3 5 t+1\n" and after.count("\n") == 36
     # the reported input replays to the same failure
     descriptor, n = head.split(" over ")[1].split(" at n=")
     replay = word_from_text(ring_from_descriptor(descriptor), int(n), before)
     with pytest.raises(StepVerificationFailed) as again:
         rw.decompose_full(replay)
     assert str(again.value) == msg
+
+
+def _negate_last(fn):
+    """``fn`` with its last argument, a ring parameter, negated."""
+    return lambda ring, *args: fn(ring, *args[:-1], ring.neg(args[-1]))
+
+
+def _inverted(fn):
+    """``fn`` with each atom it returns inverted, i.e. its parameter negated."""
+    def faulty(ring, *args):
+        out = fn(ring, *args)
+        return [a._inverse(ring) for a in out] if isinstance(out, list) else out._inverse(ring)
+    return faulty
+
+
+def _negated_form_split(ring, kind, lam, mu, val, pos):
+    return idn.form_split_atoms(ring, kind, lam, mu, ring.neg(val), pos)
+
+
+QT_RING = ring_from_descriptor("poly:q:t")
+
+
+def _negated_map(self, f):
+    return replace(self, e=QT_RING.neg(f(self.e)))
+
+
+# (rule family, owner and name of the code to fault, the faulty code, the
+# input, the failing step's before side); merge-adjacent merges shapes in
+# the output and transvections in a segment
+_FAULTS = [
+    ("mirror", rw, "_mirror", _inverted(rw._mirror), "S 3 1 t+1\n", "S 3 1 t+1\n"),
+    ("placed-subgroup", rw, "placed_bracket_atoms", _negate_last(rw.placed_bracket_atoms),
+     "S 1 4 2\nS 4 5 t+1\n", "S 4 5 t+1\n"),
+    ("transvection-split", rw, "form_split_atoms", _negated_form_split,
+     "UB 2 3\nS 2 5 t+1\n", "S 2 5 t+1\n"),
+    ("stage boundary", rw, "_merge_corrections", _inverted(rw._merge_corrections),
+     "S 1 3 t+1\nE12 2\nS 1 6 t\nE21 1\n", "S 1 3 t+1\nE12 2\nS 1 6 t\n"),
+    ("corner-to-shapes", rw, "corner_unit_atoms", _negate_last(rw.corner_unit_atoms),
+     "A 2 1\nE21 t+1\n", "E21 t+1\n"),
+    ("unit-to-bracket", rw, "unit_bracket_atoms", _negate_last(rw.unit_bracket_atoms),
+     "C 3 1\nUB 2 t+1\n", "UB 2 t+1\n"),
+    ("merge-adjacent", ABCDAtom, "_map", _negated_map, "A 2 1\nA 2 t\n", "A 2 1\nA 2 t\n"),
+    ("merge-adjacent", SAtom, "_map", _negated_map, "S 2 4 1\nS 2 4 t\n", "S 2 4 1\nS 2 4 t\n"),
+]
+
+
+@pytest.mark.parametrize("rule, owner, name, faulty, text, before_want", _FAULTS,
+                         ids=[f"{f[0]}-{f[4].split()[0]}" for f in _FAULTS])
+def test_every_rule_family_fails_by_name_and_replays(rule, owner, name, faulty, text,
+                                                     before_want, monkeypatch, tmp_path, capsys):
+    # a sign fault in one rule fails that rule's own check, with the ring,
+    # n and a before side that replays through the CLI to the same message
+    monkeypatch.setattr(owner, name, faulty)
+    word = word_from_text(QT_RING, 3, text)
+    with pytest.raises(StepVerificationFailed) as exc:
+        rw.decompose_full(word)
+    msg = str(exc.value)
+    head, rest = msg.split("\nbefore:\n", 1)
+    before, after = rest.split("after:\n", 1)
+    assert head == f"rule {rule!r} changed the evaluation over poly:q:t at n=3"
+    assert before == before_want
+    assert word_from_text(QT_RING, 3, after).atoms
+    replay = tmp_path / "before.txt"
+    replay.write_text(before)
+    assert cli.main(["decompose", "--ring", "poly:q:t", "--n", "3", "--in", str(replay)]) == 1
+    assert capsys.readouterr().err == f"verification failure: {msg}\n"
+
+
+@pytest.mark.parametrize("descriptor, param", [("poly:q:t", "t+2"), ("zmod:15", "7"),
+                                               ("poly:zmod:15:t", "t+2"),
+                                               ("loc:poly:q:t:s=t", "2+1/t")])
+def test_placed_subgroup_rule_gives_at_most_36_atoms(descriptor, param):
+    # every S_ij with i, j >= 3 and j not in {i, pi(i)} at n = 3, 4, 5
+    ring = ring_from_descriptor(descriptor)
+    e = parse_element(ring, param)
+    count = 0
+    for n in (3, 4, 5):
+        for i in range(3, 2 * n + 1):
+            for j in range(3, 2 * n + 1):
+                if j in (i, pi_swap(i)):
+                    continue
+                word = Word(ring, n, [SAtom(i, j, e)])
+                out = rw.decompose_full(word).output_word
+                assert len(out) <= 36, (n, i, j)
+                assert out.eval() == word.eval(), (n, i, j)
+                count += 1
+    assert count == 80

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from sympelem.errors import BadIndices, ParseError
 from sympelem.matrices import Matrix
-from sympelem.rewrite import GradedForm
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod, ring_from_descriptor
 from sympelem.symplectic import (
     corner_embed,
@@ -14,7 +13,6 @@ from sympelem.symplectic import (
     gen_corner,
     gen_s,
     gen_small,
-    graded_block,
     pi_swap,
     placed_abcd,
     symp_inverse,
@@ -49,8 +47,6 @@ def gen_matrix(ring, n, atom):
         return placed_abcd(ring, n, atom.offset, atom.shape, atom.pos, atom.e)
     if isinstance(atom, CornerMatrixAtom):
         return corner_embed(Matrix(ring, atom.rows), n)
-    if isinstance(atom, GradedForm):
-        return graded_block(ring, n, atom.lam, atom.mu, atom.x, atom.y, atom.pos)
     return Matrix(ring, atom.rows)
 
 
@@ -127,7 +123,7 @@ def atoms_for(draw, ring, n):
     elem = st.builds(lambda c: _element(ring, *c),
                      st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)))
     kinds = ["E12", "E21", "CORNER"] if n == 1 else \
-        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "PLACED", "DENSE", "GRADED"]
+        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "PLACED", "DENSE"]
     kind = draw(st.sampled_from(kinds))
     if kind in ("E12", "E21"):
         return CornerAtom(kind, draw(elem))
@@ -143,9 +139,6 @@ def atoms_for(draw, ring, n):
         offset = draw(st.integers(0, n - 2))
         return PlacedAtom(offset, draw(st.sampled_from("ABCD")),
                           draw(st.integers(2, n - offset)), draw(elem))
-    if kind == "GRADED":
-        lam, mu, x, y = (draw(elem) for _ in range(4))
-        return GradedForm(lam, mu, x, y, draw(st.integers(2, n)))
     if kind == "CORNER":
         rows = gen_corner(ring, 1, "E12", draw(elem)).mul(gen_corner(ring, 1, "E21", draw(elem)))
         return CornerMatrixAtom(rows.rows)
@@ -165,17 +158,15 @@ def words_for(draw, ring):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_eval_atoms_matches_generator_product(name, data):
-    """Every atom evaluates to its generator's matrix (a graded block to
-    ``graded_block``), inverts to the symplectic inverse, and is left as
-    it is by the identity map on parameters."""
+    """Every atom evaluates to its generator's matrix, inverts to the
+    symplectic inverse, and is left as it is by the identity map on
+    parameters."""
     ring = EVAL_RINGS[name]
     n, atoms = data.draw(words_for(ring))
     want = dense_product(ring, n, atoms)
     assert eval_atoms(ring, n, atoms) == want
     assert Word(ring, n, atoms).eval() == want
     for atom in atoms:
-        if isinstance(atom, GradedForm):  # a rewrite-stage form, never inverted or mapped
-            continue
         assert Word(ring, n, [atom]).inverse().eval() == symp_inverse(gen_matrix(ring, n, atom))
         assert atom._map(lambda v: v) == atom
 
