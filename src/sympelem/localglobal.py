@@ -287,28 +287,25 @@ def dilate(base_ring, s, n, word, *, value=None):
                 if got is None:
                     raise ExponentTooSmall("parameter does not clear")
                 e0, x0 = got
+                # the prefix's leading run of denominator-free constants
+                # wraps the step as it stands; conjugate through the rest,
+                # innermost first
+                lead = next((idx for idx, (_, _, b0) in enumerate(pre) if b0[1]), len(pre))
                 chain = [(shape, pos, e0, x0)]
-                if pre and all(b0[1] == 0 for (_, _, b0) in pre):
-                    # denominator-free prefix: keep the conjugation
-                    # syntactic, no decomposition needed
-                    wrap = [(bsh, bpos, 0, RX.const(b0[0])) for (bsh, bpos, b0) in pre]
-                    unwrap = [(bsh, bpos, be, RX.neg(bx))
-                              for (bsh, bpos, be, bx) in reversed(wrap)]
-                    chain = wrap + chain + unwrap
-                else:
-                    # conjugate through the constant prefix, innermost first
-                    for (bsh, bpos, (a_num, k_den)) in reversed(pre):
-                        a_lift = RX.const(a_num)
-                        new_chain = []
-                        for (zsh, zpos, ze, zx) in chain:
-                            if ze <= k_den and not (zsh == bsh or RX.is_zero(zx)):
-                                raise ExponentTooSmall("chain exponent too small")
-                            new_chain.extend(_conj_decompose_ctx(
-                                RX, s_num, n, bsh, bpos, a_lift, k_den, zsh, zpos, ze, zx))
-                        chain = new_chain
-                        if len(chain) > MAX_ATOMS:
-                            raise StepBudgetExceeded("dilation chain too long")
-                out_atoms.extend(chain)
+                for (bsh, bpos, (a_num, k_den)) in reversed(pre[lead:]):
+                    a_lift = RX.const(a_num)
+                    new_chain = []
+                    for (zsh, zpos, ze, zx) in chain:
+                        if ze <= k_den and not (zsh == bsh or RX.is_zero(zx)):
+                            raise ExponentTooSmall("chain exponent too small")
+                        new_chain.extend(_conj_decompose_ctx(
+                            RX, s_num, n, bsh, bpos, a_lift, k_den, zsh, zpos, ze, zx))
+                    chain = new_chain
+                    if len(chain) > MAX_ATOMS:
+                        raise StepBudgetExceeded("dilation chain too long")
+                wrap = [(bsh, bpos, 0, RX.const(b0[0])) for (bsh, bpos, b0) in pre[:lead]]
+                out_atoms.extend(wrap + chain + [(bsh, bpos, 0, RX.neg(bx))
+                                                 for (bsh, bpos, _, bx) in reversed(wrap)])
             # all parameters must land in R[X]
             final = []
             for (osh, opos, oe, ox) in out_atoms:
