@@ -49,7 +49,7 @@ from .identities import (
     unit_bracket_shapes,
     unit_rel,
 )
-from .rewrite import decompose_full
+from .rewrite import decompose_full, simplify_shape_word
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
 from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word, eval_atoms
@@ -228,9 +228,13 @@ def dilate(base_ring, s, n, word, *, value=None):
 
     ``word`` is over R_s[X] and must evaluate to the identity at X = 0.
     Returns (m, word over R[X]) with the output evaluating (embedded) to
-    the input at X replaced by s^m X. The smallest working m up to
-    DEFAULT_FUEL is found by search; each candidate m is accepted only if
-    every parameter of the reassembled word lands in R[X].
+    the input at X replaced by s^m X. A parameter's coefficient c/s^k on
+    X^d, d >= 1, becomes s^(md) c/s^k, so no m below ceil(k/d) can work:
+    the search starts at the largest such bound and refuses one above
+    DEFAULT_FUEL (``ExponentTooSmall``, naming the m needed). Each
+    candidate m is accepted only if every parameter of the reassembled
+    word lands in R[X]. The output is merged by ``simplify_shape_word``,
+    each merge checked.
 
     ``value`` is the matrix ``word`` evaluates to, for a caller that has
     already checked it; it defaults to ``word.eval()``. Both checks read
@@ -259,7 +263,7 @@ def dilate(base_ring, s, n, word, *, value=None):
     # conjugation chains short for words built from bracket expansions)
     steps = []    # (shape, pos, simplified prefix snapshot, linear part)
     prefix = []   # simplified list of (shape, pos, b0)
-    den_cap = 0
+    den_cap = lowest = 0
     for atom in word.atoms:
         if not isinstance(atom, ABCDAtom):
             raise AlphabetViolation(
@@ -267,6 +271,7 @@ def dilate(base_ring, s, n, word, *, value=None):
         b0 = RsX.eval_at_zero(atom.e)
         bp = RsX.shift_down(atom.e)
         den_cap = max(den_cap, b0[1], max((v[1] for _, v in bp), default=0))
+        lowest = max([lowest] + [-(-v[1] // (d + 1)) for (d,), v in bp])
         if bp:
             steps.append((atom.shape, atom.pos, list(prefix), bp))
         if not Rs.is_zero(b0):
@@ -277,7 +282,9 @@ def dilate(base_ring, s, n, word, *, value=None):
                 sh_m, pos_m, _ = prefix[-2]
                 prefix[-2:] = [] if Rs.is_zero(merged) else [(sh_m, pos_m, merged)]
 
-    for m in range(DEFAULT_FUEL + 1):
+    if lowest > DEFAULT_FUEL:
+        raise ExponentTooSmall(f"dilation needs m >= {lowest}; dilate tries m up to {DEFAULT_FUEL}")
+    for m in range(lowest, DEFAULT_FUEL + 1):
         smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
         try:
             out_atoms = []
@@ -312,7 +319,7 @@ def dilate(base_ring, s, n, word, *, value=None):
                 if oe < 0:
                     raise ExponentTooSmall("negative exponent survives")
                 final.append(ABCDAtom(osh, opos, RX.mul(RX.const(base_ring.pow_int(s, oe)), ox)))
-            out = Word(RX, n, final)
+            out, _ = simplify_shape_word(Word(RX, n, final))
             # verification: embed eval(out) into R_s[X], compare with value(s^m X)
             target = value.map(lambda p: RsX.subst(p, {Xvar: smx}))
             if out.eval().map(lambda p: _embed_poly(RsX, p), RsX) != target:
@@ -455,7 +462,7 @@ def patch(base_ring, n, alpha, cover, local_words):
 
         factors.append(w_global.map_params(to_global, RX))
 
-    out = Word(RX, n, [a for f in factors for a in f.atoms])
+    out, _ = simplify_shape_word(Word(RX, n, [a for f in factors for a in f.atoms]))
     if out.eval() != alpha:
         raise StepVerificationFailed("patched word does not evaluate to alpha")
     return out
@@ -516,7 +523,8 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
         local_words.append(conj.map_params(lambda p: _embed_poly(RsT, p), RsT))
 
     patched = patch(base_ring, n, alpha, cover, local_words)
-    out = patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring)
+    out, _ = simplify_shape_word(
+        patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring))
     if out.eval() != gamma.mul(h_word.eval()).mul(symp_inverse(gamma)):
         raise StepVerificationFailed("normality conjugation is off")
     return out

@@ -200,6 +200,18 @@ def test_dilate_rejects_non_shape_word(tmp_path, capsys):
     assert "pure shape word" in capsys.readouterr().err
 
 
+def test_dilate_refuses_an_exponent_above_its_bound(tmp_path, capsys):
+    # X/t^70 clears only at m >= 70, which the parameters show before any
+    # attempt; the search bound is 64, so this is a usage error
+    src = tmp_path / "w.txt"
+    src.write_text("A 2 X/(t^60)/(t^10)\nB 2 1/t^3\nA 2 -X/(t^60)/(t^10)\nB 2 -1/t^3\n")
+    start = time.perf_counter()
+    assert run(["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--in", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "dilation needs m >= 70" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 2
+
+
 def test_decompose_over_localization_at_a_unit(tmp_path, capsys):
     src = tmp_path / "w.txt"
     src.write_text("A 2 1/7\n")
@@ -412,10 +424,10 @@ def test_matrix_gamma_file_is_a_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("ring,corner,example,atoms,digest", [
-    ("zmod:15", "CORNER 2 3 1 2", "z15", 650,
-     "fa1fd411b244ec06294e78db0cbf7322c622d6d918932606ebb05f54e28288e9"),
-    ("poly:q:t", "CORNER 1 t 0 1", "qt", 216,
-     "9a07134215ecf3732b67bb0487581df4c3c71d9605f9ba3f517e9873a235ef29"),
+    ("zmod:15", "CORNER 2 3 1 2", "z15", 21,
+     "9602e413175411831366987870ae7360f444aee0df590711de9a98b6058258a9"),
+    ("poly:q:t", "CORNER 1 t 0 1", "qt", 13,
+     "2b64d2433aee10b2591cc531654b7a3bc406ffabd4edfb9074730a9973f8b5c2"),
 ], ids=["z15", "qt"])
 def test_normality_corner_gamma_output_is_pinned(ring, corner, example, atoms, digest,
                                                  tmp_path, capsys):

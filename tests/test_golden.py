@@ -309,27 +309,27 @@ GOLDEN_DECOMPOSITIONS = [
 ]
 
 GOLDEN_EXAMPLES = {
-    'normality_demo': ('29043f84c1e990cd', 280),
-    'normality_demo_seeded': [('a14048872a41bce2', 170), ('35827eb7e53bbc31', 90), ('97903d50533211c1', 340), ('e64614e1fc930cd3', 344)],
-    'patch': ('5e2a9f4a65ce68a3', 2),
+    'normality_demo': ('36f80c4f8924fc60', 70),
+    'normality_demo_seeded': [('2e6a40ce3591fa92', 85), ('2db7733420528e61', 45), ('eb7f7ce97b41fc33', 0), ('085f373348213217', 86)],
+    'patch': ('b791c5fbac21c72a', 1),
     'dilate': (1, 'aaf7da5d86617d13', 1),
 }
 
 # ring descriptor -> (output digest, len(output)) of qt_normality_digests
 GOLDEN_QT_NORMALITY = {
-    'poly:q:t': [('5b7e990c578fca86', 90), ('aea02d3bd0e089f0', 90), ('df06754540f8eb93', 360)],
-    'poly:zmod:15:t': [('717e71e4afa6a5d9', 90), ('146fea4efb2aa0d6', 90), ('2ca8da5a117e67e4', 360)],
+    'poly:q:t': [('9a593ddfbf422932', 43), ('27ba6fb19797d3b8', 45), ('86a483199fa187df', 90)],
+    'poly:zmod:15:t': [('068dcb0c6bb6ee3c', 43), ('e4c4d7842100ef43', 45), ('fde8b006ef44ef33', 90)],
 }
 
 # (output digest, len(output)) of corner_normality_digests
-GOLDEN_CORNER_NORMALITY = [('c3b871872948fd05', 140), ('9bb804bff44d03b9', 916),
-                           ('5fe1eaeaae033de7', 216)]
+GOLDEN_CORNER_NORMALITY = [('6119a5dcb92b1843', 11), ('90fc33b61de4f04d', 25),
+                           ('32c91434b5dfab63', 13)]
 
 # (m, output digest, len(output)) of each dilate, (digest, len) of the patch
 GOLDEN_QT_CONJUGATION = {
-    'dilate': [(2, '5744af84c334167d', 5), (3, 'ee6ea8a59b627672', 37),
-               (3, '87d61795d9103608', 37), (2, '5b9aff0a8a37c83a', 5)],
-    'patch': ('b3512cdca43fc736', 150),
+    'dilate': [(2, 'be2354d9de035659', 4), (3, 'b91dd8d78287bc4a', 34),
+               (3, 'd900f260507ca27f', 36), (2, 'cba7f8cd8dfa150d', 4)],
+    'patch': ('d7ef4aa5ac9dd3d4', 138),
 }
 
 

@@ -35,6 +35,14 @@ def embed_word_params(word, loc, target):
     return word.map_params(lambda p: tuple((e, loc.embed(c)) for e, c in p), target)
 
 
+def assert_reduced(word):
+    """No zero parameter, and no two adjacent atoms of one shape at one
+    position: nothing is left for ``simplify_shape_word`` to merge."""
+    assert not any(word.ring.is_zero(a.e) for a in word.atoms)
+    assert not any((a.shape, a.pos) == (b.shape, b.pos)
+                   for a, b in zip(word.atoms, word.atoms[1:]))
+
+
 def test_conj_decompose_case1():
     w, tr = lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "A", 3, 3, QT.one)
     assert len(w) == 1
@@ -201,12 +209,48 @@ def test_dilate_with_constant_prefix():
     ])
     m, out = lg.dilate(QT, T, 2, w)
     assert m >= 1
+    assert_reduced(out)
     # exactness was verified inside; double-check the embedding here
     rs = RT
     embed_out = out.map_params(lambda p: tuple((e, rs.embed(c)) for e, c in p), rsx)
     smx = rsx.mul(rsx.const(rs.embed(QT.pow_int(T, m))), rsx.var("X"))
     target = w.map_params(lambda p: rsx.subst(p, {"X": smx}), rsx)
     assert embed_out.eval() == target.eval()
+
+
+@pytest.mark.parametrize("text, m, atoms", [
+    ("A 2 1\nC 2 2/t\nD 2 X\nC 2 -2/t\nA 2 -1", 2, 6),
+    ("B 2 3\nA 2 1/t\nD 2 X\nA 2 -1/t\nB 2 -3", 3, 36),
+], ids=["A-then-C", "B-then-A"])
+def test_dilate_wraps_the_denominator_free_start_of_a_prefix(text, m, atoms):
+    # the prefix starts without denominators and then meets one: only the
+    # rest is conjugated through, which needs a smaller m and far fewer
+    # atoms than conjugating through the whole prefix (3 and 121, 9 and 497)
+    rsx = _rsx()
+    w = word_from_text(rsx, 2, text)
+    got_m, out = lg.dilate(QT, T, 2, w)
+    assert (got_m, len(out)) == (m, atoms)
+    assert_reduced(out)
+    embedded = embed_word_params(out, RT, rsx)
+    tmx = rsx.mul(rsx.const(RT.embed(QT.pow_int(T, m))), rsx.var("X"))
+    assert embedded.eval() == w.map_params(lambda p: rsx.subst(p, {"X": tmx})).eval()
+
+
+def test_dilate_starts_at_the_exponent_the_parameters_need(monkeypatch):
+    # X^2/t^5 needs m >= ceil(5/2) = 3, so m = 0, 1, 2 are never tried
+    tried = []
+    valuation = lg._param_valuation
+
+    def counted(rs, c, cap):
+        tried.append(cap)
+        return valuation(rs, c, cap)
+
+    monkeypatch.setattr(lg, "_param_valuation", counted)
+    w = word_from_text(_rsx(), 2, "A 2 X^2/t^5")
+    assert lg.dilate(QT, T, 2, w)[0] == 3
+    assert tried == [3 + 5 + 4]
+    with pytest.raises(ExponentTooSmall, match="dilation needs m >= 65"):
+        lg.dilate(QT, T, 2, word_from_text(_rsx(), 2, "A 2 X^2/(t^60)/(t^60)/(t^9)"))
 
 
 def _conjugated_homotopy():
@@ -313,6 +357,7 @@ def test_patch_z15_random_homotopies():
             locs.append(embed_word_params(aw, loc, PolyRing(loc, ("X",))))
         out = lg.patch(Z15, 2, aw.eval(), cov, locs)
         assert out.eval() == aw.eval()
+        assert_reduced(out)
         assert rx.eval_at_zero  # output evaluates to I at X = 0 via alpha(0) = I
         at0 = out.map_params(rx.eval_at_zero, Z15)
         assert at0.eval().is_identity()
@@ -333,6 +378,7 @@ def test_patch_qt_cover():
         locs.append(embed_word_params(aw, loc, PolyRing(loc, ("X",))))
     out = lg.patch(QT, 2, aw.eval(), cov, locs)
     assert out.eval() == aw.eval()
+    assert_reduced(out)
 
 
 def test_patch_catches_a_wrong_conjugation(monkeypatch):
@@ -394,6 +440,7 @@ def test_normality_demo_identity_gamma():
     gamma = Word(Z15, 2, [])
     out = lg.normality_demo(Z15, 2, gamma, h, cov)
     assert out.eval() == h.eval()
+    assert_reduced(out)
 
 
 def test_normality_demo_generator_gamma():
@@ -404,6 +451,7 @@ def test_normality_demo_generator_gamma():
     g = gamma.eval()
     assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
     assert all(isinstance(a, ABCDAtom) for a in out.atoms)
+    assert_reduced(out)
 
 
 def test_normality_demo_corner_gamma():
@@ -413,6 +461,7 @@ def test_normality_demo_corner_gamma():
     out = lg.normality_demo(Z15, 2, gamma, h, cov)
     g = gamma.eval()
     assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
+    assert_reduced(out)
 
 
 def test_normality_demo_names_a_non_shape_atom_of_h():
