@@ -26,10 +26,11 @@ from .symplectic import (
     gen_s,
     gen_small,
     graded_block,
+    placed_abcd,
     shape_matrix,
     symp_inverse,
 )
-from .words import ABCDAtom, DenseAtom, PlacedAtom, UnitAtom, Word
+from .words import ABCDAtom, UnitAtom, Word
 
 
 @dataclass
@@ -153,22 +154,22 @@ def commutator_entry_key(X, Y, i, j):
     return f"commutator:{X}{Y}:{rel}"
 
 
-def commutator_word(ring, n, X, i, x, Y, j, y):
-    """Closed form of [E(X_i)(x), E(Y_j)(y)] as a word."""
+def commutator_matrix(ring, n, X, i, x, Y, j, y):
+    """Closed form of [E(X_i)(x), E(Y_j)(y)]: the table row's right side
+    as a matrix."""
     if not (2 <= i <= n and 2 <= j <= n):
         raise BadIndices("positions must lie in 2..n")
     xy = ring.mul(x, y)
     if i == j and (X, Y) in _UNIT_BRACKET:
         sh, tag, c = _UNIT_BRACKET[(X, Y)]
-        return Word(ring, n, [UnitAtom(sh, tag_pos(tag, i), ring.scale_int(c, xy))])
+        return gen_small(ring, n, sh, tag_pos(tag, i), ring.scale_int(c, xy))
     if i == j and (X, Y) in _CROSSING:
-        return Word(ring, n, [DenseAtom(crossing_commutator_matrix(ring, n, X, i, x, Y, y).rows)])
+        return crossing_commutator_matrix(ring, n, X, i, x, Y, y)
     if i == j or (X, Y) not in _PLACED:
-        return Word(ring, n, [])
+        return Matrix.identity(ring, 2 * n)
     sh_lt, sh_gt, c = _PLACED[(X, Y)]
-    atom = PlacedAtom(min(i, j) - 1, sh_lt if i < j else sh_gt, abs(i - j) + 1,
-                      ring.scale_int(c, xy))
-    return Word(ring, n, [atom])
+    return placed_abcd(ring, n, min(i, j) - 1, sh_lt if i < j else sh_gt, abs(i - j) + 1,
+                       ring.scale_int(c, xy))
 
 
 def crossing_commutator_matrix(ring, n, X, i, x, Y, y):
@@ -194,7 +195,7 @@ def commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
     names this entry (the fault-injection control of verify-tables)."""
     lhs = bracket(gen_abcd(ring, n, X, i, x), gen_abcd(ring, n, Y, j, y))
     rx = ring.neg(x) if corrupt == commutator_entry_key(X, Y, i, j) else x
-    rhs = commutator_word(ring, n, X, i, rx, Y, j, y).eval()
+    rhs = commutator_matrix(ring, n, X, i, rx, Y, j, y)
     name = f"commutator:{X}{i},{Y}{j}"
     return IdentityInstance(name, ring, n, lhs, rhs, {"x": x, "y": y})
 
@@ -458,7 +459,7 @@ _PLACED_PAIR = {sh_lt: (X, Y, c) for (X, Y), (sh_lt, _, c) in reversed(_PLACED.i
 
 
 def placed_bracket_atoms(ring, n, shape, p, q, e):
-    """A 4-atom commutator word evaluating to PLACED p-1 shape q-p+1 (e),
+    """A 4-atom commutator word evaluating to I_2(p-1) perp E(shape_(q-p+1))(e),
     for 2 <= p < q <= n: the bracket [E(X_p)(e/c), E(Y_q)(1)] of the
     _PLACED row (X, Y) whose i < j shape is ``shape``, with c = +-2."""
     X, Y, c = _PLACED_PAIR[shape]

@@ -283,7 +283,8 @@ def dilate(base_ring, s, n, word, *, value=None):
                 prefix[-2:] = [] if Rs.is_zero(merged) else [(sh_m, pos_m, merged)]
 
     if lowest > DEFAULT_FUEL:
-        raise ExponentTooSmall(f"dilation needs m >= {lowest}; dilate tries m up to {DEFAULT_FUEL}")
+        raise ExponentTooSmall(f"dilation needs m >= {lowest}; dilate tries m up to "
+                               f"{DEFAULT_FUEL}")
     for m in range(lowest, DEFAULT_FUEL + 1):
         smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
         try:

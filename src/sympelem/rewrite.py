@@ -89,8 +89,8 @@ def _placed_rule(ring, n, atom):
     a row-1/2 transvection of I_{2(p-1)} perp Sp_{2(n-p+1)}, with column
     block q'. Its _split maps back piece by piece: the correction to three
     units at p (corner_unit_atoms), each shape Z at q' to the 4-atom
-    bracket of PLACED p-1 Z q' (placed_bracket_atoms), and each unit at q'
-    to the bracket of a unit at q = p + q' - 1."""
+    bracket of I_2(p-1) perp E(Z_q') (placed_bracket_atoms), and each
+    unit at q' to the bracket of a unit at q = p + q' - 1."""
     rep = atom if atom.i < atom.j else _mirror(ring, atom)
     p = (rep.i + 1) // 2
     off = 2 * (p - 1)

@@ -35,23 +35,21 @@ _SHAPE_SIGNS = {
 # indices are 0-based. An atom's terms add up to its matrix minus I.
 
 
-def _block_terms(n, offset, shape, pos, x, zero):
-    """Terms of I_{2 offset} perp E(shape_pos)(x) perp I.
+def _block_terms(n, shape, pos, x, zero):
+    """Terms of E(shape_pos)(x).
 
     E(X) - I is X in rows 1-2 plus W = psi X^t psi in the block's rows;
     for X = x u w^t at the block, W = x (psi w)(u^t psi)."""
-    if offset < 0 or not 2 <= pos <= n - offset:
-        raise BadIndices(f"position {pos} out of 2..{n - offset} for n={n}"
-                         + (f" at offset {offset}" if offset else ""))
+    if not 2 <= pos <= n:
+        raise BadIndices(f"position {pos} out of 2..{n} for n={n}")
     if shape not in SHAPES:
         raise BadIndices(f"unknown shape {shape!r}")
     if x == zero:
         return ()
     (u0, u1), (w0, w1) = _SHAPE_SIGNS[shape]
-    top = 2 * offset
-    b = top + 2 * (pos - 1)
-    return ((x, ((top, u0), (top + 1, u1)), ((b, w0), (b + 1, w1))),
-            (x, ((b, w1), (b + 1, -w0)), ((top, -u1), (top + 1, u0))))
+    b = 2 * (pos - 1)
+    return ((x, ((0, u0), (1, u1)), ((b, w0), (b + 1, w1))),
+            (x, ((b, w1), (b + 1, -w0)), ((0, -u1), (1, u0))))
 
 
 def _single_terms(entries, zero):
@@ -123,7 +121,7 @@ class ABCDAtom(_OneParam):
     e: object
 
     def _terms(self, ring, n):
-        return _block_terms(n, 0, self.shape, self.pos, self.e, ring.zero)
+        return _block_terms(n, self.shape, self.pos, self.e, ring.zero)
 
     def _text(self, ring):
         return f"{self.shape} {self.pos} {_fmt(ring, self.e)}"
@@ -171,23 +169,6 @@ class CornerMatrixAtom:
 
     def _text(self, ring):
         return "CORNER " + " ".join(_fmt(ring, v) for r in self.rows for v in r)
-
-
-@dataclass(frozen=True)
-class PlacedAtom(_OneParam):
-    """I_{2 offset} perp E(shape_pos)(e) perp I: a block generator of a
-    smaller symplectic group sitting below the leading corner."""
-
-    offset: int
-    shape: str
-    pos: int
-    e: object
-
-    def _terms(self, ring, n):
-        return _block_terms(n, self.offset, self.shape, self.pos, self.e, ring.zero)
-
-    def _text(self, ring):
-        return f"PLACED {self.offset} {self.shape} {self.pos} {_fmt(ring, self.e)}"
 
 
 @dataclass(frozen=True)
@@ -322,11 +303,6 @@ def word_from_text(ring, n, text):
                     raise ParseError("CORNER atom needs four elements")
                 a, b, c, d = (parse_element(ring, t) for t in toks[1:])
                 atoms.append(CornerMatrixAtom(((a, b), (c, d))))
-            elif head == "PLACED":
-                if len(toks) != 5:
-                    raise ParseError("PLACED atom needs: PLACED offset shape pos <elem>")
-                atoms.append(PlacedAtom(int(toks[1]), toks[2].upper(), int(toks[3]),
-                                        parse_element(ring, toks[4])))
             elif head == "DENSE":
                 # the (2n)^2 entries row by row; _terms checks the shape
                 vals = [parse_element(ring, t) for t in toks[1:]]

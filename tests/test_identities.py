@@ -70,16 +70,18 @@ def test_corrected_entry_in_crossing_special():
     assert bottom_left != wrong
 
 
-def test_commutator_word_never_places_corner_except_crossing():
-    from sympelem.words import DenseAtom
+def test_commutator_matrix_couples_the_corner_only_for_crossing_pairs():
+    # only the dense crossing closed form has entries joining the leading
+    # corner's rows to another block's columns
     for n in (2, 3):
         for Xs, Ys in itertools.product("ABCD", repeat=2):
             for i in range(2, n + 1):
                 for j in range(2, n + 1):
-                    w = idn.commutator_word(Z15, n, Xs, i, 7, Ys, j, 4)
-                    dense = [a for a in w.atoms if isinstance(a, DenseAtom)]
+                    m = idn.commutator_matrix(Z15, n, Xs, i, 7, Ys, j, 4)
+                    corner_rows = m.submatrix(0, 2, 2, 2 * n - 2)
+                    coupled = corner_rows != Matrix.zero(Z15, 2, 2 * n - 2)
                     crossing = (Xs, Ys) in idn._CROSSING and i == j
-                    assert bool(dense) == crossing
+                    assert coupled == crossing
 
 
 def test_bracket_convention_consistency():
@@ -91,8 +93,8 @@ def test_bracket_convention_consistency():
         a, b = Z15.sample(rng), Z15.sample(rng)
         g = gen_abcd(Z15, 3, Xs, i, a)
         h = gen_abcd(Z15, 3, Ys, j, b)
-        w = idn.commutator_word(Z15, 3, Xs, i, a, Ys, j, b)
-        assert w.eval().mul(h).mul(g) == g.mul(h)
+        w = idn.commutator_matrix(Z15, 3, Xs, i, a, Ys, j, b)
+        assert w.mul(h).mul(g) == g.mul(h)
 
 
 def test_unit_commutator_table_symbolic():

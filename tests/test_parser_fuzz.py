@@ -64,7 +64,7 @@ def test_ring_from_descriptor_fuzz(text):
 
 # atom kinds with the number of fields their lines take (DENSE: n = 2)
 WORD_ARITY = {"S": 3, "A": 2, "B": 2, "C": 2, "D": 2, "E12": 1, "E21": 1, "UB": 2, "UC": 2,
-              "CORNER": 4, "PLACED": 4, "DENSE": 16, "#": 1, "X": 1}
+              "CORNER": 4, "DENSE": 16, "#": 1, "X": 1}
 WORD_ARGS = ["0", "1", "2", "3", "4", "5", "6", "-1", "t", "1+t", "1/2", "t/0", "(1+t)^65", "a"]
 WORD_TOKENS = list(WORD_ARITY) + WORD_ARGS + ["\n", "\n"]
 # lines of one atom kind with about the right number of fields

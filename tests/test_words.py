@@ -22,7 +22,6 @@ from sympelem.words import (
     CornerAtom,
     CornerMatrixAtom,
     DenseAtom,
-    PlacedAtom,
     SAtom,
     UnitAtom,
     Word,
@@ -43,8 +42,6 @@ def gen_matrix(ring, n, atom):
         return gen_abcd(ring, n, atom.shape, atom.pos, atom.e)
     if isinstance(atom, UnitAtom):
         return gen_small(ring, n, atom.shape, atom.pos, atom.e)
-    if isinstance(atom, PlacedAtom):
-        return placed_abcd(ring, n, atom.offset, atom.shape, atom.pos, atom.e)
     if isinstance(atom, CornerMatrixAtom):
         return corner_embed(Matrix(ring, atom.rows), n)
     return Matrix(ring, atom.rows)
@@ -123,7 +120,7 @@ def atoms_for(draw, ring, n):
     elem = st.builds(lambda c: _element(ring, *c),
                      st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)))
     kinds = ["E12", "E21", "CORNER"] if n == 1 else \
-        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "PLACED", "DENSE"]
+        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "DENSE"]
     kind = draw(st.sampled_from(kinds))
     if kind in ("E12", "E21"):
         return CornerAtom(kind, draw(elem))
@@ -135,10 +132,6 @@ def atoms_for(draw, ring, n):
         return ABCDAtom(draw(st.sampled_from("ABCD")), draw(st.integers(2, n)), draw(elem))
     if kind == "UNIT":
         return UnitAtom(draw(st.sampled_from("BC")), draw(st.integers(1, n)), draw(elem))
-    if kind == "PLACED":
-        offset = draw(st.integers(0, n - 2))
-        return PlacedAtom(offset, draw(st.sampled_from("ABCD")),
-                          draw(st.integers(2, n - offset)), draw(elem))
     if kind == "CORNER":
         rows = gen_corner(ring, 1, "E12", draw(elem)).mul(gen_corner(ring, 1, "E21", draw(elem)))
         return CornerMatrixAtom(rows.rows)
@@ -180,7 +173,6 @@ def test_atom_indices_rejected_like_the_generators():
         atoms += [ABCDAtom(sh, p, 4) for sh in "ABCDE" for p in span]
         atoms += [UnitAtom(sh, p, e) for sh in "ABC" for p in span for e in (0, 4)]
         atoms += [CornerAtom(k, 4) for k in ("E12", "E21", "E11")]
-        atoms += [PlacedAtom(o, sh, p, 4) for o in range(-1, n + 1) for sh in "AD" for p in span]
         for atom in atoms:
             try:
                 gen_matrix(Z15, n, atom)
@@ -218,23 +210,22 @@ def test_text_round_trip():
     back = word_from_text(ring, 2, text)
     assert back == w
     assert back.digest() == w.digest()
-    # placed and dense atoms keep their pinned text and parse back
-    w = Word(ring, 2, [PlacedAtom(0, "C", 2, ring.add(ring.one, t)),
-                       DenseAtom(gen_s(ring, 2, 1, 3, ring.neg(t)).rows)])
-    assert w.to_text() == "PLACED 0 C 2 t+1\nDENSE 1 0 -t 0 0 1 0 0 0 0 1 0 0 t 0 1\n"
-    assert w.digest() == "288142a95b3f938c"
+    # dense atoms keep their pinned text and parse back
+    w = Word(ring, 2, [DenseAtom(gen_s(ring, 2, 1, 3, ring.neg(t)).rows)])
+    assert w.to_text() == "DENSE 1 0 -t 0 0 1 0 0 0 0 1 0 0 t 0 1\n"
+    assert w.digest() == "95cb571a5e159cf2"
     assert word_from_text(ring, 2, w.to_text()) == w
-    w3 = Word(ring, 3, [PlacedAtom(1, "A", 2, t)])
-    assert word_from_text(ring, 3, w3.to_text()) == w3
 
 
 @pytest.mark.parametrize("text", ["PLACED 1 A 3 4", "PLACED 0 Q 2 4", "PLACED -1 A 2 4",
                                   "PLACED 1 A 2", "DENSE 1 0 0 1", "DENSE",
                                   "DENSE 2 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"])
 def test_bad_placed_and_dense_lines_name_the_line(text):
+    # PLACED is no atom kind any more; a bad DENSE line says what is wrong
     with pytest.raises(ParseError) as exc:
         word_from_text(Z15, 2, "S 1 3 4\n" + text + "\n")
-    assert "line 2" in str(exc.value) and "unknown atom kind" not in str(exc.value)
+    unknown = "unknown atom kind 'PLACED'" in str(exc.value)
+    assert "line 2" in str(exc.value) and unknown == text.startswith("PLACED")
 
 
 def test_parse_errors_name_lines():
@@ -252,7 +243,7 @@ def test_comment_and_blank_lines_skipped():
 
 
 def test_special_atoms_evaluate():
-    placed = PlacedAtom(1, "C", 2, 5)
+    placed = DenseAtom(placed_abcd(Z15, 3, 1, "C", 2, 5).rows)
     assert eval_atoms(Z15, 3, [placed]).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
     w = Word(Z15, 3, [placed])
     assert w.inverse().eval() == symp_inverse(w.eval())
