@@ -51,7 +51,9 @@ class StepBudgetExceeded(SympelemError):
 
 
 class ExponentTooSmall(SympelemError):
-    """Conjugation decomposition requires m > k."""
+    """An exponent is too small for the word to clear: conjugation
+    decomposition requires m > k, and dilate refuses a homotopy whose
+    parameters need an m above the largest it tries."""
 
 
 class NotHomotopy(SympelemError):
