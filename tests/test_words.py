@@ -224,8 +224,10 @@ def test_bad_placed_and_dense_lines_name_the_line(text):
     # PLACED is no atom kind any more; a bad DENSE line says what is wrong
     with pytest.raises(ParseError) as exc:
         word_from_text(Z15, 2, "S 1 3 4\n" + text + "\n")
-    unknown = "unknown atom kind 'PLACED'" in str(exc.value)
-    assert "line 2" in str(exc.value) and unknown == text.startswith("PLACED")
+    msg = str(exc.value)
+    unknown = "unknown atom kind" in msg
+    assert "line 2" in msg and unknown == text.startswith("PLACED")
+    assert not unknown or "unknown atom kind 'PLACED'" in msg
 
 
 def test_parse_errors_name_lines():
