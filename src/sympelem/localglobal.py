@@ -16,9 +16,12 @@ eval(phi o w) = phi(eval w):
   ``value``), checks its image under X -> 0 is the identity, and compares
   the output, evaluated over R[X] and embedded into R_s[X], with its image
   under X -> s^m X;
-* ``patch`` checks each local word against alpha over R_s[X] and passes
-  dilate beta's matrix, alpha(X + Y) alpha(Y)^-1 over (R[Y])_s[X]; the
-  patched word is compared with alpha itself.
+* ``patch`` checks each local word against alpha: where s is a unit of R
+  it pulls the word back along the isomorphism R_s[X] -> R[X] and compares
+  over R[X], elsewhere it compares over R_s[X]. A cover with a unit s
+  needs no dilation: the first pulled-back word is returned. Otherwise
+  ``patch`` passes dilate beta's matrix, alpha(X + Y) alpha(Y)^-1 over
+  (R[Y])_s[X]. Either way the patched word is compared with alpha itself.
 """
 
 from __future__ import annotations
@@ -335,16 +338,28 @@ def dilate(base_ring, s, n, word, *, value=None):
 # comaximal covers and patching
 # ---------------------------------------------------------------------------
 
+def _checked_exponent(N):
+    """N if it lies in 0..DEFAULT_FUEL, else ValueError. ``patch`` divides
+    b by s at most DEFAULT_FUEL times, and at a unit s every division
+    succeeds, so checking b in (s^N) for a larger N divides for nothing,
+    for as long as N says."""
+    if not 0 <= N <= DEFAULT_FUEL:
+        raise ValueError(f"N={N} must lie in 0..{DEFAULT_FUEL}, the dilation exponents "
+                         "patch tries")
+    return N
+
+
 @dataclass
 class CoverData:
     """Finitely many (s_i, c_i, b_i, N_i) with sum c_i b_i = 1 and
-    b_i in (s_i^{N_i})."""
+    b_i in (s_i^{N_i}), 0 <= N_i <= DEFAULT_FUEL."""
 
     entries: list  # (s, c, b, N)
 
     def validate(self, ring):
         total = ring.zero
         for idx, (_, c, b, N) in enumerate(self.entries):
+            _checked_exponent(N)
             total = ring.add(total, ring.mul(c, b))
             self.cofactor(ring, idx, N)
         if not ring.is_one(total):
@@ -382,10 +397,18 @@ class CoverData:
                 entries.append((parse_element(ring, fields["s"]),
                                 parse_element(ring, fields["c"]),
                                 parse_element(ring, fields["b"]),
-                                int(fields["N"])))
+                                _checked_exponent(int(fields["N"]))))
             except (ParseError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from None
         return CoverData(entries)
+
+
+def _pull_back(base_ring, s_inv, p):
+    """Map an R_s[X] polynomial representation into R[X] when s is a unit
+    with inverse ``s_inv``: num/s^k -> num * s_inv^k is then a ring
+    isomorphism, the inverse of the embedding. A unit times a nonzero num
+    is nonzero, so the terms stay those of a canonical polynomial."""
+    return tuple((e, base_ring.mul(num, base_ring.pow_int(s_inv, k))) for e, (num, k) in p)
 
 
 def patch(base_ring, n, alpha, cover, local_words):
@@ -394,6 +417,18 @@ def patch(base_ring, n, alpha, cover, local_words):
     ``alpha`` is a symplectic matrix over R[X] with alpha(0) = I; each
     local word lives over R_{s_i}[X] and must evaluate to alpha there.
     The output word is over R[X] and evaluates to alpha exactly.
+
+    Every local word is checked, in cover order, before anything is
+    built. Where s_i is a unit of R, R -> R_{s_i} is an isomorphism: the
+    local word is pulled back along R_{s_i}[X] -> R[X] and compared with
+    alpha over R[X]. Elsewhere it is compared with alpha embedded into
+    R_{s_i}[X]. If some s_i is a unit, the first pulled-back word is
+    already a global word for alpha, and it is the one returned: no local
+    word is dilated. Otherwise each local word w gives
+    beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s[X], ``dilate`` clears its
+    denominators, and the factors, substituted so that they telescope,
+    are concatenated. Either way the word is merged by
+    ``simplify_shape_word``, each merge checked, and compared with alpha.
     """
     RX = alpha.ring
     if not (isinstance(RX, PolyRing) and RX.nvars == 1):
@@ -407,22 +442,53 @@ def patch(base_ring, n, alpha, cover, local_words):
     if len(local_words) != k:
         raise LocalWordMismatch("need one local word per cover entry")
 
+    global_word = None  # the first local word at a unit s, pulled back to R[X]
+    for idx, ((s, _, _, _), local) in enumerate(zip(cover.entries, local_words)):
+        RsX = PolyRing(Localized(base_ring, s), (Xvar,))
+        if local.ring.descriptor() != RsX.descriptor():
+            raise LocalWordMismatch(f"local word {idx} is over {local.ring.descriptor()}")
+        s_inv = base_ring.try_invert(s)
+        if s_inv is None:
+            ok = local.eval() == alpha.map(lambda p: _embed_poly(RsX, p), RsX)
+        else:
+            pulled = local.map_params(lambda p: _pull_back(base_ring, s_inv, p), RX)
+            ok = pulled.eval() == alpha
+            if global_word is None:
+                global_word = pulled
+        if not ok:
+            raise LocalWordMismatch(f"local word {idx} does not evaluate to alpha")
+        for pos, atom in enumerate(local.atoms, start=1):
+            if not isinstance(atom, ABCDAtom):
+                raise AlphabetViolation(f"local word {idx} must be a shape word; "
+                                        f"atom {pos} is {atom._text(local.ring)!r}")
+
+    if global_word is not None:
+        factors = [global_word]
+    else:
+        factors = _dilated_factors(base_ring, n, alpha, cover, local_words)
+    out, _ = simplify_shape_word(Word(RX, n, [a for f in factors for a in f.atoms]))
+    if out.eval() != alpha:
+        raise StepVerificationFailed("patched word does not evaluate to alpha")
+    return out
+
+
+def _dilated_factors(base_ring, n, alpha, cover, local_words):
+    """Words over R[X] whose product is alpha, one per cover entry, for a
+    cover with no unit s_i. The local word w_i evaluates to alpha over
+    R_{s_i}[X]; ``dilate`` turns beta_i = w_i(X + Y) w_i(Y)^-1 into a word
+    for beta_i(s_i^m X, Y) over R[Y][X], and factor i is that word at
+    X -> c_i v_i X, Y -> T_i, where b_i = s_i^m v_i and T_i is the sum of
+    c_j b_j X over j > i. The factors telescope to alpha(X) alpha(0)^-1."""
+    RX = alpha.ring
+    Xvar = RX.names[0]
     # two-variable tower: R[Y] as the spectator base, then localize, then [X]
     yvar = "Y" if Xvar != "Y" else "W"
     RY = PolyRing(base_ring, (yvar,))
 
     factors = []
-    for idx, ((s, c, b, N), local) in enumerate(zip(cover.entries, local_words)):
-        Rs = Localized(base_ring, s)
-        RsX = PolyRing(Rs, (Xvar,))
-        if local.ring.descriptor() != RsX.descriptor():
-            raise LocalWordMismatch(f"local word {idx} is over {local.ring.descriptor()}")
-        alpha_loc = alpha.map(lambda p: _embed_poly(RsX, p), RsX)
-        if local.eval() != alpha_loc:
-            raise LocalWordMismatch(f"local word {idx} does not evaluate to alpha")
-
+    for idx, ((s, c, _, _), local) in enumerate(zip(cover.entries, local_words)):
         # beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s [X]; w evaluates to
-        # alpha_loc, so beta's matrix is the same substitutions of alpha_loc
+        # alpha, so beta's matrix is the same substitutions of alpha
         RYs = Localized(RY, RY.const(s))
         RYsX = PolyRing(RYs, (Xvar,))
 
@@ -440,7 +506,7 @@ def patch(base_ring, n, alpha, cover, local_words):
 
         w_lift = local.map_params(lift, RYsX)
         beta = w_lift.map_params(at_xy).concat(w_lift.map_params(at_y).inverse())
-        a_lift = alpha_loc.map(lift, RYsX)
+        a_lift = alpha.map(lambda p: tuple((e, RYs.embed(RY.const(x))) for e, x in p), RYsX)
         beta_value = a_lift.map(at_xy).mul(symp_inverse(a_lift.map(at_y)))
 
         m, w_global = dilate(RY, RY.const(s), n, beta, value=beta_value)
@@ -462,11 +528,7 @@ def patch(base_ring, n, alpha, cover, local_words):
             return out
 
         factors.append(w_global.map_params(to_global, RX))
-
-    out, _ = simplify_shape_word(Word(RX, n, [a for f in factors for a in f.atoms]))
-    if out.eval() != alpha:
-        raise StepVerificationFailed("patched word does not evaluate to alpha")
-    return out
+    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,26 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from sympelem import cli
 from sympelem import errors as err
 from sympelem.cli import main
-from sympelem.rings import MAX_TOWER_DEPTH, ring_from_descriptor
+from sympelem.rings import MAX_TOWER_DEPTH, PolyRing, ring_from_descriptor
+from sympelem.symplectic import symp_inverse
 from sympelem.words import word_from_text
 
 
@@ -532,3 +540,139 @@ def test_tower_too_deep_to_compute_in_is_a_parse_error(tmp_path):
     ring_from_descriptor("loc:" + "poly:" * (depth - 1) + "q" + ":t" * (depth - 1) + ":s=t")
     with pytest.raises(err.ParseError, match=f"nests {depth + 1} poly/loc levels"):
         ring_from_descriptor("loc:" + "poly:" * depth + "q" + ":t" * depth + ":s=t")
+
+
+class CallTimedOut(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_bound(seconds):
+    """Raise ``CallTimedOut`` in this process if the block runs longer
+    than ``seconds``, so a hang fails the test instead of stalling it."""
+    def expire(signum, frame):
+        raise CallTimedOut(f"the call ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("N", ["100000000", "-3"])
+def test_cover_exponent_outside_the_fuel_is_a_parse_error(N, tmp_path, capsys):
+    # at the unit s = 2 every division of b by s succeeds, so checking
+    # b in (s^N) for N = 10^8 divided for minutes; N = -3 was accepted
+    cover = tmp_path / "cover.txt"
+    cover.write_text(f"s=2 c=1 b=2 N={N}\ns=4 c=11 b=4 N=1\n")
+    with time_bound(5):
+        code = run(["normality-demo", "--ring", "zmod:15", "--n", "2",
+                    "--gamma", str(EXAMPLES / "gamma_z15.txt"), "--h", str(EXAMPLES / "h_z15.txt"),
+                    "--cover", str(cover)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"line 1: N={N} must lie in 0..64" in err and "Traceback" not in err
+
+
+def _draw_cover(data):
+    """(m, n, cover lines) over zmod:m, m odd, 3 <= m <= 45, with 1-3
+    entries. Half the covers are wild: s and b anywhere in Z/m, N
+    anywhere from negative to huge, and sum c*b = 1 only sometimes. The
+    others are valid: s and b units, N in 0..64 and c of the last entry
+    solved so that sum c*b = 1, so that inputs reach every check."""
+    m = data.draw(st.sampled_from(range(3, 46, 2)))
+    n = data.draw(st.sampled_from([2, 3]))
+    units = st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1])
+    residue = st.integers(0, m - 1)
+    wild = data.draw(st.booleans())
+    if wild:
+        s_values, b_values, exponents = st.one_of(units, residue), residue, st.one_of(
+            st.integers(-3, 3), st.sampled_from([63, 64, 65]), st.integers(10 ** 6, 10 ** 12))
+    else:
+        s_values, b_values, exponents = units, units, st.integers(0, 64)
+    entries = data.draw(st.lists(st.tuples(s_values, residue, b_values, exponents),
+                                 min_size=1, max_size=3))
+    *rest, (s, c, b, N) = entries
+    if math.gcd(b, m) == 1 and (not wild or data.draw(st.booleans())):
+        c = (1 - sum(ci * bi for _, ci, bi, _ in rest)) * pow(b, -1, m) % m
+    return m, n, [f"s={s} c={c} b={b} N={N}" for s, c, b, N in rest + [(s, c, b, N)]]
+
+
+def _shape_text(data, m, n, degrees, max_size):
+    """A shape word file: A/B/C/D atoms at positions 2..n with parameters
+    c*X^d, c in Z/m and d in ``degrees`` (no X when degrees is (0,))."""
+    atoms = data.draw(st.lists(st.tuples(st.sampled_from("ABCD"), st.integers(2, n),
+                                         st.integers(0, m - 1), st.sampled_from(degrees)),
+                               max_size=max_size))
+    return "".join(f"{sh} {pos} {c}*X^{d}\n" if d else f"{sh} {pos} {c}\n"
+                   for sh, pos, c, d in atoms)
+
+
+def _run_bounded(argv):
+    """``cli.main(argv)`` under a time bound, with its output captured:
+    (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), time_bound(3):
+        code = main(argv)
+    event(f"exit {code}")
+    return code, err.getvalue()
+
+
+CONTRACT = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@CONTRACT
+@given(st.data())
+def test_patch_contract(data):
+    # every input ends within the bound with exit 0, 1 or 2 and a message;
+    # on exit 0 the patched word evaluates to alpha
+    m, n, lines = _draw_cover(data)
+    alpha_text = _shape_text(data, m, n, (0, 1, 2), 3)
+    local_texts = [alpha_text if data.draw(st.integers(0, 3)) else _shape_text(data, m, n, (1,), 3)
+                   for _ in lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cover.txt").write_text("\n".join(lines) + "\n")
+        (tmp / "alpha.txt").write_text(alpha_text)
+        locals_ = [tmp / f"local{idx}.txt" for idx in range(len(local_texts))]
+        for path, text in zip(locals_, local_texts):
+            path.write_text(text)
+        code, err = _run_bounded(["patch", "--ring", f"zmod:{m}", "--n", str(n),
+                                  "--cover", str(tmp / "cover.txt"),
+                                  "--alpha", str(tmp / "alpha.txt"),
+                                  "--locals", *map(str, locals_), "--out", str(tmp / "out.txt")])
+        assert code in (0, 1, 2) and (code == 0 or err.strip())
+        if code == 0:
+            rx = PolyRing(ring_from_descriptor(f"zmod:{m}"), ("X",))
+            out = word_from_text(rx, n, (tmp / "out.txt").read_text())
+            assert out.eval() == word_from_text(rx, n, alpha_text).eval()
+
+
+@CONTRACT
+@given(st.data())
+def test_normality_demo_contract(data):
+    # the same contract for normality-demo: on exit 0 the word evaluates
+    # to gamma h gamma^-1; gamma may also hold transvections and corners
+    m, n, lines = _draw_cover(data)
+    generators = st.tuples(st.sampled_from(["S 1 3", "E12", "E21"]), st.integers(0, m - 1))
+    gamma_text = _shape_text(data, m, n, (0,), 2) + "".join(
+        f"{head} {c}\n" for head, c in data.draw(st.lists(generators, max_size=2)))
+    h_text = _shape_text(data, m, n, (0,), 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cover.txt").write_text("\n".join(lines) + "\n")
+        (tmp / "gamma.txt").write_text(gamma_text)
+        (tmp / "h.txt").write_text(h_text)
+        code, err = _run_bounded(["normality-demo", "--ring", f"zmod:{m}", "--n", str(n),
+                                  "--gamma", str(tmp / "gamma.txt"), "--h", str(tmp / "h.txt"),
+                                  "--cover", str(tmp / "cover.txt"), "--out", str(tmp / "out.txt")])
+        assert code in (0, 1, 2) and (code == 0 or err.strip())
+        if code == 0:
+            ring = ring_from_descriptor(f"zmod:{m}")
+            g = word_from_text(ring, n, gamma_text).eval()
+            out = word_from_text(ring, n, (tmp / "out.txt").read_text())
+            h = word_from_text(ring, n, h_text).eval()
+            assert out.eval() == g.mul(h).mul(symp_inverse(g))

@@ -15,6 +15,7 @@ from sympelem.errors import (
     ExponentTooSmall,
     LocalWordMismatch,
     NotHomotopy,
+    ParseError,
     StepVerificationFailed,
 )
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod
@@ -320,6 +321,13 @@ def test_cover_validation():
     bad = lg.CoverData([(T, QT.one, QT.one, 1), (one_m_t, QT.one, T, 1)])
     with pytest.raises(CoverNotComaximal):
         bad.validate(QT)
+    # N outside 0..DEFAULT_FUEL is refused before any division: at a unit s
+    # every division succeeds, so N = 10^8 divided for minutes
+    for N in (-3, lg.DEFAULT_FUEL + 1, 10 ** 8):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"N={N} must lie in 0..{lg.DEFAULT_FUEL}"):
+            lg.CoverData([(2, 1, 2, N), (4, 11, 4, 1)]).validate(Z15)
+        assert time.perf_counter() - start < 2
 
 
 def test_cover_from_text():
@@ -328,6 +336,9 @@ def test_cover_from_text():
     back = lg.CoverData.from_text(QT, "s=t c=1 b=t N=1\nN=1 b=1-t c=1 s=1-t\n")
     one_m_t = QT.sub(QT.one, T)
     assert back.entries == [(T, QT.one, T, 1), (one_m_t, QT.one, one_m_t, 1)]
+    for N in ("100000000", "-3", "65"):
+        with pytest.raises(ParseError, match=f"line 2: N={N} must lie in 0..64"):
+            lg.CoverData.from_text(Z15, f"s=2 c=1 b=2 N=1\ns=4 c=11 b=4 N={N}\n")
 
 
 def test_patch_trivial_cover():
@@ -404,7 +415,8 @@ def test_patch_catches_a_wrong_conjugation(monkeypatch):
 @pytest.mark.parametrize("ring, name", [(Z15, "z15"), (QT, "qt")])
 def test_patch_gives_dilate_the_value_of_beta(ring, name, monkeypatch):
     # patch hands dilate beta's matrix from alpha; it must be what beta
-    # evaluates to, on the unit cover of Z/15 and the non-unit one of Q[t]
+    # evaluates to, on the non-unit cover of Q[t]. On the all-unit cover of
+    # Z/15 the local word at s = 2 is already global: nothing is dilated
     dilate = lg.dilate
     calls = []
 
@@ -417,8 +429,68 @@ def test_patch_gives_dilate_the_value_of_beta(ring, name, monkeypatch):
     cover = lg.CoverData.from_text(ring, (EXAMPLES / f"cover_{name}.txt").read_text())
     gamma = word_from_text(ring, 2, (EXAMPLES / f"gamma_{name}.txt").read_text())
     h = word_from_text(ring, 2, (EXAMPLES / f"h_{name}.txt").read_text())
-    lg.normality_demo(ring, 2, gamma, h, cover)
-    assert len(calls) == len(cover.entries)
+    out = lg.normality_demo(ring, 2, gamma, h, cover)
+    g = gamma.eval()
+    assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
+    assert len(calls) == (0 if name == "z15" else len(cover.entries))
+
+
+def _mixed_qt_cover(order):
+    """t is no unit of Q[t], 2 is: 1*t + 1*(1 - t) = 1 and 1 - t is in (2)."""
+    one_m_t = QT.sub(QT.one, T)
+    entries = [(T, QT.one, T, 1), (QT.from_int(2), QT.one, one_m_t, 1)]
+    return lg.CoverData([entries[i] for i in order])
+
+
+def _local_words(cover, word):
+    """``word`` over R[X] embedded into each R_s[X] of the cover."""
+    locs = []
+    for (s, _, _, _) in cover.entries:
+        loc = Localized(word.ring.base, s)
+        locs.append(embed_word_params(word, loc, PolyRing(loc, ("X",))))
+    return locs
+
+
+def _qt_homotopy():
+    rx = PolyRing(QT, ("X",))
+    return word_from_text(rx, 2, "A 2 2*X\nC 2 (1+t)*X^2\nA 2 3\nB 2 t*X\nA 2 -3\n")
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["t-then-2", "2-then-t"])
+def test_patch_returns_the_word_at_a_unit_s_without_dilating(order, monkeypatch):
+    calls = []
+    monkeypatch.setattr(lg, "dilate", lambda *args, **kwargs: calls.append(args))
+    cover = _mixed_qt_cover(order)
+    cover.validate(QT)
+    aw = _qt_homotopy()
+    out = lg.patch(QT, 2, aw.eval(), cover, _local_words(cover, aw))
+    assert out.eval() == aw.eval()
+    assert_reduced(out)
+    assert not calls
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["t-then-2", "2-then-t"])
+@pytest.mark.parametrize("wrong", [0, 1])
+def test_patch_checks_every_local_word_of_a_mixed_cover(order, wrong):
+    # the unit entry is returned without dilating, but the local word at
+    # every entry, before or after it, is still compared with alpha
+    cover = _mixed_qt_cover(order)
+    aw = _qt_homotopy()
+    locs = _local_words(cover, aw)
+    off = aw.concat(Word(aw.ring, 2, [ABCDAtom("D", 2, aw.ring.var("X"))]))
+    locs[wrong] = _local_words(cover, off)[wrong]
+    with pytest.raises(LocalWordMismatch, match=f"local word {wrong} does not evaluate"):
+        lg.patch(QT, 2, aw.eval(), cover, locs)
+
+
+def test_patch_refuses_a_local_word_outside_the_shape_alphabet():
+    # dilate refuses such a word; at a unit s nothing is dilated, so patch
+    # must refuse it itself rather than return it
+    cover = _z15_cover()
+    rx = PolyRing(Z15, ("X",))
+    aw = Word(rx, 2, [SAtom(1, 3, rx.mul(rx.const(7), rx.var("X")))])
+    with pytest.raises(AlphabetViolation, match="local word 0 must be a shape word; atom 1 is"):
+        lg.patch(Z15, 2, aw.eval(), cover, _local_words(cover, aw))
 
 
 def test_patch_detects_bad_local_word():
