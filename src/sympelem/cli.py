@@ -20,9 +20,12 @@ from .rings import Localized, PolyRing, parse_element, ring_from_descriptor
 from .verify import run_verify_tables
 from .words import Word, word_from_text
 
+# errors in what the caller gave; a check of the program's own work that
+# fails raises StepVerificationFailed and exits 1
 USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.NilpotentS, err.ZeroDivisorS,
-                err.BadIndices, err.AlphabetViolation, err.ExponentTooSmall, FileNotFoundError,
-                ValueError)
+                err.BadIndices, err.AlphabetViolation, err.ExponentTooSmall,
+                err.CoverNotComaximal, err.NotHomotopy, err.LocalWordMismatch,
+                FileNotFoundError, ValueError)
 
 
 def _parse_n_range(text):

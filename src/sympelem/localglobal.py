@@ -422,7 +422,8 @@ def patch(base_ring, n, alpha, cover, local_words):
     built. Where s_i is a unit of R, R -> R_{s_i} is an isomorphism: the
     local word is pulled back along R_{s_i}[X] -> R[X] and compared with
     alpha over R[X]. Elsewhere it is compared with alpha embedded into
-    R_{s_i}[X]. If some s_i is a unit, the first pulled-back word is
+    R_{s_i}[X]. A pulled-back word equal to one already compared is not
+    evaluated again. If some s_i is a unit, the first pulled-back word is
     already a global word for alpha, and it is the one returned: no local
     word is dilated. Otherwise each local word w gives
     beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s[X], ``dilate`` clears its
@@ -443,6 +444,7 @@ def patch(base_ring, n, alpha, cover, local_words):
         raise LocalWordMismatch("need one local word per cover entry")
 
     global_word = None  # the first local word at a unit s, pulled back to R[X]
+    pulled_checked = set()  # atoms of the pulled-back words already compared
     for idx, ((s, _, _, _), local) in enumerate(zip(cover.entries, local_words)):
         RsX = PolyRing(Localized(base_ring, s), (Xvar,))
         if local.ring.descriptor() != RsX.descriptor():
@@ -452,7 +454,9 @@ def patch(base_ring, n, alpha, cover, local_words):
             ok = local.eval() == alpha.map(lambda p: _embed_poly(RsX, p), RsX)
         else:
             pulled = local.map_params(lambda p: _pull_back(base_ring, s_inv, p), RX)
-            ok = pulled.eval() == alpha
+            # equal words have equal values, so a repeat needs no evaluation
+            ok = pulled.atoms in pulled_checked or pulled.eval() == alpha
+            pulled_checked.add(pulled.atoms)
             if global_word is None:
                 global_word = pulled
         if not ok:
@@ -509,7 +513,10 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
         a_lift = alpha.map(lambda p: tuple((e, RYs.embed(RY.const(x))) for e, x in p), RYsX)
         beta_value = a_lift.map(at_xy).mul(symp_inverse(a_lift.map(at_y)))
 
-        m, w_global = dilate(RY, RY.const(s), n, beta, value=beta_value)
+        try:
+            m, w_global = dilate(RY, RY.const(s), n, beta, value=beta_value)
+        except NotHomotopy as exc:  # beta(0, Y) = I: beta is built here, not given
+            raise StepVerificationFailed(f"beta of local word {idx}: {exc}") from None
         v = cover.cofactor(base_ring, idx, m)
 
         # substitute X -> c*v*X and Y -> T_idx, landing in R[X]
@@ -585,7 +592,10 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
         RsT = PolyRing(Localized(base_ring, s), ("T",))
         local_words.append(conj.map_params(lambda p: _embed_poly(RsT, p), RsT))
 
-    patched = patch(base_ring, n, alpha, cover, local_words)
+    try:
+        patched = patch(base_ring, n, alpha, cover, local_words)
+    except (NotHomotopy, LocalWordMismatch) as exc:  # alpha and the local words are built here
+        raise StepVerificationFailed(f"normality homotopy: {exc}") from None
     out, _ = simplify_shape_word(
         patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring))
     if out.eval() != gamma.mul(h_word.eval()).mul(symp_inverse(gamma)):

@@ -21,7 +21,7 @@ from .identities import (
     unit_bracket_atoms,
 )
 from .symplectic import pi_swap
-from .words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, UnitAtom, Word, eval_atoms
+from .words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, UnitAtom, Word, same_value
 
 
 def _alphabet_error(ring, what, atom):
@@ -34,7 +34,7 @@ def _same(ring, n, rule, before_atoms, after_atoms):
     """Raise unless the two atom lists evaluate to the same matrix. The
     message names the ring and n and gives both sides as word-file lines,
     so the input of a failing step can be replayed."""
-    if eval_atoms(ring, n, before_atoms) != eval_atoms(ring, n, after_atoms):
+    if not same_value(ring, n, before_atoms, after_atoms):
         raise StepVerificationFailed(
             f"rule {rule!r} changed the evaluation over {ring.descriptor()} at n={n}\n"
             f"before:\n{Word(ring, n, before_atoms).to_text()}"

@@ -1,16 +1,29 @@
 """Words over the generator alphabet and their evaluation.
 
 Atoms are immutable and hashable. Each atom G knows G - I as a short
-sum of rank-one terms, written out from its parameter in closed form:
-every generator here differs from the identity by one or two rank-one
-pieces whose row and column vectors are sign vectors. Evaluating a word
-applies those terms to the running product column by column, so an atom
-costs one ring multiplication per matrix row and term instead of a dense
-2n x 2n product. The rewriting engine checks every step this way.
+sum of rank-one terms, written out from its parameter in closed form.
+Every generator here differs from the identity by one or two rank-one
+pieces x u w^t; for the A/B/C/D shapes and the units, u and w are sign
+vectors that fill one 2-block (``_SHAPE_SIGNS``).
 
-Every atom class answers one protocol: ``_terms(ring, n)``,
-``_inverse(ring)``, ``_map(f)`` (a ring map applied to every parameter)
-and ``_text(ring)`` (its line in a word file).
+Words are evaluated in the basis P = H perp ... perp H, with
+H = [[1, 1], [1, -1]] on every 2-block, where an atom G acts as
+P^-1 G P. A term x u w^t becomes (x/2)(P u)(P w)^t, since P^-1 = P/2.
+A sign vector that fills a block has one nonzero entry after P, so each
+shape or unit term updates one column of the running product by a
+multiple of one other; a single entry e_r spreads to the two entries of
+its block. Each term costs one ring multiplication per row and a column
+addition per target column, never a dense 2n x 2n product. The running
+product is M' = P^-1 M P, started at I.
+
+2 is invertible in every ring here, so M -> M' is injective, and
+``same_value`` decides eval(a) == eval(b) on the columns of M'. The
+rewriting engine checks every step that way. ``Word.eval`` and
+``eval_atoms`` convert back once, at the end, to the standard basis.
+
+Every atom class answers one protocol: ``_terms(ring, n)`` (its terms of
+P^-1 (G - I) P), ``_inverse(ring)``, ``_map(f)`` (a ring map applied to
+every parameter) and ``_text(ring)`` (its line in a word file).
 """
 
 from __future__ import annotations
@@ -30,31 +43,84 @@ _SHAPE_SIGNS = {
     "D": ((1, -1), (-1, 1)),
 }
 
-# A term (lam, rows, cols) stands for lam * u w^t, where u is the sum of
-# sign * e_row over ``rows`` and w the sum of sign * e_col over ``cols``;
-# indices are 0-based. An atom's terms add up to its matrix minus I.
+# A term (lam, rows, cols) stands for lam * u w^t in the basis P, where u
+# is the sum of sign * e_row over ``rows`` and w the sum of sign * e_col
+# over ``cols``; indices are 0-based. An atom's terms add up to
+# P^-1 (G - I) P.
 
 
-def _block_terms(n, shape, pos, x, zero):
+def _hpair(base, s0, s1):
+    """P (s0 e_base + s1 e_(base+1)) = 2 s0 e_k, k = base if s0 = s1 and
+    base + 1 otherwise, as the one-entry vector ((k, s0),); the factor 2
+    goes into the term's scalar."""
+    return ((base + (s0 != s1), s0),)
+
+
+def _hunit(i, sign=1):
+    """P (sign e_i): sign on both entries of i's block, negated on the
+    second when i is the second."""
+    b = i - i % 2
+    return ((b, sign), (b + 1, -sign if i > b else sign))
+
+
+def _block_terms(ring, n, shape, pos, x):
     """Terms of E(shape_pos)(x).
 
     E(X) - I is X in rows 1-2 plus W = psi X^t psi in the block's rows;
-    for X = x u w^t at the block, W = x (psi w)(u^t psi)."""
+    for X = x u w^t at the block, W = x (psi w)(u^t psi). Both pieces
+    fill a block on each side, so each is (x/2)(2)(2) = 2x times one
+    entry in the basis P."""
     if not 2 <= pos <= n:
         raise BadIndices(f"position {pos} out of 2..{n} for n={n}")
     if shape not in SHAPES:
         raise BadIndices(f"unknown shape {shape!r}")
-    if x == zero:
+    if x == ring.zero:
         return ()
     (u0, u1), (w0, w1) = _SHAPE_SIGNS[shape]
     b = 2 * (pos - 1)
-    return ((x, ((0, u0), (1, u1)), ((b, w0), (b + 1, w1))),
-            (x, ((b, w1), (b + 1, -w0)), ((0, -u1), (1, u0))))
+    x2 = ring.add(x, x)
+    return ((x2, _hpair(0, u0, u1), _hpair(b, w0, w1)),
+            (x2, _hpair(b, w1, -w0), _hpair(0, -u1, u0)))
 
 
-def _single_terms(entries, zero):
-    """One term per nonzero (row, col, value) entry of G - I."""
-    return tuple((v, ((r, 1),), ((c, 1),)) for r, c, v in entries if v != zero)
+def _hadamard(ring, cols):
+    """The rows of (P X P) / 2 for the square matrix X given by its
+    columns. As P^-1 = P / 2, this is X -> P^-1 X P and also its inverse.
+    Each 2x2 block B becomes H B H / 2, which is B itself when B is a
+    multiple of I_2, at no cost in ring operations."""
+    zero, half = ring.zero, ring.half
+
+    def add(u, v):
+        return u if v == zero else v if u == zero else ring.add(u, v)
+
+    def sub(u, v):
+        return u if v == zero else ring.neg(v) if u == zero else ring.sub(u, v)
+
+    def halves(*vs):
+        return [zero if v == zero else half(v) for v in vs]
+
+    size = len(cols)
+    rows = [[zero] * size for _ in range(size)]
+    for j in range(0, size, 2):
+        x, y = cols[j], cols[j + 1]
+        for i in range(0, size, 2):
+            (a, c), (b, d) = x[i:i + 2], y[i:i + 2]  # B = [[a, b], [c, d]]
+            if b == zero and c == zero and a == d:
+                rows[i][j] = rows[i + 1][j + 1] = a
+                continue
+            s, t, u, w = add(a, b), sub(a, b), add(c, d), sub(c, d)  # B H
+            rows[i][j:j + 2] = halves(add(s, u), add(t, w))
+            rows[i + 1][j:j + 2] = halves(sub(s, u), sub(t, w))
+    return rows
+
+
+def _matrix_terms(ring, rows):
+    """One single-entry term per nonzero entry of P^-1 X P, where X = G - I
+    is given by its rows and fills the top-left corner of the matrix."""
+    zero = ring.zero
+    return tuple((v, ((r, 1),), ((c, 1),))
+                 for r, row in enumerate(_hadamard(ring, list(zip(*rows))))
+                 for c, v in enumerate(row) if v != zero)
 
 
 def _fmt(ring, e):
@@ -92,8 +158,9 @@ class SAtom(_OneParam):
         if self.e == ring.zero:
             return ()
         sign = -1 if (i + j) % 2 == 0 else 1
-        return ((self.e, ((i - 1, 1),), ((j - 1, 1),)),
-                (self.e, ((pi_swap(j) - 1, sign),), ((pi_swap(i) - 1, 1),)))
+        h = ring.half(self.e)
+        return ((h, _hunit(i - 1), _hunit(j - 1)),
+                (h, _hunit(pi_swap(j) - 1, sign), _hunit(pi_swap(i) - 1)))
 
     def _text(self, ring):
         return f"S {self.i} {self.j} {_fmt(ring, self.e)}"
@@ -107,8 +174,10 @@ class CornerAtom(_OneParam):
     def _terms(self, ring, n):
         if self.kind not in ("E12", "E21"):
             raise BadIndices(f"unknown corner kind {self.kind!r}")
+        if self.e == ring.zero:
+            return ()
         r, c = (0, 1) if self.kind == "E12" else (1, 0)
-        return _single_terms([(r, c, self.e)], ring.zero)
+        return ((ring.half(self.e), _hunit(r), _hunit(c)),)
 
     def _text(self, ring):
         return f"{self.kind} {_fmt(ring, self.e)}"
@@ -121,7 +190,7 @@ class ABCDAtom(_OneParam):
     e: object
 
     def _terms(self, ring, n):
-        return _block_terms(n, self.shape, self.pos, self.e, ring.zero)
+        return _block_terms(ring, n, self.shape, self.pos, self.e)
 
     def _text(self, ring):
         return f"{self.shape} {self.pos} {_fmt(ring, self.e)}"
@@ -143,7 +212,7 @@ class UnitAtom(_OneParam):
             return ()
         (u0, u1), (w0, w1) = _SHAPE_SIGNS[self.shape]
         b = 2 * (self.pos - 1)
-        return ((self.e, ((b, u0), (b + 1, u1)), ((b, w0), (b + 1, w1))),)
+        return ((ring.add(self.e, self.e), _hpair(b, u0, u1), _hpair(b, w0, w1)),)
 
     def _text(self, ring):
         return f"U{self.shape} {self.pos} {_fmt(ring, self.e)}"
@@ -158,8 +227,7 @@ class CornerMatrixAtom:
         if not ring.is_one(ring.sub(ring.mul(a, d), ring.mul(b, c))):
             raise NonZeroDet("corner block must have determinant 1")
         one = ring.one
-        return _single_terms([(0, 0, ring.sub(a, one)), (0, 1, b),
-                              (1, 0, c), (1, 1, ring.sub(d, one))], ring.zero)
+        return _matrix_terms(ring, ((ring.sub(a, one), b), (c, ring.sub(d, one))))
 
     def _inverse(self, ring):
         return CornerMatrixAtom(Matrix(ring, self.rows).adj2().rows)
@@ -180,9 +248,8 @@ class DenseAtom:
         if len(self.rows) != size or any(len(r) != size for r in self.rows):
             raise DimensionMismatch(f"dense atom is not {size}x{size}")
         one = ring.one
-        return _single_terms([(r, c, ring.sub(v, one) if r == c else v)
-                              for r, row in enumerate(self.rows)
-                              for c, v in enumerate(row)], ring.zero)
+        return _matrix_terms(ring, [[ring.sub(v, one) if r == c else v for c, v in enumerate(row)]
+                                    for r, row in enumerate(self.rows)])
 
     def _inverse(self, ring):
         return DenseAtom(symp_inverse(Matrix(ring, self.rows)).rows)
@@ -206,9 +273,10 @@ def _combine(ring, a, b, plus):
 
 def _apply_terms(ring, cols, terms):
     """Replace the matrix with columns ``cols`` by its product with G,
-    where G - I is the sum of ``terms``: for each term lam u w^t the
-    column y = lam * (M u) is added, with the signs of w, to the columns
-    of w. Every y is read off the old columns before any column changes."""
+    where G - I is the sum of ``terms`` (both in the basis P): for each
+    term lam u w^t the column y = lam * (M u) is added, with the signs of
+    w, to the columns of w. Every y is read off the old columns before any
+    column changes."""
     zero, mul = ring.zero, ring.mul
     updates = []
     for lam, rows, targets in terms:
@@ -223,13 +291,18 @@ def _apply_terms(ring, cols, terms):
             cols[c] = _combine(ring, cols[c], y, s == s0)
 
 
-def _eval(ring, n, atoms):
+def _eval_cols(ring, n, atoms):
+    """The columns of P^-1 M P for the product M of ``atoms``."""
     size = 2 * n
     zero, one = ring.zero, ring.one
     cols = [[one if r == c else zero for r in range(size)] for c in range(size)]
     for atom in atoms:
         _apply_terms(ring, cols, atom._terms(ring, n))
-    return Matrix(ring, zip(*cols))
+    return cols
+
+
+def _eval(ring, n, atoms):
+    return Matrix(ring, _hadamard(ring, _eval_cols(ring, n, atoms)))
 
 
 class Word:
@@ -326,3 +399,9 @@ def word_from_text(ring, n, text):
 
 def eval_atoms(ring, n, atoms):
     return _eval(ring, n, atoms)
+
+
+def same_value(ring, n, atoms, other):
+    """Whether two atom lists evaluate to the same matrix, decided in the
+    basis P without converting back: conjugation by P is injective."""
+    return _eval_cols(ring, n, atoms) == _eval_cols(ring, n, other)

@@ -20,8 +20,9 @@ from sympelem import cli
 from sympelem import errors as err
 from sympelem.cli import main
 from sympelem.rings import MAX_TOWER_DEPTH, PolyRing, ring_from_descriptor
-from sympelem.symplectic import symp_inverse
-from sympelem.words import word_from_text
+from sympelem.matrices import Matrix
+from sympelem.symplectic import gen_abcd, gen_corner, gen_s, gen_small, symp_inverse
+from sympelem.words import ABCDAtom, CornerAtom, SAtom, word_from_text
 
 
 def run(argv):
@@ -257,8 +258,32 @@ def test_patch_non_comaximal_cover(tmp_path, capsys):
     loc1.write_text("A 2 7*X\n")
     code = run(["patch", "--ring", "zmod:15", "--n", "2", "--cover", str(cover),
                 "--alpha", str(alpha), "--locals", str(loc1), str(loc1)])
-    assert code == 1
-    assert "verification failure" in capsys.readouterr().err
+    assert code == 2
+    assert "error: sum of c_i b_i is not 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha, local, message", [
+    ("A 2 7*X\n", "A 2 8*X\n", "local word 0 does not evaluate to alpha"),
+    ("A 2 7\n", "A 2 7\n", "alpha(0) must be the identity"),
+])
+def test_patch_input_that_is_not_a_homotopy_is_a_usage_error(alpha, local, message, tmp_path,
+                                                              capsys):
+    # a local word unequal to alpha, or an alpha that is not I at X = 0,
+    # is wrong input, not a failed check of the program's own work
+    (tmp_path / "alpha.txt").write_text(alpha)
+    (tmp_path / "local.txt").write_text(local)
+    code = run(["patch", "--ring", "zmod:15", "--n", "2",
+                "--cover", str(EXAMPLES / "cover_z15.txt"), "--alpha", str(tmp_path / "alpha.txt"),
+                "--locals", str(tmp_path / "local.txt"), str(tmp_path / "local.txt")])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_dilate_word_that_is_not_a_homotopy_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "w.txt"
+    src.write_text("A 2 1+X\n")
+    assert run(["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--in", str(src)]) == 2
+    assert "error: word does not evaluate to the identity at X = 0" in capsys.readouterr().err
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
@@ -627,7 +652,7 @@ CONTRACT = settings(max_examples=100, deadline=None, suppress_health_check=[Heal
 @CONTRACT
 @given(st.data())
 def test_patch_contract(data):
-    # every input ends within the bound with exit 0, 1 or 2 and a message;
+    # every input ends within the bound with exit 0 or 2 and a message;
     # on exit 0 the patched word evaluates to alpha
     m, n, lines = _draw_cover(data)
     alpha_text = _shape_text(data, m, n, (0, 1, 2), 3)
@@ -644,7 +669,7 @@ def test_patch_contract(data):
                                   "--cover", str(tmp / "cover.txt"),
                                   "--alpha", str(tmp / "alpha.txt"),
                                   "--locals", *map(str, locals_), "--out", str(tmp / "out.txt")])
-        assert code in (0, 1, 2) and (code == 0 or err.strip())
+        assert code in (0, 2) and (code == 0 or err.strip())
         if code == 0:
             rx = PolyRing(ring_from_descriptor(f"zmod:{m}"), ("X",))
             out = word_from_text(rx, n, (tmp / "out.txt").read_text())
@@ -669,10 +694,69 @@ def test_normality_demo_contract(data):
         code, err = _run_bounded(["normality-demo", "--ring", f"zmod:{m}", "--n", str(n),
                                   "--gamma", str(tmp / "gamma.txt"), "--h", str(tmp / "h.txt"),
                                   "--cover", str(tmp / "cover.txt"), "--out", str(tmp / "out.txt")])
-        assert code in (0, 1, 2) and (code == 0 or err.strip())
+        assert code in (0, 2) and (code == 0 or err.strip())
         if code == 0:
             ring = ring_from_descriptor(f"zmod:{m}")
             g = word_from_text(ring, n, gamma_text).eval()
             out = word_from_text(ring, n, (tmp / "out.txt").read_text())
             h = word_from_text(ring, n, h_text).eval()
             assert out.eval() == g.mul(h).mul(symp_inverse(g))
+
+
+def _generator_product(ring, n, word):
+    """The product of the generator matrices of a word of S, corner, shape
+    and unit atoms, each built from its definition in ``symplectic``."""
+    prod = Matrix.identity(ring, 2 * n)
+    for a in word.atoms:
+        if isinstance(a, SAtom):
+            g = gen_s(ring, n, a.i, a.j, a.e)
+        elif isinstance(a, CornerAtom):
+            g = gen_corner(ring, n, a.kind, a.e)
+        elif isinstance(a, ABCDAtom):
+            g = gen_abcd(ring, n, a.shape, a.pos, a.e)
+        else:
+            g = gen_small(ring, n, a.shape, a.pos, a.e)
+        prod = prod.mul(g)
+    return prod
+
+
+def _generator_lines(data, m, n):
+    """A word file over zmod:m with up to four lines of any atom kind. Most
+    lines are valid; indices may fall outside the generators' range, and
+    CORNER and DENSE lines, which decompose refuses, come valid or not."""
+    c = st.integers(0, m - 1)
+    line = st.one_of(
+        st.builds("S {} {} {}".format, st.integers(1, 2 * n), st.integers(1, 2 * n), c),
+        st.builds("{} {}".format, st.sampled_from(["E12", "E21"]), c),
+        st.builds("{} {} {}".format, st.sampled_from("ABCD"), st.integers(2, n), c),
+        st.builds("{} {} {}".format, st.sampled_from(["UB", "UC"]), st.integers(1, n), c),
+        st.builds("CORNER 1 {} 0 1".format, c),
+        st.builds("CORNER {} {} {} {}".format, c, c, c, c),
+        st.just("DENSE " + " ".join("1" if r == k else "0"
+                                    for r in range(2 * n) for k in range(2 * n))),
+        st.builds(lambda vs: "DENSE " + " ".join(map(str, vs)),
+                  st.lists(c, min_size=4 * n * n, max_size=4 * n * n)))
+    return "".join(text + "\n" for text in data.draw(st.lists(line, max_size=4)))
+
+
+@CONTRACT
+@given(st.data())
+def test_decompose_contract(data):
+    # every input ends within the bound with exit 0 or 2 and a message; on
+    # exit 0 the output is a shape word whose generator matrices multiply
+    # to the input's, a product that does not go through Word.eval
+    m = data.draw(st.sampled_from(range(3, 46, 2)))
+    n = data.draw(st.integers(2, 4))
+    text = _generator_lines(data, m, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "word.txt").write_text(text)
+        code, err = _run_bounded(["decompose", "--ring", f"zmod:{m}", "--n", str(n),
+                                  "--in", str(tmp / "word.txt"), "--out", str(tmp / "out.txt")])
+        assert code in (0, 2) and (code == 0 or err.strip())
+        if code == 0:
+            ring = ring_from_descriptor(f"zmod:{m}")
+            out = word_from_text(ring, n, (tmp / "out.txt").read_text())
+            assert all(isinstance(a, ABCDAtom) for a in out.atoms)
+            assert _generator_product(ring, n, out) == \
+                _generator_product(ring, n, word_from_text(ring, n, text))

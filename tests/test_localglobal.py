@@ -493,6 +493,27 @@ def test_patch_refuses_a_local_word_outside_the_shape_alphabet():
         lg.patch(Z15, 2, aw.eval(), cover, _local_words(cover, aw))
 
 
+def test_patch_evaluates_an_equal_pulled_back_word_once(monkeypatch):
+    # on the example cover of Z/15 both s are units and both local words
+    # pull back to A(7X) over Z/15[X]; equal words have equal values, so
+    # the second is not evaluated again
+    rx = PolyRing(Z15, ("X",))
+    alpha = word_from_text(rx, 2, (EXAMPLES / "alpha_z15.txt").read_text()).eval()
+    cover = lg.CoverData.from_text(Z15, (EXAMPLES / "cover_z15.txt").read_text())
+    locs = [word_from_text(PolyRing(Localized(Z15, s), ("X",)), 2,
+                           (EXAMPLES / f"local{idx}_z15.txt").read_text())
+            for idx, (s, _, _, _) in enumerate(cover.entries, start=1)]
+    events = []
+    real_eval, real_simplify = Word.eval, lg.simplify_shape_word
+    monkeypatch.setattr(Word, "eval", lambda self: events.append("eval") or real_eval(self))
+    monkeypatch.setattr(lg, "simplify_shape_word",
+                        lambda word: events.append("simplify") or real_simplify(word))
+    out = lg.patch(Z15, 2, alpha, cover, locs)
+    # the local checks are the evaluations before the word is merged
+    assert events.index("simplify") == 1
+    assert out.to_text() == "A 2 7*X\n"
+
+
 def test_patch_detects_bad_local_word():
     cov = _z15_cover()
     rx = PolyRing(Z15, ("X",))

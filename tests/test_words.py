@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from sympelem.words import (
     UnitAtom,
     Word,
     eval_atoms,
+    same_value,
     word_from_text,
 )
 
@@ -249,3 +251,43 @@ def test_special_atoms_evaluate():
     assert eval_atoms(Z15, 3, [placed]).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
     w = Word(Z15, 3, [placed])
     assert w.inverse().eval() == symp_inverse(w.eval())
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_same_value_agrees_with_the_generator_product(name, data):
+    """same_value(a, b) holds exactly when the dense products agree: a
+    parameter moved by 1 must differ, an atom and its inverse inserted
+    must agree."""
+    ring = EVAL_RINGS[name]
+    n = data.draw(st.integers(2, 4))
+    prefix, suffix = (data.draw(st.lists(atoms_for(ring, n), max_size=2)) for _ in range(2))
+    one_param = data.draw(atoms_for(ring, n).filter(lambda atom: hasattr(atom, "e")))
+    a = prefix + [one_param] + suffix
+    want = dense_product(ring, n, a)
+
+    moved = prefix + [replace(one_param, e=ring.add(one_param.e, ring.one))] + suffix
+    assert dense_product(ring, n, moved) != want
+    assert not same_value(ring, n, a, moved)
+
+    g = data.draw(atoms_for(ring, n))
+    k = data.draw(st.integers(0, len(a)))
+    padded = a[:k] + [g, g._inverse(ring)] + a[k:]
+    assert dense_product(ring, n, padded) == want
+    assert same_value(ring, n, a, padded)
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_RINGS))
+def test_shape_and_unit_terms_are_single_entries(name):
+    # in the Hadamard basis each term of a shape or unit atom updates one
+    # column by a multiple of one other
+    ring = EVAL_RINGS[name]
+    x = _element(ring, 1, 2, 1)
+    for n in (2, 3, 4):
+        atoms = [ABCDAtom(sh, p, x) for sh in "ABCD" for p in range(2, n + 1)]
+        atoms += [UnitAtom(sh, p, x) for sh in "BC" for p in range(1, n + 1)]
+        for atom in atoms:
+            terms = atom._terms(ring, n)
+            assert len(terms) == (2 if isinstance(atom, ABCDAtom) else 1)
+            assert all(len(rows) == len(cols) == 1 for _, rows, cols in terms)
