@@ -2,8 +2,11 @@
 
 Rows are tuples of raw ring representations; two matrices are equal when
 their rows are, and a matrix is not hashable. The sizes here are tiny
-(2n <= 12), so dense storage is fine; the inner product is delegated to
-the ring so residue rings can use plain int arithmetic. Words of generators are evaluated in ``words`` by sparse
+(2n <= 12), so dense storage is fine. A product follows the nonzeros:
+output row i is the sum of u_k * (row k of the right factor) over the
+nonzero u_k of row i, and a factor 1 or a partial sum 0 costs no ring
+operation; representations are canonical, so every entry equals the full
+inner product. Words of generators are evaluated in ``words`` by sparse
 column updates, not by products of these matrices.
 """
 
@@ -38,9 +41,20 @@ class Matrix:
     def mul(self, other):
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
-        cols = tuple(zip(*other.rows))
-        dot = self.ring.dot
-        return Matrix(self.ring, [tuple(dot(row, c) for c in cols) for row in self.rows])
+        ring = self.ring
+        zero, one, add, mul = ring.zero, ring.one, ring.add, ring.mul
+        support = [[(j, v) for j, v in enumerate(r) if v != zero] for r in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [zero] * other.ncols
+            for u, terms in zip(row, support):
+                if u == zero:
+                    continue
+                for j, v in terms:
+                    p = v if u == one else u if v == one else mul(u, v)
+                    acc[j] = p if acc[j] == zero else add(acc[j], p)
+            out.append(acc)
+        return Matrix(ring, out)
 
     def add(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -63,15 +63,6 @@ class Ring:
     def scale_int(self, k, a):
         return self.mul(self.from_int(k), a)
 
-    def dot(self, row, col):
-        """Inner product of two equal-length tuples of representations."""
-        acc = self.zero
-        for u, v in zip(row, col):
-            if u == self.zero or v == self.zero:
-                continue
-            acc = self.add(acc, self.mul(u, v))
-        return acc
-
     def try_exact_div(self, a, d):
         """Return q with q*d == a, or None."""
         inv = self.try_invert(d)
@@ -127,9 +118,6 @@ class Zmod(Ring):
 
     def from_int(self, k):
         return k % self.m
-
-    def dot(self, row, col):
-        return sum(u * v for u, v in zip(row, col)) % self.m
 
     def try_invert(self, a):
         if math.gcd(a, self.m) != 1:
@@ -207,13 +195,6 @@ class Rationals(Ring):
 
     def is_zero(self, a):
         return not a[0]
-
-    def dot(self, row, col):
-        acc = (0, 1)
-        for (nu, du), (nv, dv) in zip(row, col):
-            if nu and nv:
-                acc = _q_add(*acc, *_q_mul(nu, du, nv, dv))
-        return acc
 
     def try_invert(self, a):
         n, d = a

@@ -27,12 +27,10 @@ def pi_swap(i):
 def psi_form(ring, n):
     if n < 1:
         raise BadIndices("n must be >= 1")
-    M = Matrix.zero(ring, 2 * n, 2 * n)
-    one = ring.one
-    neg_one = ring.neg(one)
+    rows = [[ring.zero] * (2 * n) for _ in range(2 * n)]
     for k in range(n):
-        M = M.paste(2 * k, 2 * k, Matrix(ring, [(ring.zero, one), (neg_one, ring.zero)]))
-    return M
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = ring.one, ring.neg(ring.one)
+    return Matrix(ring, rows)
 
 
 def is_symplectic(m):
@@ -46,12 +44,13 @@ def _psi_transpose_psi(m, negate=False):
     """psi m^t psi, or its negative, by index arithmetic. psi is a signed
     permutation: 0-based, psi[i][pi(i)] = (-1)^i with pi(i) = i ^ 1, so
     entry (r, c) of psi m^t psi is -(-1)^(r+c) m[pi(c)][pi(r)]."""
-    neg, rows, flip = m.ring.neg, m.rows, int(negate)
-
-    def entry(r, c):
-        v = rows[c ^ 1][r ^ 1]
-        return v if (r + c + flip) % 2 else neg(v)
-    return Matrix(m.ring, [[entry(r, c) for c in range(m.nrows)] for r in range(m.ncols)])
+    neg, zero, flip = m.ring.neg, m.ring.zero, int(negate)
+    cols = tuple(zip(*m.rows))
+    out = [list(cols[r ^ 1]) for r in range(m.ncols)]
+    for r, row in enumerate(out):
+        row[0::2], row[1::2] = row[1::2], row[0::2]
+        row[(r + flip) % 2::2] = [v if v == zero else neg(v) for v in row[(r + flip) % 2::2]]
+    return Matrix(m.ring, out)
 
 
 def symp_inverse(m):
@@ -166,14 +165,17 @@ def block_e(ring, n, blocks):
     """
     if n < 2:
         raise BadIndices("block matrices need n >= 2")
-    X = Matrix.zero(ring, 2, 2 * n - 2)
+    rows = [list(r) for r in Matrix.identity(ring, 2 * n).rows]
     for pos, blk in blocks.items():
         if not (2 <= pos <= n):
             raise BadIndices(f"block position {pos} out of 2..{n}")
         if not ring.is_zero(blk.det2()):
             raise NonZeroDet(f"block at position {pos} has nonzero determinant")
-        X = X.paste(0, 2 * (pos - 2), blk)
-    return Matrix.identity(ring, 2 * n).paste(0, 2, X).paste(2, 0, _psi_transpose_psi(X))
+        rows[0][2 * pos - 2:2 * pos], rows[1][2 * pos - 2:2 * pos] = blk.rows
+    low = _psi_transpose_psi(Matrix(ring, [r[2:] for r in rows[:2]]))
+    for r, head in zip(rows[2:], low.rows):
+        r[:2] = head
+    return Matrix(ring, rows)
 
 
 def gen_abcd(ring, n, shape, i, x):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -13,15 +14,17 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, currently_in_test_context, event, given, settings
 from hypothesis import strategies as st
 
 from sympelem import cli
 from sympelem import errors as err
 from sympelem.cli import main
+from sympelem.identities import corrupt_keys
 from sympelem.rings import MAX_TOWER_DEPTH, PolyRing, ring_from_descriptor
 from sympelem.matrices import Matrix
 from sympelem.symplectic import gen_abcd, gen_corner, gen_s, gen_small, symp_inverse
+from sympelem.verify import iter_table_items
 from sympelem.words import ABCDAtom, CornerAtom, SAtom, word_from_text
 
 
@@ -638,11 +641,13 @@ def _shape_text(data, m, n, degrees, max_size):
 
 def _run_bounded(argv):
     """``cli.main(argv)`` under a time bound, with its output captured:
-    (exit code, stderr)."""
+    (exit code, stderr). Inside a hypothesis test the exit code is
+    recorded as an event."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), time_bound(3):
         code = main(argv)
-    event(f"exit {code}")
+    if currently_in_test_context():
+        event(f"exit {code}")
     return code, err.getvalue()
 
 
@@ -760,3 +765,102 @@ def test_decompose_contract(data):
             assert all(isinstance(a, ABCDAtom) for a in out.atoms)
             assert _generator_product(ring, n, out) == \
                 _generator_product(ring, n, word_from_text(ring, n, text))
+
+
+@pytest.mark.parametrize("argv, ceiling", [
+    (["verify-tables", "--ring", "zmod:15", "--n", "2..1000000000"], f"n = {cli.MAX_N}"),
+    (["verify-tables", "--ring", "zmod:15", "--n", "2", "--trials", "100000000"],
+     f"above {cli.MAX_TRIALS}"),
+    (["decompose", "--ring", "zmod:15", "--n", str(cli.MAX_N + 1),
+      "--in", str(EXAMPLES / "word_z15.txt")], f"n = {cli.MAX_N}")],
+    ids=["n-range", "trials", "decompose-n"])
+def test_n_and_trials_above_their_ceilings_are_refused(argv, ceiling):
+    # refused before any work: building the range or running the trials
+    # would not end within the bound
+    code, err = _run_bounded(argv)
+    assert code == 2 and ceiling in err
+
+
+def test_every_n_up_to_the_ceiling_is_accepted():
+    assert cli._parse_n_range(f"2..{cli.MAX_N}") == list(range(2, cli.MAX_N + 1))
+
+
+# descriptors, --n texts, --trials values and --corrupt keys for the
+# verify-tables contract, each flagged valid or not; valid --n stays at
+# n <= 3 to keep each call cheap
+VT_RINGS = [(f"zmod:{m}", True) for m in (3, 15, 45)] + [
+    ("q", True), ("poly:q:x,y", True), ("loc:zmod:15:s=2", True),
+    ("zmod:4", False), ("zmod:30", False), ("zmod:", False), ("poly:q", False), ("ring", False)]
+VT_NS = [("2", True), ("3", True), ("2..3", True), ("3..3", True), ("3..2", False),
+         ("0", False), ("1", False), ("1..2", False), ("x", False), ("2.5", False),
+         ("2..x", False), (str(cli.MAX_N + 1), False), ("2..1000000000", False)]
+VT_TRIALS = [(None, True), ("1", True), ("2", True), ("0", False), ("-1", False),
+             (str(cli.MAX_TRIALS + 1), False)]
+MALFORMED_LINES = ["{", "not json", "[1, 2]", '"text"', "3"]
+
+
+def _commutator_bindings_all_vanish(descriptor, n_values, trials):
+    """Whether x*y = 0 for the (x, y) of every commutator item that
+    verify-tables at seed 0 checks; never over a symbolic ring."""
+    ring = ring_from_descriptor(descriptor)
+    items = iter_table_items(ring, n_values, random.Random(0), trials=int(trials or 3))
+    return not isinstance(ring, PolyRing) and all(
+        ring.is_zero(ring.mul(args[4], args[7]))
+        for name, _, _, args in items if name.startswith("commutator:"))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_verify_tables_and_report_contract(data):
+    # exit 2 with a message when any input is invalid; otherwise 0, or 1
+    # when a valid --corrupt key injects a fault. report then reads the
+    # JSONL that verify-tables wrote, or generated records, perhaps with
+    # one malformed line, and exits 1 exactly when a record is not PASS.
+    # Half the draws take every input from the valid ones, so that exits
+    # 0 and 1 are reached as often as 2.
+    only_valid = data.draw(st.booleans())
+
+    def pick(options):
+        return data.draw(st.sampled_from([o for o in options if o[1] or not only_valid]))
+
+    ring, ring_ok = pick(VT_RINGS)
+    n_text, n_ok = pick(VT_NS)
+    trials, trials_ok = pick(VT_TRIALS[:1] if only_valid and ring.startswith("poly:")
+                             else VT_TRIALS)
+    trials_ok = trials_ok and (trials is None or not ring.startswith("poly:"))
+    n_values = cli._parse_n_range(n_text) if n_ok else [2]
+    invalid_keys = [] if only_valid else ["commutator:ZZ:eq", "unit:AB", ""]
+    corrupt = data.draw(st.one_of(st.none(), st.sampled_from(
+        sorted(corrupt_keys(n_values)) + invalid_keys)))
+    corrupt_ok = corrupt is None or corrupt in corrupt_keys(n_values)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.jsonl"
+        code, err = _run_bounded(["verify-tables", "--ring", ring, "--n", n_text, "--out", str(out)]
+                                 + (["--trials", trials] if trials else [])
+                                 + (["--corrupt", corrupt] if corrupt is not None else []))
+        valid = ring_ok and n_ok and trials_ok and corrupt_ok
+        if valid and corrupt is not None and code == 0:
+            # an entry read at -x differs from itself only where x*y != 0,
+            # so over a sampled ring a trial with x*y = 0 hides the fault
+            assert _commutator_bindings_all_vanish(ring, n_values, trials), corrupt
+        else:
+            assert code == (2 if not valid else 1 if corrupt is not None else 0), (code, err)
+        assert code != 2 or err.strip()
+        if out.exists():
+            lines = out.read_text().splitlines()
+        else:
+            records = st.fixed_dictionaries({"name": st.sampled_from(["commutator", "unit"]),
+                                             "status": st.sampled_from(["PASS", "FAIL"]),
+                                             "n": st.integers(2, 3)})
+            lines = [json.dumps(r) for r in data.draw(st.lists(records, max_size=3))]
+        malformed = data.draw(st.booleans())
+        if malformed:
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         data.draw(st.sampled_from(MALFORMED_LINES)))
+        out.write_text("\n".join(lines) + "\n")
+        code, err = _run_bounded(["report", "--in", str(out)])
+        if malformed or not lines:
+            assert code == 2 and err.strip()
+        else:
+            passed = all(json.loads(line)["status"] == "PASS" for line in lines)
+            assert code == (0 if passed else 1)

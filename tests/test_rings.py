@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympelem.errors import EvenModulus, NilpotentS, ParseError, ZeroDivisorS
+from sympelem.matrices import Matrix
 from sympelem.rings import (
     Localized,
     PolyRing,
@@ -63,18 +64,21 @@ def _assert_canonical_pair(a):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_FRACTIONS, _FRACTIONS, st.lists(st.tuples(_FRACTIONS, _FRACTIONS), max_size=4))
+@given(_FRACTIONS, _FRACTIONS, st.lists(st.tuples(_FRACTIONS, _FRACTIONS), min_size=1, max_size=4))
 def test_rationals_pairs_agree_with_fraction(x, y, pairs):
+    # "dot" is the 1x1 product of a 1xk row by a kx1 column (a matrix has
+    # at least one row, so k >= 1)
     q = Rationals()
 
     def pair(f):
         return (f.numerator, f.denominator)
 
     a, b = pair(x), pair(y)
+    row = Matrix(q, [[pair(u) for u, _ in pairs]])
+    column = Matrix(q, [[pair(v)] for _, v in pairs])
     results = {"add": (q.add(a, b), x + y), "sub": (q.sub(a, b), x - y),
                "mul": (q.mul(a, b), x * y), "neg": (q.neg(a), -x),
-               "dot": (q.dot([pair(u) for u, _ in pairs], [pair(v) for _, v in pairs]),
-                       sum((u * v for u, v in pairs), Fraction(0)))}
+               "dot": (row.mul(column).rows[0][0], sum((u * v for u, v in pairs), Fraction(0)))}
     if x:
         results["try_invert"] = (q.try_invert(a), 1 / x)
     else:

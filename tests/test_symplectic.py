@@ -18,6 +18,7 @@ from sympelem.symplectic import (
     gen_small,
     graded_block,
     is_symplectic,
+    pi_swap,
     psi_form,
     shape_matrix,
     symp_inverse,
@@ -178,6 +179,45 @@ def test_psi_index_arithmetic_matches_psi_products(case):
     assert symp_inverse(m) == psi_inverse_reference(m)
     if n >= 2:
         assert block_e(ring, n, blocks) == block_e_reference(ring, n, blocks)
+
+
+@st.composite
+def generator_products(draw):
+    """(ring, n, m): m a product of 1-4 generators S, E(shape) and unit,
+    with parameters from ``_elements``."""
+    ring = PSI_RINGS[draw(st.sampled_from(sorted(PSI_RINGS)))]
+    n = draw(st.integers(2, 4))
+    elem = _elements(ring)
+    m = Matrix.identity(ring, 2 * n)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["S", "abcd", "small"]))
+        if kind == "S":
+            i = draw(st.integers(1, 2 * n))
+            j = draw(st.sampled_from([j for j in range(1, 2 * n + 1) if j not in (i, pi_swap(i))]))
+            g = gen_s(ring, n, i, j, draw(elem))
+        elif kind == "abcd":
+            g = gen_abcd(ring, n, draw(st.sampled_from("ABCD")), draw(st.integers(2, n)),
+                         draw(elem))
+        else:
+            g = gen_small(ring, n, draw(st.sampled_from("BC")), draw(st.integers(1, n)),
+                          draw(elem))
+        m = m.mul(g)
+    return ring, n, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_products())
+def test_symp_inverse_of_generator_products(case):
+    ring, n, m = case
+    psi = psi_form(ring, n)
+    assert symp_inverse(m) == psi.mul(m.transpose()).mul(psi).neg()
+    assert symp_inverse(m).mul(m) == Matrix.identity(ring, 2 * n)
+    # E(X) for the block row of m's first two rows, made singular block
+    # by block: one block, then every block at once
+    rank_one = {pos: Matrix(ring, [m.rows[0][2 * pos - 2:2 * pos],
+                                   [ring.zero, ring.zero]]) for pos in range(2, n + 1)}
+    assert block_e(ring, n, {n: rank_one[n]}) == block_e_reference(ring, n, {n: rank_one[n]})
+    assert block_e(ring, n, rank_one) == block_e_reference(ring, n, rank_one)
 
 
 def test_gen_abcd_additivity_and_inverse():
