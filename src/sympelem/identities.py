@@ -1,13 +1,14 @@
-"""Closed-form identities between generator products, materialized as
-pairs of matrices.
+"""Closed-form identities between generator products, each with two sides.
 
 Every constructor returns an IdentityInstance whose two sides are built
-through independent routes (a raw matrix product on the left, the
+through independent routes (the product on the left: a word of generator
+atoms for the commutator families, a dense product for the others; the
 tabulated closed form on the right), so instance verification is a real
 check, not a tautology. The commutator tables are the package's own
-corrected versions; each entry is validated against the bracket product
-by the test suite and the verify-tables command. Every closed form is one
-table row, read by one builder per family.
+corrected versions; each entry is validated against its bracket word by
+the test suite and the verify-tables command, whose atom-terms items check
+the word evaluator against the dense generators in the same run. Every
+closed form is one table row, read by one builder per family.
 
 Bracket convention throughout: [g, h] = g h g^-1 h^-1.
 """
@@ -30,27 +31,33 @@ from .symplectic import (
     shape_matrix,
     symp_inverse,
 )
-from .words import ABCDAtom, UnitAtom, Word
+from .words import ABCDAtom, UnitAtom, Word, same_value
 
 
 @dataclass
 class IdentityInstance:
+    """A side is a Matrix, a Word or a tuple of matrices. A Word on the right
+    faces a Word on the left; the two are compared in the evaluator's basis."""
     name: str
     ring: object
     n: int
-    lhs: Matrix
-    rhs: Matrix
+    lhs: object
+    rhs: object
     bindings: dict = field(default_factory=dict)
 
     def holds(self):
-        return self.lhs == self.rhs
+        if isinstance(self.rhs, Word):
+            return same_value(self.ring, self.n, self.lhs.atoms, self.rhs.atoms)
+        return (self.lhs.eval() if isinstance(self.lhs, Word) else self.lhs) == self.rhs
 
     def bindings_str(self):
         return ", ".join(f"{k}={self.ring.show(v)}" for k, v in self.bindings.items())
 
 
-def bracket(m, nmat):
-    return m.mul(nmat).mul(symp_inverse(m)).mul(symp_inverse(nmat))
+def bracket_atoms(ring, g, h):
+    """The word [g, h] = g h g^-1 h^-1 of two atom lists."""
+    inv = lambda w: [a._inverse(ring) for a in reversed(w)]
+    return [*g, *h, *inv(g), *inv(h)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +198,14 @@ def crossing_commutator_matrix(ring, n, X, i, x, Y, y):
 
 
 def commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
-    """The bracket against its closed form, read at -x when ``corrupt``
-    names this entry (the fault-injection control of verify-tables)."""
-    lhs = bracket(gen_abcd(ring, n, X, i, x), gen_abcd(ring, n, Y, j, y))
-    rx = ring.neg(x) if corrupt == commutator_entry_key(X, Y, i, j) else x
-    rhs = commutator_matrix(ring, n, X, i, rx, Y, j, y)
-    name = f"commutator:{X}{i},{Y}{j}"
-    return IdentityInstance(name, ring, n, lhs, rhs, {"x": x, "y": y})
+    """The bracket word against its closed form. When ``corrupt`` names
+    this entry (the fault-injection control of verify-tables), the closed
+    form is read times E(X_i)(1), which changes it for every binding."""
+    lhs = Word(ring, n, bracket_atoms(ring, [ABCDAtom(X, i, x)], [ABCDAtom(Y, j, y)]))
+    rhs = commutator_matrix(ring, n, X, i, x, Y, j, y)
+    if corrupt == commutator_entry_key(X, Y, i, j):
+        rhs = rhs.mul(gen_abcd(ring, n, X, i, ring.one))
+    return IdentityInstance(f"commutator:{X}{i},{Y}{j}", ring, n, lhs, rhs, {"x": x, "y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +254,13 @@ def unit_commutator_word(ring, n, X, i, x, Y, j, y):
 
 
 def unit_commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
-    """The bracket against its closed form, read at -x when ``corrupt``
-    names this entry."""
-    lhs = bracket(gen_abcd(ring, n, X, i, x), gen_small(ring, n, Y, j, y))
-    rx = ring.neg(x) if corrupt == f"unit:{X}{Y}:{unit_rel(i, j)}" else x
-    rhs = unit_commutator_word(ring, n, X, i, rx, Y, j, y).eval()
-    name = f"unit-commutator:{X}{i},{Y}@{j}"
-    return IdentityInstance(name, ring, n, lhs, rhs, {"x": x, "y": y})
+    """The bracket word against its closed form, read times E(X_i)(1)
+    when ``corrupt`` names this entry."""
+    lhs = Word(ring, n, bracket_atoms(ring, [ABCDAtom(X, i, x)], [UnitAtom(Y, j, y)]))
+    rhs = unit_commutator_word(ring, n, X, i, x, Y, j, y)
+    if corrupt == f"unit:{X}{Y}:{unit_rel(i, j)}":
+        rhs = rhs.concat(Word(ring, n, [ABCDAtom(X, i, ring.one)]))
+    return IdentityInstance(f"unit-commutator:{X}{i},{Y}@{j}", ring, n, lhs, rhs, {"x": x, "y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +387,24 @@ _COMPOSITE = {
 
 
 def composite_pieces(ring, n, X, Y, i, y, z):
+    """The atoms (y_g, z_g, w_g) of the _COMPOSITE row (X, Y) at i."""
     (ush, upos, uc), (zsh, zsgn), (wsh, wpos, wsgn) = _COMPOSITE[(X, Y)]
     y2z = ring.mul(ring.mul(y, y), z)
-    yg = gen_small(ring, n, ush, tag_pos(upos, i), ring.scale_int(uc, y2z))
-    zg = gen_abcd(ring, n, zsh, i, ring.scale_int(zsgn, y))
-    wg = gen_small(ring, n, wsh, tag_pos(wpos, i), ring.scale_int(wsgn, z))
-    return yg, zg, wg
+    return (UnitAtom(ush, tag_pos(upos, i), ring.scale_int(uc, y2z)),
+            ABCDAtom(zsh, i, ring.scale_int(zsgn, y)),
+            UnitAtom(wsh, tag_pos(wpos, i), ring.scale_int(wsgn, z)))
 
 
 def composite_instance(ring, n, X, Y, i, x, y, z):
-    """[E(X_i)(x), E(Y_i)(2yz)] expanded through the group identity
-    [g, h[k, l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1."""
+    """The bracket word [E(X_i)(x), E(Y_i)(2yz)] against its 30-atom expansion
+    [g, h[k, l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1 (a group identity)."""
     if (X, Y) not in _COMPOSITE:
         raise BadIndices(f"no composite route for ({X},{Y})")
-    yg, zg, wg = composite_pieces(ring, n, X, Y, i, y, z)
-    yz2 = ring.scale_int(2, ring.mul(y, z))
-    lhs = bracket(gen_abcd(ring, n, X, i, x), gen_abcd(ring, n, Y, i, yz2))
-    xg = gen_abcd(ring, n, X, i, x)
-    inner = bracket(bracket(xg, zg).mul(zg), bracket(xg, wg).mul(wg))
-    rhs = bracket(xg, yg).mul(yg).mul(inner).mul(bracket(wg, zg)).mul(symp_inverse(yg))
-    return IdentityInstance(f"composite:{X}{Y}", ring, n, lhs, rhs,
+    g, (h, k, l) = [ABCDAtom(X, i, x)], ([a] for a in composite_pieces(ring, n, X, Y, i, y, z))
+    lhs = bracket_atoms(ring, g, [ABCDAtom(Y, i, ring.scale_int(2, ring.mul(y, z)))])
+    inner = bracket_atoms(ring, bracket_atoms(ring, g, k) + k, bracket_atoms(ring, g, l) + l)
+    rhs = bracket_atoms(ring, g, h) + h + inner + bracket_atoms(ring, l, k) + [h[0]._inverse(ring)]
+    return IdentityInstance(f"composite:{X}{Y}", ring, n, Word(ring, n, lhs), Word(ring, n, rhs),
                             {"x": x, "y": y, "z": z})
 
 
@@ -419,20 +425,13 @@ def unit_bracket_shapes(shape, pos):
     return pair
 
 
-def _bracket_atoms(ring, X, i, u, Y, j):
-    """The word of [E(X_i)(u), E(Y_j)(1)] = g h g^-1 h^-1."""
-    one = ring.one
-    return [ABCDAtom(X, i, u), ABCDAtom(Y, j, one),
-            ABCDAtom(X, i, ring.neg(u)), ABCDAtom(Y, j, ring.neg(one))]
-
-
 def unit_bracket_atoms(ring, n, shape, pos, param):
     """A 4-atom commutator word evaluating to I perp (I_2+shape(param)) perp I:
     the same-position bracket [g1(param/4), g2(1)] of unit_bracket_shapes."""
     g1, g2 = unit_bracket_shapes(shape, pos)
     gpos = 2 if pos == 1 else pos
-    return _bracket_atoms(ring, g1, gpos, ring.mul(param, ring.mul(ring.inv2, ring.inv2)),
-                          g2, gpos)
+    u = ring.mul(param, ring.mul(ring.inv2, ring.inv2))
+    return bracket_atoms(ring, [ABCDAtom(g1, gpos, u)], [ABCDAtom(g2, gpos, ring.one)])
 
 
 def corner_unit_atoms(ring, n, kind, pos, x):
@@ -463,4 +462,5 @@ def placed_bracket_atoms(ring, n, shape, p, q, e):
     for 2 <= p < q <= n: the bracket [E(X_p)(e/c), E(Y_q)(1)] of the
     _PLACED row (X, Y) whose i < j shape is ``shape``, with c = +-2."""
     X, Y, c = _PLACED_PAIR[shape]
-    return _bracket_atoms(ring, X, p, ring.half(e) if c > 0 else ring.neg(ring.half(e)), Y, q)
+    u = ring.half(e) if c > 0 else ring.neg(ring.half(e))
+    return bracket_atoms(ring, [ABCDAtom(X, p, u)], [ABCDAtom(Y, q, ring.one)])

@@ -26,11 +26,18 @@ class Matrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise DimensionMismatch("ragged rows")
 
+    @classmethod
+    def _trusted(cls, ring, rows):
+        """A matrix on rows the library built: equal-length tuples, not rechecked."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.nrows, m.ncols = ring, rows, len(rows), len(rows[0]) if rows else 0
+        return m
+
     # -- constructors ---------------------------------------------------------
     @staticmethod
     def identity(ring, n):
         z, o = ring.zero, ring.one
-        return Matrix(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._trusted(ring, tuple((z,) * i + (o,) + (z,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zero(ring, nrows, ncols):
@@ -53,24 +60,26 @@ class Matrix:
                 for j, v in terms:
                     p = v if u == one else u if v == one else mul(u, v)
                     acc[j] = p if acc[j] == zero else add(acc[j], p)
-            out.append(acc)
-        return Matrix(ring, out)
+            out.append(tuple(acc))
+        return Matrix._trusted(ring, tuple(out))
 
     def add(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in add")
         a = self.ring.add
-        return Matrix(self.ring, [tuple(map(a, r1, r2)) for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.ring, tuple(tuple(map(a, r1, r2))
+                                                for r1, r2 in zip(self.rows, other.rows)))
 
     def sub(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in sub")
         s = self.ring.sub
-        return Matrix(self.ring, [tuple(map(s, r1, r2)) for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix._trusted(self.ring, tuple(tuple(map(s, r1, r2))
+                                                for r1, r2 in zip(self.rows, other.rows)))
 
     def neg(self):
         n = self.ring.neg
-        return Matrix(self.ring, [tuple(map(n, r)) for r in self.rows])
+        return Matrix._trusted(self.ring, tuple(tuple(map(n, r)) for r in self.rows))
 
     def transpose(self):
         return Matrix(self.ring, list(zip(*self.rows)))
@@ -91,7 +100,7 @@ class Matrix:
         for i, br in enumerate(block.rows):
             for j, v in enumerate(br):
                 rows[r0 + i][c0 + j] = v
-        return Matrix(self.ring, rows)
+        return Matrix._trusted(self.ring, tuple(map(tuple, rows)))
 
     def is_identity(self):
         ring = self.ring

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 from .matrices import Matrix
 from .rings import PolyRing, Rationals
+from .symplectic import SHAPES, corner_embed, gen_abcd, gen_corner, gen_s, gen_small, pi_swap
+from .words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, UnitAtom, eval_atoms
 from . import identities as idn
 
 
@@ -61,8 +63,34 @@ class RunReport:
 
 
 def _det1_witness(ring, t, u):
-    one, zero = ring.one, ring.zero
-    return Matrix(ring, [(one, zero), (t, one)]).mul(Matrix(ring, [(one, u), (zero, one)]))
+    """E21(t) E12(u) = [[1, u], [t, 1 + t u]]."""
+    return Matrix(ring, [(ring.one, u), (t, ring.add(ring.one, ring.mul(t, u)))])
+
+
+# atom kind -> every atom of that kind at n, at each index, shape and
+# position, paired with its dense definition; d is a det-1 corner
+ATOM_KINDS = {
+    "S": lambda r, n, x, d: [(SAtom(i, j, x), gen_s(r, n, i, j, x))
+                             for i in range(1, 2 * n + 1) for j in range(1, 2 * n + 1)
+                             if j not in (i, pi_swap(i))],
+    "E12/E21": lambda r, n, x, d: [(CornerAtom(k, x), gen_corner(r, n, k, x))
+                                   for k in ("E12", "E21")],
+    "A-D": lambda r, n, x, d: [(ABCDAtom(sh, p, x), gen_abcd(r, n, sh, p, x))
+                               for sh in SHAPES for p in range(2, n + 1)],
+    "UB/UC": lambda r, n, x, d: [(UnitAtom(sh, p, x), gen_small(r, n, sh, p, x))
+                                 for sh in "BC" for p in range(1, n + 1)],
+    "CORNER": lambda r, n, x, d: [(CornerMatrixAtom(d.rows), corner_embed(d, n))],
+}
+
+
+def atom_terms_instance(ring, n, kind, x, t, u):
+    """Each atom of ``kind`` at n, evaluated alone by the word evaluator,
+    against its dense definition. The commutator families compare words,
+    so a sign slip in an atom's ``_terms`` would otherwise go unseen."""
+    pairs = ATOM_KINDS[kind](ring, n, x, _det1_witness(ring, t, u))
+    return idn.IdentityInstance(f"atom-terms:{kind}", ring, n,
+                                tuple(eval_atoms(ring, n, [a]) for a, _ in pairs),
+                                tuple(m for _, m in pairs), {"x": x, "t": t, "u": u})
 
 
 def iter_table_items(ring, n_values, rng, trials=3, corrupt=None):
@@ -81,6 +109,9 @@ def iter_table_items(ring, n_values, rng, trials=3, corrupt=None):
 
     for n in n_values:
         for _ in range(reps):
+            sring, (x, t, u) = binds("x", "t", "u")
+            for kind in ATOM_KINDS:
+                yield f"atom-terms:{kind}", n, atom_terms_instance, (sring, n, kind, x, t, u)
             sring, (lam, x, y) = binds("lam", "x", "y")
             yield "corner-conjugation", n, idn.corner_conjugation, (sring, n, lam, x, y)
             # elementary criterion and det-1 conjugations

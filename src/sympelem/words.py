@@ -302,7 +302,7 @@ def _eval_cols(ring, n, atoms):
 
 
 def _eval(ring, n, atoms):
-    return Matrix(ring, _hadamard(ring, _eval_cols(ring, n, atoms)))
+    return Matrix._trusted(ring, tuple(map(tuple, _hadamard(ring, _eval_cols(ring, n, atoms)))))
 
 
 class Word:

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import random
 import re
 import signal
 import subprocess
@@ -24,7 +23,6 @@ from sympelem.identities import corrupt_keys
 from sympelem.rings import MAX_TOWER_DEPTH, PolyRing, ring_from_descriptor
 from sympelem.matrices import Matrix
 from sympelem.symplectic import gen_abcd, gen_corner, gen_s, gen_small, symp_inverse
-from sympelem.verify import iter_table_items
 from sympelem.words import ABCDAtom, CornerAtom, SAtom, word_from_text
 
 
@@ -99,13 +97,13 @@ def test_verify_tables_corrupt_unit_key_fails_its_item(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, code, digest", [
     (["--ring", "poly:q:x,y", "--n", "2..3"], 0,
-     "e689419b103aeafbae8929e66461f6b99069a81a66abf1f27c939edbb6bb60be"),
+     "eb63df800e1279fcfc3df6ee0ebc4b6b70a3b90c633819d054d0b600de28af0f"),
     (["--ring", "zmod:15", "--n", "2..3", "--seed", "7"], 0,
-     "d64ff231f714229e72624cfa7e5d997edd62ba077f34a0c4d8d7453c07597250"),
+     "cc72dc5cd2b23dc73abfbba8a0344c24419310ae5ac66ddc4620851f3c7859a4"),
     (["--ring", "zmod:15", "--n", "2..3", "--seed", "7", "--corrupt", "commutator:AD:eq"], 1,
-     "c1837ecb334c0339ab1eb6bc508f6125e236087b5f54b3bb2845f77397ba3f56"),
+     "585ad67f573baa5db2b2b3a05647fc78fb33de60cf9a5842847327742f8ef736"),
     (["--ring", "zmod:15", "--n", "2..3", "--seed", "7", "--corrupt", "unit:AC:j1"], 1,
-     "db4b7f827806df50dad7ff1b49a7ac80b330baf522a988fe05fa10eaecb8406c"),
+     "7c9761c5ad161ed9711d5ed9d3b5b73d3ec7bac1acdf9e29d1c300f45df66862"),
 ], ids=["poly", "zmod", "corrupt-commutator", "corrupt-unit"])
 def test_verify_tables_item_lines_are_pinned(args, code, digest, capsys):
     # every item line, its [..ms] timing stripped: names, order, status and
@@ -799,16 +797,6 @@ VT_TRIALS = [(None, True), ("1", True), ("2", True), ("0", False), ("-1", False)
 MALFORMED_LINES = ["{", "not json", "[1, 2]", '"text"', "3"]
 
 
-def _commutator_bindings_all_vanish(descriptor, n_values, trials):
-    """Whether x*y = 0 for the (x, y) of every commutator item that
-    verify-tables at seed 0 checks; never over a symbolic ring."""
-    ring = ring_from_descriptor(descriptor)
-    items = iter_table_items(ring, n_values, random.Random(0), trials=int(trials or 3))
-    return not isinstance(ring, PolyRing) and all(
-        ring.is_zero(ring.mul(args[4], args[7]))
-        for name, _, _, args in items if name.startswith("commutator:"))
-
-
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_verify_tables_and_report_contract(data):
@@ -839,12 +827,7 @@ def test_verify_tables_and_report_contract(data):
                                  + (["--trials", trials] if trials else [])
                                  + (["--corrupt", corrupt] if corrupt is not None else []))
         valid = ring_ok and n_ok and trials_ok and corrupt_ok
-        if valid and corrupt is not None and code == 0:
-            # an entry read at -x differs from itself only where x*y != 0,
-            # so over a sampled ring a trial with x*y = 0 hides the fault
-            assert _commutator_bindings_all_vanish(ring, n_values, trials), corrupt
-        else:
-            assert code == (2 if not valid else 1 if corrupt is not None else 0), (code, err)
+        assert code == (2 if not valid else 1 if corrupt is not None else 0), (code, err)
         assert code != 2 or err.strip()
         if out.exists():
             lines = out.read_text().splitlines()

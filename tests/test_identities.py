@@ -5,15 +5,27 @@ import re
 import pytest
 
 from sympelem import identities as idn
+from sympelem import words
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod
-from sympelem.symplectic import gen_abcd, gen_small
-from sympelem.verify import run_verify_tables
+from sympelem.symplectic import gen_abcd, gen_small, symp_inverse
+from sympelem.verify import iter_table_items, run_verify_tables
+from sympelem.words import Word
 
 Q = Rationals()
 PXY = PolyRing(Q, ("x", "y"))
 X, Y = PXY.var("x"), PXY.var("y")
 Z15 = Zmod(15)
+
+
+def dense_bracket(g, h):
+    """The dense oracle [g, h] = g h g^-1 h^-1 of two symplectic matrices."""
+    return g.mul(h).mul(symp_inverse(g)).mul(symp_inverse(h))
+
+
+def value(side):
+    """An instance side as a matrix: a Word is evaluated, a Matrix kept."""
+    return side.eval() if isinstance(side, Word) else side
 
 
 def int_matrix(ring, rows):
@@ -41,7 +53,7 @@ def test_same_shape_commutators_trivial_up_to_n4():
             for i in range(2, n + 1):
                 for j in range(2, n + 1):
                     a, b = Z15.sample(rng), Z15.sample(rng)
-                    lhs = idn.bracket(gen_abcd(Z15, n, sh, i, a), gen_abcd(Z15, n, sh, j, b))
+                    lhs = dense_bracket(gen_abcd(Z15, n, sh, i, a), gen_abcd(Z15, n, sh, j, b))
                     assert lhs == Matrix.identity(Z15, 2 * n)
 
 
@@ -58,7 +70,7 @@ def test_corrected_entry_in_crossing_special():
     # bottom-left block of the (C, B) special carries C(-4x^2 y); the
     # variant with C(-4xy^2) does not match the bracket
     m = idn.crossing_commutator_matrix(PXY, 2, "C", 2, X, "B", Y)
-    lhs = idn.bracket(gen_abcd(PXY, 2, "C", 2, X), gen_abcd(PXY, 2, "B", 2, Y))
+    lhs = dense_bracket(gen_abcd(PXY, 2, "C", 2, X), gen_abcd(PXY, 2, "B", 2, Y))
     assert m == lhs
     from sympelem.symplectic import shape_matrix
     x2y = PXY.scale_int(-4, PXY.mul(PXY.mul(X, X), Y))
@@ -107,6 +119,65 @@ def test_unit_commutator_table_symbolic():
                         assert inst.holds(), (n, Xs, i, Ys, j)
 
 
+def test_word_sides_match_the_dense_bracket():
+    # both sides of every commutator, unit-commutator and composite instance
+    # equal the dense bracket of the generator matrices
+    pz = PolyRing(Q, ("x", "y", "z"))
+    xs, ys, zs = pz.var("x"), pz.var("y"), pz.var("z")
+    yz2 = pz.scale_int(2, pz.mul(ys, zs))
+    for n in (2, 3):
+        pos, upos = range(2, n + 1), range(1, n + 1)
+        for Xs, Ys in itertools.product("ABCD", repeat=2):
+            for i, j in itertools.product(pos, pos):
+                inst = idn.commutator_instance(PXY, n, Xs, i, X, Ys, j, Y)
+                want = dense_bracket(gen_abcd(PXY, n, Xs, i, X), gen_abcd(PXY, n, Ys, j, Y))
+                assert value(inst.lhs) == want == value(inst.rhs), (n, Xs, i, Ys, j)
+        for Xs, Ys in itertools.product("ABCD", "BC"):
+            for i, j in itertools.product(pos, upos):
+                inst = idn.unit_commutator_instance(PXY, n, Xs, i, X, Ys, j, Y)
+                want = dense_bracket(gen_abcd(PXY, n, Xs, i, X), gen_small(PXY, n, Ys, j, Y))
+                assert value(inst.lhs) == want == value(inst.rhs), (n, Xs, i, Ys, j)
+        for Xs, Ys in idn._COMPOSITE:
+            for i in pos:
+                inst = idn.composite_instance(pz, n, Xs, Ys, i, xs, ys, zs)
+                want = dense_bracket(gen_abcd(pz, n, Xs, i, xs), gen_abcd(pz, n, Ys, i, yz2))
+                assert value(inst.lhs) == want == value(inst.rhs), (n, Xs, Ys, i)
+
+
+def test_commutator_families_multiply_no_dense_matrices(monkeypatch):
+    # the three commutator families are checked on the word evaluator:
+    # building and checking their items takes no dense matrix product
+    calls = []
+    dense_mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda a, b: calls.append(1) or dense_mul(a, b))
+    families = ("commutator:", "unit-commutator:", "composite:")
+    items = [item for item in iter_table_items(PXY, [2, 3], random.Random(0))
+             if item[0].startswith(families)]
+    assert len(items) == 16 * 5 + 8 * 8 + 4 * 3
+    for _, _, builder, args in items:
+        assert builder(*args).holds()
+    assert not calls
+
+
+def _negate_first_term(terms):
+    def slipped(self, ring, n):
+        (lam, rows, cols), *rest = terms(self, ring, n)
+        return ((ring.neg(lam), rows, cols), *rest)
+    return slipped
+
+
+@pytest.mark.parametrize("kind, cls", [
+    ("S", words.SAtom), ("E12/E21", words.CornerAtom), ("A-D", words.ABCDAtom),
+    ("UB/UC", words.UnitAtom), ("CORNER", words.CornerMatrixAtom)])
+def test_a_sign_slip_in_terms_fails_its_atom_terms_item(monkeypatch, kind, cls):
+    monkeypatch.setattr(cls, "_terms", _negate_first_term(cls._terms))
+    report = run_verify_tables(PXY, [2])
+    failed = {r.name for r in report.records if r.status != "PASS"}
+    assert f"atom-terms:{kind}" in failed
+    assert {r.name for r in report.records if r.name.startswith("atom-terms:")} == {
+        f"atom-terms:{k}" for k in ("S", "E12/E21", "A-D", "UB/UC", "CORNER")}
+
+
 def test_unit_commutator_free_cases():
     # same-letter pairs commute for every position
     rng = random.Random(11)
@@ -130,7 +201,7 @@ def test_composites_symbolic():
                 assert idn.composite_instance(pz, n, Xs, Ys, i, xs, ys, zs).holds()
     # z = 0 collapses both sides to the identity
     inst = idn.composite_instance(Z15, 2, "A", "D", 2, 7, 3, 0)
-    assert inst.lhs == Matrix.identity(Z15, 4) and inst.holds()
+    assert value(inst.lhs) == Matrix.identity(Z15, 4) and inst.holds()
 
 
 def test_corner_conjugation():
@@ -141,7 +212,7 @@ def test_corner_conjugation():
     # lam = 0 and x = y = 0 specializations
     assert idn.corner_conjugation(Z15, 2, 0, 3, 4).holds()
     inst = idn.corner_conjugation(Z15, 2, 5, 0, 0)
-    assert inst.holds() and inst.lhs == Matrix.identity(Z15, 4)
+    assert inst.holds() and value(inst.lhs) == Matrix.identity(Z15, 4)
 
 
 def test_elementary_criterion():
@@ -169,7 +240,8 @@ def test_row_conjugation():
     # identity corner: the conjugation collapses
     z = Z15
     assert idn.row_conjugation(z, 2, Matrix.identity(z, 2), [3, 4]).holds()
-    assert idn.row_conjugation(z, 2, Matrix.identity(z, 2), [0, 0]).lhs == Matrix.identity(z, 4)
+    assert value(idn.row_conjugation(z, 2, Matrix.identity(z, 2), [0, 0]).lhs) == \
+        Matrix.identity(z, 4)
 
 
 def test_graded_split_and_corner_correction():
@@ -222,7 +294,7 @@ def test_det1_conjugation():
             for i in range(2, n + 1):
                 assert idn.det1_conjugation(ring, n, delta, sh, i, x).holds(), (n, sh, i)
     # identity corner, zero parameter
-    assert idn.det1_conjugation(Z15, 2, Matrix.identity(Z15, 2), "A", 2, 0).lhs == \
+    assert value(idn.det1_conjugation(Z15, 2, Matrix.identity(Z15, 2), "A", 2, 0).lhs) == \
         Matrix.identity(Z15, 4)
 
 
@@ -250,6 +322,18 @@ def _entry_key(item):
         X, i, Y, j = m[1], int(m[2]), m[3], int(m[4])
         return f"unit:{X}{Y}:{'j1' if j == 1 else 'eq' if i == j else 'other'}"
     return None
+
+
+def test_every_corrupt_key_bites_at_every_seed():
+    # the corrupted closed form is the true one times E(X_i)(1), so one
+    # sampled trial over Z/3 fails every item the key names, whatever its
+    # bindings (x y = 0 included); only those items are built
+    z3 = Zmod(3)
+    for key in sorted(idn.corrupt_keys([2, 3])):
+        for seed in range(10):
+            items = iter_table_items(z3, [2, 3], random.Random(seed), trials=1, corrupt=key)
+            insts = [builder(*args) for name, _, builder, args in items if _entry_key(name) == key]
+            assert insts and not any(inst.holds() for inst in insts), (key, seed)
 
 
 @pytest.mark.parametrize("key", sorted(idn.corrupt_keys([3])))

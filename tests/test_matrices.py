@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympelem.errors import DimensionMismatch
 from sympelem.matrices import Matrix
 from sympelem.rings import ring_from_descriptor
+from sympelem.words import ABCDAtom, UnitAtom, eval_atoms
 
 PRODUCT_RINGS = {text: ring_from_descriptor(text)
                  for text in ("zmod:15", "q", "poly:q:x,y", "loc:poly:q:t:s=t")}
@@ -54,3 +55,20 @@ def test_zero_divisor_products_vanish():
     b = Matrix(z15, [(5, 1), (3, 3)])
     assert a.mul(b) == Matrix(z15, [(0, 3), (10, 5)])
     assert a.mul(b).rows == tuple(naive_product(a, b))
+
+
+def test_outside_rows_are_copied_and_checked_built_rows_are_tuples():
+    z15 = PRODUCT_RINGS["zmod:15"]
+    rows = [[1, 2], [3, 4]]
+    m = Matrix(z15, rows)
+    rows[0][0] = 9
+    assert m.rows == ((1, 2), (3, 4))
+    with pytest.raises(DimensionMismatch):
+        Matrix(z15, [(1, 2), (3,)])
+    built = [m.mul(m), m.add(m), m.sub(m), m.neg(), Matrix.identity(z15, 3),
+             Matrix.identity(z15, 3).paste(1, 1, m),
+             eval_atoms(z15, 2, [ABCDAtom("A", 2, 7), UnitAtom("B", 1, 4)])]
+    for b in built:
+        assert type(b.rows) is tuple and all(type(r) is tuple and len(r) == b.ncols
+                                             for r in b.rows)
+    assert Matrix.identity(z15, 3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
