@@ -18,7 +18,7 @@ from .localglobal import CoverData, conj_decompose, dilate, normality_demo, patc
 from .rewrite import decompose_full
 from .rings import Localized, PolyRing, parse_element, ring_from_descriptor
 from .verify import run_verify_tables
-from .words import Word, word_from_text
+from .words import Word, same_value, word_from_text
 
 # errors in what the caller gave; a check of the program's own work that
 # fails raises StepVerificationFailed and exits 1
@@ -94,7 +94,7 @@ def cmd_decompose(args):
     ring = ring_from_descriptor(args.ring)
     word = word_from_text(ring, args.n, _read(args.infile))
     cert = decompose_full(word)
-    ok = cert.verified and cert.output_word.eval() == word.eval()
+    ok = cert.verified and same_value(ring, args.n, cert.output_word.atoms, word.atoms)
     print(f"{'PASS' if ok else 'FAIL'} decompose {cert.summary()}")
     if args.out:
         _write(args.out, cert.output_word.to_text())

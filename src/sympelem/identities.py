@@ -1,14 +1,18 @@
 """Closed-form identities between generator products, each with two sides.
 
 Every constructor returns an IdentityInstance whose two sides are built
-through independent routes (the product on the left: a word of generator
-atoms for the commutator families, a dense product for the others; the
-tabulated closed form on the right), so instance verification is a real
-check, not a tautology. The commutator tables are the package's own
-corrected versions; each entry is validated against its bracket word by
-the test suite and the verify-tables command, whose atom-terms items check
-the word evaluator against the dense generators in the same run. Every
-closed form is one table row, read by one builder per family.
+through independent routes, so instance verification is a real check,
+not a tautology. The left side is the product the identity starts from:
+a word of generator atoms for the commutator families and the det-1
+conjugation, a dense graded block or product for the others. The right
+side is the tabulated closed form; where the rewriting and normality code
+emit it as atoms (the form splits, the graded split, the det-1
+conjugation), it is that very atom list, built by the same function. The
+commutator tables are the package's own corrected versions; each entry is
+validated against its bracket word by the test suite and the
+verify-tables command, whose atom-terms items check the word evaluator
+against the dense generators in the same run. Every closed form is one
+table row, read by one builder per family.
 
 Bracket convention throughout: [g, h] = g h g^-1 h^-1.
 """
@@ -31,13 +35,14 @@ from .symplectic import (
     shape_matrix,
     symp_inverse,
 )
-from .words import ABCDAtom, UnitAtom, Word, same_value
+from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word, same_value
 
 
 @dataclass
 class IdentityInstance:
-    """A side is a Matrix, a Word or a tuple of matrices. A Word on the right
-    faces a Word on the left; the two are compared in the evaluator's basis."""
+    """A side is a Matrix, a Word or a tuple of matrices. Two Words are
+    compared in the evaluator's basis; otherwise a Word side is evaluated
+    once and the matrices are compared."""
     name: str
     ring: object
     n: int
@@ -46,9 +51,11 @@ class IdentityInstance:
     bindings: dict = field(default_factory=dict)
 
     def holds(self):
-        if isinstance(self.rhs, Word):
-            return same_value(self.ring, self.n, self.lhs.atoms, self.rhs.atoms)
-        return (self.lhs.eval() if isinstance(self.lhs, Word) else self.lhs) == self.rhs
+        lhs, rhs = self.lhs, self.rhs
+        if isinstance(lhs, Word) and isinstance(rhs, Word):
+            return same_value(self.ring, self.n, lhs.atoms, rhs.atoms)
+        value = lambda side: side.eval() if isinstance(side, Word) else side
+        return value(lhs) == value(rhs)
 
     def bindings_str(self):
         return ", ".join(f"{k}={self.ring.show(v)}" for k, v in self.bindings.items())
@@ -100,26 +107,31 @@ def form_split_atoms(ring, kind, lam, mu, val, pos):
 # conjugation data for det-1 corners acting on block generators
 # ---------------------------------------------------------------------------
 
-# shape -> (sign on delta's first column, sign on its second column, y = +-x,
-# unit shape, sign on x^2)
-_DET1_CONJ = {"A": (1, 1, 1, "C", -1), "B": (1, 1, -1, "B", 1),
-              "C": (1, -1, 1, "C", 1), "D": (-1, 1, -1, "B", -1)}
+# shape -> (sign on delta's first column, sign on its second column, form
+# kind of both graded factors, unit shape, sign on x^2)
+_DET1_CONJ = {"A": (1, 1, "A", "C", -1), "B": (1, 1, "B", "B", 1),
+              "C": (1, -1, "A", "C", 1), "D": (-1, 1, "B", "B", -1)}
 
 
-def det1_conj_data(ring, delta_rows, shape, x):
-    """RHS structure of conjugating E(shape_i)(x) by a det-1 corner:
-    two graded one-block factors followed by a placed unit at position i.
-
-    Returns ([(lam, mu, xx, yy), (lam, mu, xx, yy)], (unit_shape, unit_param)).
-    """
-    if shape not in _DET1_CONJ:
-        raise BadIndices(f"unknown shape {shape!r}")
-    c1, c2, cy, ush, cu = _DET1_CONJ[shape]
+def conj_abcd_atom(ring, n, delta_rows, atom):
+    """Atoms for (delta perp I) E(shape_i)(x) (delta perp I)^-1, det delta = 1:
+    the form splits of two graded one-block factors, graded(p, r; x, +-x)
+    and graded(q, s; x, +-x) up to the signs of the _DET1_CONJ row, then a
+    unit at i; every unit is written as its 4-atom bracket."""
+    if atom.shape not in _DET1_CONJ:
+        raise BadIndices(f"unknown shape {atom.shape!r}")
+    c1, c2, kind, ush, cu = _DET1_CONJ[atom.shape]
     (p, q), (r, s) = delta_rows
     sgn = {1: (lambda v: v), -1: ring.neg}
-    y = sgn[cy](x)
-    return [(sgn[c1](p), sgn[c1](r), x, y), (sgn[c2](q), sgn[c2](s), x, y)], \
-        (ush, sgn[cu](ring.mul(x, x)))
+    x, i = atom.e, atom.pos
+    forms = form_split_atoms(ring, kind, sgn[c1](p), sgn[c1](r), x, i) \
+        + form_split_atoms(ring, kind, sgn[c2](q), sgn[c2](s), x, i)
+    out = [b for a in forms for b in (unit_bracket_atoms(ring, n, a.shape, a.pos, a.e)
+                                      if isinstance(a, UnitAtom) else [a])]
+    uparam = sgn[cu](ring.mul(x, x))
+    if not ring.is_zero(uparam):
+        out.extend(unit_bracket_atoms(ring, n, ush, i, uparam))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +334,23 @@ def row_conjugation(ring, n, delta, ys):
 
 
 def graded_split(ring, n, k, lam, mu, x, y):
-    """Graded block = corner correction * A-form * B-form."""
+    """Graded block = corner correction * A-form split * B-form split,
+    the atoms the transvection split of ``rewrite`` emits."""
     a = ring.half(ring.add(x, y))
     b = ring.half(ring.sub(x, y))
     lhs = graded_block(ring, n, lam, mu, x, y, k)
-    rhs = corner_embed(corner_correction(ring, lam, mu, a, b), n) \
-        .mul(graded_block(ring, n, lam, mu, a, a, k)) \
-        .mul(graded_block(ring, n, lam, mu, b, ring.neg(b), k))
+    rhs = Word(ring, n, [CornerMatrixAtom(corner_correction(ring, lam, mu, a, b).rows)]
+               + form_split_atoms(ring, "A", lam, mu, a, k)
+               + form_split_atoms(ring, "B", lam, mu, b, k))
     return IdentityInstance("graded-split", ring, n, lhs, rhs,
                             {"lam": lam, "mu": mu, "x": x, "y": y})
 
 
 def form_split(ring, n, k, kind, lam, mu, val):
-    """graded(lam,mu;val,+-val) against its _FORM_SPLIT row, kind "A" or "B"."""
-    sx, sy, su, sgn = _FORM_SPLIT[kind]
-    x, y, up = split_form(ring, kind, lam, mu, val)
-    lhs = graded_block(ring, n, lam, mu, val, val if sgn > 0 else ring.neg(val), k)
-    rhs = gen_abcd(ring, n, sx, k, x).mul(gen_abcd(ring, n, sy, k, y)) \
-        .mul(gen_small(ring, n, su, k, up))
+    """graded(lam,mu;val,+-val) against its form_split_atoms, kind "A" or "B"."""
+    y = val if _FORM_SPLIT[kind][3] > 0 else ring.neg(val)
+    lhs = graded_block(ring, n, lam, mu, val, y, k)
+    rhs = Word(ring, n, form_split_atoms(ring, kind, lam, mu, val, k))
     return IdentityInstance(f"{kind.lower()}-form-split", ring, n, lhs, rhs,
                             {"lam": lam, "mu": mu, kind.lower(): val})
 
@@ -357,17 +368,12 @@ def block_conjugation(ring, n, k, delta, lam, mu, x, y):
 
 
 def det1_conjugation(ring, n, delta, shape, i, x):
-    """Conjugation of a block generator by a det-1 corner, as two graded
-    factors and a trailing unit."""
-    emb = corner_embed(delta, n)
-    lhs = emb.mul(gen_abcd(ring, n, shape, i, x)).mul(symp_inverse(emb))
-    forms, (ush, uparam) = det1_conj_data(ring, delta.rows, shape, x)
-    rhs = Matrix.identity(ring, 2 * n)
-    for lam, mu, xx, yy in forms:
-        rhs = rhs.mul(graded_block(ring, n, lam, mu, xx, yy, i))
-    rhs = rhs.mul(gen_small(ring, n, ush, i, uparam))
-    return IdentityInstance(f"det1-conjugation:{shape}", ring, n, lhs, rhs,
-                            {"x": x})
+    """The word CORNER delta, E(shape_i)(x), CORNER adj delta against its
+    conj_abcd_atom atoms."""
+    atom = ABCDAtom(shape, i, x)
+    lhs = Word(ring, n, [CornerMatrixAtom(delta.rows), atom, CornerMatrixAtom(delta.adj2().rows)])
+    rhs = Word(ring, n, conj_abcd_atom(ring, n, delta.rows, atom))
+    return IdentityInstance(f"det1-conjugation:{shape}", ring, n, lhs, rhs, {"x": x})
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +401,14 @@ def composite_pieces(ring, n, X, Y, i, y, z):
             UnitAtom(wsh, tag_pos(wpos, i), ring.scale_int(wsgn, z)))
 
 
-def composite_instance(ring, n, X, Y, i, x, y, z):
-    """The bracket word [E(X_i)(x), E(Y_i)(2yz)] against its 30-atom expansion
-    [g, h[k, l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1 (a group identity)."""
+def composite_instance(ring, n, X, Y, i, y, z):
+    """E(Y_i)(2yz) against its _COMPOSITE row y_g [z_g, w_g]."""
     if (X, Y) not in _COMPOSITE:
         raise BadIndices(f"no composite route for ({X},{Y})")
-    g, (h, k, l) = [ABCDAtom(X, i, x)], ([a] for a in composite_pieces(ring, n, X, Y, i, y, z))
-    lhs = bracket_atoms(ring, g, [ABCDAtom(Y, i, ring.scale_int(2, ring.mul(y, z)))])
-    inner = bracket_atoms(ring, bracket_atoms(ring, g, k) + k, bracket_atoms(ring, g, l) + l)
-    rhs = bracket_atoms(ring, g, h) + h + inner + bracket_atoms(ring, l, k) + [h[0]._inverse(ring)]
-    return IdentityInstance(f"composite:{X}{Y}", ring, n, Word(ring, n, lhs), Word(ring, n, rhs),
-                            {"x": x, "y": y, "z": z})
+    yg, zg, wg = composite_pieces(ring, n, X, Y, i, y, z)
+    lhs = Word(ring, n, [ABCDAtom(Y, i, ring.scale_int(2, ring.mul(y, z)))])
+    rhs = Word(ring, n, [yg, *bracket_atoms(ring, [zg], [wg])])
+    return IdentityInstance(f"composite:{X}{Y}", ring, n, lhs, rhs, {"y": y, "z": z})
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ patching along a comaximal cover, and the normality demonstration.
 Everything here works with parameters written as s^e * c where c lives in
 the numerator ring (R, or R[X], or R[Y][X] for the two-variable case);
 the exponent bookkeeping is what the valuation traces report. Every
-produced word is verified against its defining matrix identity, and every
-closed form used is read from the tables verify-tables checks.
+produced word is verified against its defining identity, and every
+closed form used is read from the tables verify-tables checks, through
+the same builders (``conj_abcd_atom`` is the det-1 conjugation row).
 
-Each produced word is evaluated in full, once, over the smallest ring it
-lives in. The matrix it must equal is derived from a matrix that was
-already checked, mapped through a ring homomorphism, which is exact since
+Where the element a word must equal is itself a word, the two are
+compared with ``same_value``: ``conj_decompose`` against g h g^-1, and
+``normality_demo`` against gamma h gamma^-1. Otherwise each produced word
+is evaluated in full, once, over the smallest ring it lives in, and the
+matrix it must equal is derived from a matrix that was already checked,
+mapped through a ring homomorphism, which is exact since
 eval(phi o w) = phi(eval w):
 
 * ``dilate`` evaluates its input word once (or takes that matrix as
@@ -21,7 +25,8 @@ eval(phi o w) = phi(eval w):
   over R[X], elsewhere it compares over R_s[X]. A cover with a unit s
   needs no dilation: the first pulled-back word is returned. Otherwise
   ``patch`` passes dilate beta's matrix, alpha(X + Y) alpha(Y)^-1 over
-  (R[Y])_s[X]. Either way the patched word is compared with alpha itself.
+  (R[Y])_s[X], the one dense product of this module. Either way the
+  patched word is compared with alpha itself.
 """
 
 from __future__ import annotations
@@ -45,17 +50,15 @@ from .identities import (
     _PLACED,
     _UNIT_BRACKET,
     _UNIT_COMMUTATOR,
-    det1_conj_data,
-    form_split_atoms,
+    conj_abcd_atom,
     tag_pos,
-    unit_bracket_atoms,
     unit_bracket_shapes,
     unit_rel,
 )
 from .rewrite import decompose_full, simplify_shape_word
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word, eval_atoms
+from .words import ABCDAtom, CornerMatrixAtom, Word, same_value
 
 DEFAULT_FUEL = 64      # largest dilation exponent m that dilate tries
 MAX_ATOMS = 200_000    # longest conjugation chain dilate builds for one step
@@ -125,9 +128,8 @@ def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
         return ABCDAtom(sh, pos, locring.s_power_mul(locring.embed(c), e))
 
     word = Word(locring, n, [atom(*entry) for entry in entries])
-    g = eval_atoms(locring, n, [atom(Xshape, i, -k, a)])
-    h = eval_atoms(locring, n, [atom(Yshape, j, m, x)])
-    if word.eval() != g.mul(h).mul(symp_inverse(g)):
+    g = atom(Xshape, i, -k, a)
+    if not same_value(locring, n, word.atoms, [g, atom(Yshape, j, m, x), g._inverse(locring)]):
         raise StepVerificationFailed("conjugation decomposition is off")
     return word, ValuationTrace(entries)
 
@@ -542,19 +544,6 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
 # normality demonstration
 # ---------------------------------------------------------------------------
 
-def conj_abcd_atom(ring, n, delta_rows, atom):
-    """Atoms for (delta perp I) E(shape_i)(e) (delta perp I)^-1, det delta = 1."""
-    forms, (ush, uparam) = det1_conj_data(ring, delta_rows, atom.shape, atom.e)
-    out = []
-    for lam, mu, xx, yy in forms:
-        for a in form_split_atoms(ring, "A" if yy == xx else "B", lam, mu, xx, atom.pos):
-            out.extend(unit_bracket_atoms(ring, n, a.shape, a.pos, a.e)
-                       if isinstance(a, UnitAtom) else [a])
-    if not ring.is_zero(uparam):
-        out.extend(unit_bracket_atoms(ring, n, ush, atom.pos, uparam))
-    return out
-
-
 def normality_demo(base_ring, n, gamma_word, h_word, cover):
     """Word for gamma * eval(h) * gamma^-1 over the shape alphabet.
 
@@ -563,7 +552,8 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     conjugates h atom by atom, any other gamma is decomposed over R) and
     mapped into each R_s[T]. R -> R_s is injective, as s is no zero
     divisor, so these are the words a rewrite over R_s would give. The
-    local words are patched along the cover and evaluated at T = 1.
+    local words are patched along the cover, against alpha, the word
+    gamma h(T) gamma^-1 evaluated once, and evaluated at T = 1.
     """
     for idx, atom in enumerate(h_word.atoms, start=1):
         if not isinstance(atom, ABCDAtom):
@@ -575,14 +565,12 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
                                     f"atom {idx} is {atom._text(base_ring)!r}")
     RT = PolyRing(base_ring, ("T",))
     h_t = h_word.map_params(lambda p: RT.mul(RT.const(p), RT.var("T")), RT)
-    gamma = gamma_word.eval()
-    gamma_t = gamma.map(RT.const, RT)
-    alpha = gamma_t.mul(h_t.eval()).mul(symp_inverse(gamma_t))
+    gamma_t = gamma_word.map_params(RT.const, RT)
+    alpha = gamma_t.concat(h_t).concat(gamma_t.inverse()).eval()
 
-    if len(gamma_word) == 1 and isinstance(gamma_word.atoms[0], CornerMatrixAtom):
-        delta_rows = tuple(tuple(RT.const(v) for v in r) for r in gamma_word.atoms[0].rows)
+    if len(gamma_t) == 1 and isinstance(gamma_t.atoms[0], CornerMatrixAtom):
         conj = Word(RT, n, [a for atom in h_t.atoms
-                            for a in conj_abcd_atom(RT, n, delta_rows, atom)])
+                            for a in conj_abcd_atom(RT, n, gamma_t.atoms[0].rows, atom)])
     else:
         g_abcd = decompose_full(gamma_word).output_word.map_params(RT.const, RT)
         conj = g_abcd.concat(h_t).concat(g_abcd.inverse())
@@ -598,6 +586,7 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
         raise StepVerificationFailed(f"normality homotopy: {exc}") from None
     out, _ = simplify_shape_word(
         patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring))
-    if out.eval() != gamma.mul(h_word.eval()).mul(symp_inverse(gamma)):
+    if not same_value(base_ring, n, out.atoms,
+                      gamma_word.concat(h_word).concat(gamma_word.inverse()).atoms):
         raise StepVerificationFailed("normality conjugation is off")
     return out

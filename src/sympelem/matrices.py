@@ -70,17 +70,6 @@ class Matrix:
         return Matrix._trusted(self.ring, tuple(tuple(map(a, r1, r2))
                                                 for r1, r2 in zip(self.rows, other.rows)))
 
-    def sub(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch in sub")
-        s = self.ring.sub
-        return Matrix._trusted(self.ring, tuple(tuple(map(s, r1, r2))
-                                                for r1, r2 in zip(self.rows, other.rows)))
-
-    def neg(self):
-        n = self.ring.neg
-        return Matrix._trusted(self.ring, tuple(tuple(map(n, r)) for r in self.rows))
-
     def transpose(self):
         return Matrix(self.ring, list(zip(*self.rows)))
 
@@ -91,9 +80,6 @@ class Matrix:
         rows = [r + (z,) * n2 for r in self.rows]
         rows += [(z,) * n1 + r for r in other.rows]
         return Matrix(self.ring, rows)
-
-    def submatrix(self, r0, c0, nr, nc):
-        return Matrix(self.ring, [r[c0:c0 + nc] for r in self.rows[r0:r0 + nr]])
 
     def paste(self, r0, c0, block):
         rows = [list(r) for r in self.rows]

@@ -150,11 +150,11 @@ def iter_table_items(ring, n_values, rng, trials=3, corrupt=None):
                             yield (f"unit-commutator:{X}{i},{Y}@{j}", n,
                                    idn.unit_commutator_instance,
                                    (sring, n, X, i, x, Y, j, y, corrupt))
-            sring, (x, y, z) = binds("x", "y", "z")
+            sring, (y, z) = binds("y", "z")
             for X, Y in idn._COMPOSITE:
                 for i in range(2, n + 1):
                     yield (f"composite:{X}{Y}@{i}", n, idn.composite_instance,
-                           (sring, n, X, Y, i, x, y, z))
+                           (sring, n, X, Y, i, y, z))
 
 
 def run_verify_tables(ring, n_values, seed=0, trials=3, corrupt=None, out_stream=None):

@@ -97,13 +97,13 @@ def test_verify_tables_corrupt_unit_key_fails_its_item(tmp_path, capsys):
 
 @pytest.mark.parametrize("args, code, digest", [
     (["--ring", "poly:q:x,y", "--n", "2..3"], 0,
-     "eb63df800e1279fcfc3df6ee0ebc4b6b70a3b90c633819d054d0b600de28af0f"),
+     "279efc5b7eb8a15e28f044284df49cb7d5b554a79cca1a7c358ac46dc3dfef29"),
     (["--ring", "zmod:15", "--n", "2..3", "--seed", "7"], 0,
      "cc72dc5cd2b23dc73abfbba8a0344c24419310ae5ac66ddc4620851f3c7859a4"),
     (["--ring", "zmod:15", "--n", "2..3", "--seed", "7", "--corrupt", "commutator:AD:eq"], 1,
-     "585ad67f573baa5db2b2b3a05647fc78fb33de60cf9a5842847327742f8ef736"),
+     "52082e90b54c97320c47e0026ae4b168da35b1d8583cc04aef793ea30eb7b4aa"),
     (["--ring", "zmod:15", "--n", "2..3", "--seed", "7", "--corrupt", "unit:AC:j1"], 1,
-     "7c9761c5ad161ed9711d5ed9d3b5b73d3ec7bac1acdf9e29d1c300f45df66862"),
+     "5c59f5721b71cea74d995282436caf8a10ebf46a7bfeaab75f687d41681ac6c9"),
 ], ids=["poly", "zmod", "corrupt-commutator", "corrupt-unit"])
 def test_verify_tables_item_lines_are_pinned(args, code, digest, capsys):
     # every item line, its [..ms] timing stripped: names, order, status and
@@ -302,6 +302,39 @@ def test_patch_needs_one_local_word_per_cover_entry(names, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"gives {len(names)} word file(s)" in err and "cover of 2 entries" in err
+
+
+_GUARDED = [
+    ["decompose", "--ring", "zmod:15", "--n", "2", "--in", str(EXAMPLES / "word_z15.txt")],
+    ["conj", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--xshape", "A", "--i", "2",
+     "--a", "1", "--k", "1", "--yshape", "D", "--j", "2", "--m", "3", "--x", "1"],
+    ["conj", "--ring", "poly:q:t", "--s", "t", "--n", "3", "--xshape", "A", "--i", "2",
+     "--a", "3", "--k", "1", "--yshape", "C", "--j", "3", "--m", "3", "--x", "1"],
+    ["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", str(EXAMPLES / "gamma_z15.txt"),
+     "--h", str(EXAMPLES / "h_z15.txt"), "--cover", str(EXAMPLES / "cover_z15.txt")],
+    ["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", "<corner>",
+     "--h", str(EXAMPLES / "h_z15.txt"), "--cover", str(EXAMPLES / "cover_z15.txt")],
+]
+
+
+@pytest.mark.parametrize("argv", _GUARDED, ids=["decompose", "conj-crossing", "conj-placed",
+                                                "normality", "normality-corner"])
+def test_word_commands_multiply_no_dense_matrices(argv, monkeypatch, tmp_path, capsys):
+    # decompose, conj and normality-demo over a cover of units check their
+    # words on the word evaluator: no dense product and no dense inverse
+    corner = tmp_path / "corner.txt"
+    corner.write_text("CORNER 7 3 2 1\n")  # det 1 mod 15
+    argv = [str(corner) if a == "<corner>" else a for a in argv]
+    calls = []
+    dense_mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda a, b: calls.append("mul") or dense_mul(a, b))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sympelem") and hasattr(module, "symp_inverse"):
+            monkeypatch.setattr(module, "symp_inverse",
+                                lambda m: calls.append("symp_inverse") or symp_inverse(m))
+    assert run(argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert calls == []
 
 
 def test_normality_names_the_non_shape_atom_of_h(tmp_path, capsys):

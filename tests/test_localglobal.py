@@ -557,6 +557,20 @@ def test_normality_demo_corner_gamma():
     assert_reduced(out)
 
 
+def test_corner_normality_reads_the_checked_det1_table(monkeypatch):
+    # a CORNER gamma conjugates h by conj_abcd_atom, the right side of the
+    # det1-conjugation items; swapping the A- and B-form of every row must
+    # fail exactly those items and normality_demo's own check
+    for sh, (c1, c2, kind, ush, cu) in list(idn._DET1_CONJ.items()):
+        monkeypatch.setitem(idn._DET1_CONJ, sh, (c1, c2, "B" if kind == "A" else "A", ush, cu))
+    report = run_verify_tables(PolyRing(Q, ("x", "y")), [2])
+    assert {r.name for r in report.records if r.status == "FAIL"} == \
+        {f"det1-conjugation:{sh}@2" for sh in "ABCD"}
+    gamma = Word(Z15, 2, [CornerMatrixAtom(((7, 3), (2, 1)))])
+    with pytest.raises(StepVerificationFailed):
+        lg.normality_demo(Z15, 2, gamma, Word(Z15, 2, [ABCDAtom("B", 2, 5)]), _z15_cover())
+
+
 def test_normality_demo_names_a_non_shape_atom_of_h():
     h = Word(Z15, 2, [ABCDAtom("A", 2, 3), SAtom(1, 3, 2)])
     with pytest.raises(AlphabetViolation, match=r"atom 2 is 'S 1 3 2'"):

@@ -65,7 +65,7 @@ def test_outside_rows_are_copied_and_checked_built_rows_are_tuples():
     assert m.rows == ((1, 2), (3, 4))
     with pytest.raises(DimensionMismatch):
         Matrix(z15, [(1, 2), (3,)])
-    built = [m.mul(m), m.add(m), m.sub(m), m.neg(), Matrix.identity(z15, 3),
+    built = [m.mul(m), m.add(m), Matrix.identity(z15, 3),
              Matrix.identity(z15, 3).paste(1, 1, m),
              eval_atoms(z15, 2, [ABCDAtom("A", 2, 7), UnitAtom("B", 1, 4)])]
     for b in built:

@@ -7,7 +7,7 @@ from sympelem import cli
 from sympelem import identities as idn
 from sympelem import rewrite as rw
 from sympelem.errors import AlphabetViolation, StepVerificationFailed
-from sympelem.localglobal import conj_abcd_atom
+from sympelem.identities import conj_abcd_atom
 from sympelem.matrices import Matrix
 from sympelem.rings import PolyRing, Rationals, Zmod, parse_element, ring_from_descriptor
 from sympelem.symplectic import corner_embed, gen_corner, gen_s, pi_swap, symp_inverse

@@ -248,7 +248,8 @@ def test_comment_and_blank_lines_skipped():
 
 def test_special_atoms_evaluate():
     placed = DenseAtom(placed_abcd(Z15, 3, 1, "C", 2, 5).rows)
-    assert eval_atoms(Z15, 3, [placed]).submatrix(0, 0, 2, 2) == Matrix.identity(Z15, 2)
+    corner = tuple(r[:2] for r in eval_atoms(Z15, 3, [placed]).rows[:2])
+    assert corner == Matrix.identity(Z15, 2).rows
     w = Word(Z15, 3, [placed])
     assert w.inverse().eval() == symp_inverse(w.eval())
 
