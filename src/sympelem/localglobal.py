@@ -417,21 +417,23 @@ def patch(base_ring, n, alpha, cover, local_words):
     """Assemble a global homotopy word from local ones.
 
     ``alpha`` is a symplectic matrix over R[X] with alpha(0) = I; each
-    local word lives over R_{s_i}[X] and must evaluate to alpha there.
-    The output word is over R[X] and evaluates to alpha exactly.
+    local word lives over R_{s_i}[X] (or, at a unit s_i, over alpha's own
+    ring R[X]) and must evaluate to alpha there. The output word is over
+    R[X] and evaluates to alpha exactly.
 
     Every local word is checked, in cover order, before anything is
     built. Where s_i is a unit of R, R -> R_{s_i} is an isomorphism: the
-    local word is pulled back along R_{s_i}[X] -> R[X] and compared with
-    alpha over R[X]. Elsewhere it is compared with alpha embedded into
-    R_{s_i}[X]. A pulled-back word equal to one already compared is not
-    evaluated again. If some s_i is a unit, the first pulled-back word is
-    already a global word for alpha, and it is the one returned: no local
-    word is dilated. Otherwise each local word w gives
-    beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s[X], ``dilate`` clears its
-    denominators, and the factors, substituted so that they telescope,
-    are concatenated. Either way the word is merged by
-    ``simplify_shape_word``, each merge checked, and compared with alpha.
+    local word is pulled back along R_{s_i}[X] -> R[X], a word over R[X]
+    being its own pull-back, and compared with alpha over R[X]. Elsewhere
+    it is compared with alpha embedded into R_{s_i}[X]. A pulled-back
+    word equal to one already compared is not evaluated again. If some
+    s_i is a unit, the first pulled-back word is already a global word
+    for alpha, and it is the one returned: no local word is dilated.
+    Otherwise each local word w gives beta(X, Y) = w(X + Y) w(Y)^-1 over
+    (R[Y])_s[X], ``dilate`` clears its denominators, and the factors,
+    substituted so that they telescope, are concatenated. Either way the
+    word is merged by ``simplify_shape_word``, each merge checked, and
+    compared with alpha, unless it is a pulled-back word compared already.
     """
     RX = alpha.ring
     if not (isinstance(RX, PolyRing) and RX.nvars == 1):
@@ -449,13 +451,15 @@ def patch(base_ring, n, alpha, cover, local_words):
     pulled_checked = set()  # atoms of the pulled-back words already compared
     for idx, ((s, _, _, _), local) in enumerate(zip(cover.entries, local_words)):
         RsX = PolyRing(Localized(base_ring, s), (Xvar,))
-        if local.ring.descriptor() != RsX.descriptor():
-            raise LocalWordMismatch(f"local word {idx} is over {local.ring.descriptor()}")
         s_inv = base_ring.try_invert(s)
+        own = s_inv is not None and local.ring is RX  # at a unit s, its own pull-back
+        if not own and local.ring.descriptor() != RsX.descriptor():
+            raise LocalWordMismatch(f"local word {idx} is over {local.ring.descriptor()}")
         if s_inv is None:
             ok = local.eval() == alpha.map(lambda p: _embed_poly(RsX, p), RsX)
         else:
-            pulled = local.map_params(lambda p: _pull_back(base_ring, s_inv, p), RX)
+            pulled = local if own else local.map_params(
+                lambda p: _pull_back(base_ring, s_inv, p), RX)
             # equal words have equal values, so a repeat needs no evaluation
             ok = pulled.atoms in pulled_checked or pulled.eval() == alpha
             pulled_checked.add(pulled.atoms)
@@ -473,7 +477,7 @@ def patch(base_ring, n, alpha, cover, local_words):
     else:
         factors = _dilated_factors(base_ring, n, alpha, cover, local_words)
     out, _ = simplify_shape_word(Word(RX, n, [a for f in factors for a in f.atoms]))
-    if out.eval() != alpha:
+    if out.atoms not in pulled_checked and out.eval() != alpha:
         raise StepVerificationFailed("patched word does not evaluate to alpha")
     return out
 
@@ -549,10 +553,10 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
 
     gamma is a generator word or a single det-1 corner block; h is a shape
     word. gamma h(T) gamma^-1 is built once over R[T] (a corner block
-    conjugates h atom by atom, any other gamma is decomposed over R) and
-    mapped into each R_s[T]. R -> R_s is injective, as s is no zero
-    divisor, so these are the words a rewrite over R_s would give. The
-    local words are patched along the cover, against alpha, the word
+    conjugates h atom by atom, any other gamma is decomposed over R). At
+    a unit s it is itself the local word, as R_s[T] = R[T]; elsewhere it
+    is mapped into R_s[T], which is injective, as s is no zero divisor.
+    The local words are patched along the cover, against alpha, the word
     gamma h(T) gamma^-1 evaluated once, and evaluated at T = 1.
     """
     for idx, atom in enumerate(h_word.atoms, start=1):
@@ -578,7 +582,8 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     local_words = []
     for (s, _, _, _) in cover.entries:
         RsT = PolyRing(Localized(base_ring, s), ("T",))
-        local_words.append(conj.map_params(lambda p: _embed_poly(RsT, p), RsT))
+        local_words.append(conj if base_ring.try_invert(s) is not None
+                           else conj.map_params(lambda p: _embed_poly(RsT, p), RsT))
 
     try:
         patched = patch(base_ring, n, alpha, cover, local_words)

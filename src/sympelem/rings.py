@@ -22,6 +22,7 @@ first, then the exponent tuple; univariate, the exponent alone) and no
 coefficient is zero. ``add`` and ``sub`` merge two such tuples in one pass,
 and ``mul`` by a single term shifts the other operand's exponents, which
 keeps the order because graded-lex is a monomial order; neither sorts.
+Two single-term operands are combined directly, with no merge set-up.
 Every operation must return a tuple with the same invariant.
 """
 
@@ -310,7 +311,19 @@ class PolyRing(Ring):
     def _merge(self, a, b, combine, bneg):
         """Terms of a + b, or of a - b when ``bneg`` negates b's
         coefficients, by one two-pointer pass over both descending tuples.
-        Only coinciding exponents combine, and only their sums can be 0."""
+        Only coinciding exponents combine, and only their sums can be 0.
+        Two single terms are combined directly: one base operation when
+        the exponents coincide, else the pair in descending order."""
+        if len(a) == 1 == len(b):
+            (ea, ca), = a
+            (eb, cb), = b
+            if ea == eb:
+                c = combine(ca, cb)
+                return () if self.base.is_zero(c) else ((ea, c),)
+            tb = b[0] if bneg is None else (eb, bneg(cb))
+            if ea > eb if self.nvars == 1 else _grlex_key(ea) > _grlex_key(eb):
+                return a[0], tb
+            return tb, a[0]
         if self.nvars == 1:
             # univariate grlex is the order of the exponents themselves;
             # the first tuple zip(*terms) yields holds every exponent
@@ -354,6 +367,14 @@ class PolyRing(Ring):
             return b
         if b == self.one:
             return a
+        if len(a) == 1 == len(b):
+            (ea, ca), = a
+            (eb, cb), = b
+            c = self.base.mul(ca, cb)
+            if self.base.is_zero(c):
+                return ()
+            e = (ea[0] + eb[0],) if self.nvars == 1 else tuple(map(operator.add, ea, eb))
+            return ((e, c),)
         if len(a) == 1 or len(b) == 1:
             return self._mul_monomial(a, b)
         d = {}

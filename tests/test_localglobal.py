@@ -514,6 +514,64 @@ def test_patch_evaluates_an_equal_pulled_back_word_once(monkeypatch):
     assert out.to_text() == "A 2 7*X\n"
 
 
+def _plus_one_first(word):
+    """``word`` with its first parameter p replaced by p + 1."""
+    first, ring = word.atoms[0], word.ring
+    return Word(ring, word.n, [ABCDAtom(first.shape, first.pos, ring.add(first.e, ring.one))]
+                + list(word.atoms[1:]))
+
+
+@pytest.mark.parametrize("wrong", [0, 1])
+def test_patch_compares_a_word_over_r_x_at_a_unit_s(wrong):
+    # both s of the Z/15 cover are units: a local word over alpha's own ring
+    # R[X] is its own pull-back, accepted as it is, and still compared
+    cover = _z15_cover()
+    rx = PolyRing(Z15, ("X",))
+    aw = word_from_text(rx, 2, "A 2 7*X\nC 2 3*X\n")
+    alpha = aw.eval()
+    assert lg.patch(Z15, 2, alpha, cover, [aw, aw]).to_text() == aw.to_text()
+    locs = [aw, aw]
+    locs[wrong] = _plus_one_first(aw)
+    with pytest.raises(LocalWordMismatch, match=f"local word {wrong} does not evaluate"):
+        lg.patch(Z15, 2, alpha, cover, locs)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["t-then-2", "2-then-t"])
+def test_patch_refuses_a_word_over_r_x_at_a_non_unit_s(order):
+    # R[X] is not R_t[X]: at t, on the (t, 1 - t) cover and on the mixed
+    # (t, 2) cover, an R[X] local word is refused by its ring
+    aw = _qt_homotopy()
+    for cover in (_qt_cover(), _mixed_qt_cover(order)):
+        idx = next(i for i, (s, _, _, _) in enumerate(cover.entries) if s == T)
+        locs = _local_words(cover, aw)
+        locs[idx] = aw
+        with pytest.raises(LocalWordMismatch, match=f"local word {idx} is over poly:poly:q:t:X"):
+            lg.patch(QT, 2, aw.eval(), cover, locs)
+
+
+def test_normality_demo_evaluates_its_word_once_over_r_t(monkeypatch):
+    # both s of the Z/15 example cover are units, where R_s[T] = R[T]: the
+    # conjugate word over R[T] is itself every local word, embedded into no
+    # R_s[T], and evaluated once, by patch's local check
+    cover = lg.CoverData.from_text(Z15, (EXAMPLES / "cover_z15.txt").read_text())
+    gamma = word_from_text(Z15, 2, (EXAMPLES / "gamma_z15.txt").read_text())
+    h = word_from_text(Z15, 2, (EXAMPLES / "h_z15.txt").read_text())
+    embeds, evals, seen = [], [], []
+    real_embed, real_eval, real_patch = lg._embed_poly, Word.eval, lg.patch
+    monkeypatch.setattr(lg, "_embed_poly", lambda rsx, p: embeds.append(p) or real_embed(rsx, p))
+    monkeypatch.setattr(Word, "eval", lambda self: evals.append(self) or real_eval(self))
+    monkeypatch.setattr(lg, "patch", lambda *args: seen.append(args[4]) or real_patch(*args))
+    out = lg.normality_demo(Z15, 2, gamma, h, cover)
+    g = gamma.eval()
+    assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
+    assert not embeds
+    (local_words,) = seen
+    conj = local_words[0]
+    assert conj.ring.descriptor() == "poly:zmod:15:T"
+    assert all(w is conj for w in local_words)
+    assert sum(w.ring is conj.ring and w.atoms == conj.atoms for w in evals) == 1
+
+
 def test_patch_detects_bad_local_word():
     cov = _z15_cover()
     rx = PolyRing(Z15, ("X",))

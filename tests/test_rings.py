@@ -465,3 +465,43 @@ def test_poly_kernels_match_dict_sort_reference(name, ring, ref, coeff):
             _assert_canonical(ring, got)
 
     check()
+
+
+# -- single-term operands: combined directly, as the general route would --
+
+_Q = Rationals()
+_SINGLE_TERM_COEFFS = {
+    "q": st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool).map(
+        lambda f: _Q.mul(_Q.from_int(f.numerator), _Q.try_invert(_Q.from_int(f.denominator)))),
+    "zmod:15": st.integers(1, 14),
+}
+
+
+@pytest.mark.parametrize("descriptor", ["poly:q:t", "poly:q:x,y", "poly:zmod:15:t"])
+def test_single_term_ops_match_the_general_route(descriptor):
+    ring = ring_from_descriptor(descriptor)
+    base = ring.base
+    coeffs = _SINGLE_TERM_COEFFS[base.descriptor()]
+    terms = st.tuples(st.tuples(*[st.integers(0, 2)] * ring.nvars), coeffs).map(lambda t: (t,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms, terms)
+    def check(a, b):
+        ((ea, ca),), ((eb, cb),) = a, b
+        total, diff = dict(a), dict(a)
+        total[eb] = base.add(total[eb], cb) if eb in total else cb
+        diff[eb] = base.sub(diff[eb], cb) if eb in diff else base.neg(cb)
+        product = {tuple(map(sum, zip(ea, eb))): base.mul(ca, cb)}
+        for op, d in (("add", total), ("sub", diff), ("mul", product)):
+            got = getattr(ring, op)(a, b)
+            assert got == ring.freeze(d), (op, a, b)
+            _assert_canonical(ring, got)
+
+    check()
+    if descriptor == "poly:zmod:15:t":
+        # products that vanish over the zero-divisor base, and sums that cancel
+        t = ring.var("t")
+        assert ring.mul(ring.scale_int(3, t), ring.scale_int(5, t)) == ()
+        assert ring.mul(ring.scale_int(3, t), ring.from_int(5)) == ()
+        assert ring.add(ring.scale_int(7, t), ring.scale_int(8, t)) == ()
+        assert ring.sub(ring.scale_int(7, t), ring.scale_int(7, t)) == ()
