@@ -8,8 +8,13 @@ lists, once untraced for its run_seconds and once traced, and writes the
 final JSON line of each run, together with the commit it measured and the
 host it ran on, to BENCH_<k>.json at the root of the checkout, for the
 smallest k >= 1 whose file does not exist yet.
+
+It byte-compiles ``src/`` and ``perfbench/`` first, so that no timed run
+compiles sources: a run that does reads ``peak_rss_mb`` higher. This
+writes only ``__pycache__`` directories.
 """
 
+import compileall
 import json
 import os
 import platform
@@ -31,6 +36,9 @@ def run(workload, seconds, trace):
 
 def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for tree in ("src", "perfbench"):
+        if not compileall.compile_dir(ROOT / tree, quiet=1):
+            sys.exit(f"could not byte-compile {tree}/")
     commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=ROOT,
                             stdout=subprocess.PIPE, text=True, check=True).stdout.strip()
     runs = [{"workload": w["name"], "trace": trace, "seconds": spec["run_seconds"],

@@ -22,8 +22,8 @@ from .words import Word, same_value, word_from_text
 
 # errors in what the caller gave; a check of the program's own work that
 # fails raises StepVerificationFailed and exits 1
-USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.NilpotentS, err.ZeroDivisorS,
-                err.BadIndices, err.AlphabetViolation, err.ExponentTooSmall,
+USAGE_ERRORS = (err.ParseError, err.EvenModulus, err.ZeroDivisorS, err.BadIndices,
+                err.AlphabetViolation, err.ExponentTooSmall,
                 err.CoverNotComaximal, err.NotHomotopy, err.LocalWordMismatch,
                 FileNotFoundError, ValueError)
 

@@ -14,12 +14,8 @@ class EvenModulus(SympelemError):
     """2 is a zero divisor, so the residue ring is unusable here."""
 
 
-class NilpotentS(SympelemError):
-    """Attempted to localize at a nilpotent element."""
-
-
 class ZeroDivisorS(SympelemError):
-    """Attempted to localize at a (detectable) zero divisor."""
+    """Attempted to localize at a zero divisor (a nilpotent element is one)."""
 
 
 class DimensionMismatch(SympelemError):

@@ -113,24 +113,23 @@ _DET1_CONJ = {"A": (1, 1, "A", "C", -1), "B": (1, 1, "B", "B", 1),
               "C": (1, -1, "A", "C", 1), "D": (-1, 1, "B", "B", -1)}
 
 
-def conj_abcd_atom(ring, n, delta_rows, atom):
+def conj_abcd_atom(ring, delta_rows, atom):
     """Atoms for (delta perp I) E(shape_i)(x) (delta perp I)^-1, det delta = 1:
     the form splits of two graded one-block factors, graded(p, r; x, +-x)
     and graded(q, s; x, +-x) up to the signs of the _DET1_CONJ row, then a
-    unit at i; every unit is written as its 4-atom bracket."""
+    unit at i. The units stay ``UnitAtom``s; a caller that needs shape
+    atoms expands them with ``rewrite.eliminate_units_inplace``."""
     if atom.shape not in _DET1_CONJ:
         raise BadIndices(f"unknown shape {atom.shape!r}")
     c1, c2, kind, ush, cu = _DET1_CONJ[atom.shape]
     (p, q), (r, s) = delta_rows
     sgn = {1: (lambda v: v), -1: ring.neg}
     x, i = atom.e, atom.pos
-    forms = form_split_atoms(ring, kind, sgn[c1](p), sgn[c1](r), x, i) \
+    out = form_split_atoms(ring, kind, sgn[c1](p), sgn[c1](r), x, i) \
         + form_split_atoms(ring, kind, sgn[c2](q), sgn[c2](s), x, i)
-    out = [b for a in forms for b in (unit_bracket_atoms(ring, n, a.shape, a.pos, a.e)
-                                      if isinstance(a, UnitAtom) else [a])]
     uparam = sgn[cu](ring.mul(x, x))
     if not ring.is_zero(uparam):
-        out.extend(unit_bracket_atoms(ring, n, ush, i, uparam))
+        out.append(UnitAtom(ush, i, uparam))
     return out
 
 
@@ -372,7 +371,7 @@ def det1_conjugation(ring, n, delta, shape, i, x):
     conj_abcd_atom atoms."""
     atom = ABCDAtom(shape, i, x)
     lhs = Word(ring, n, [CornerMatrixAtom(delta.rows), atom, CornerMatrixAtom(delta.adj2().rows)])
-    rhs = Word(ring, n, conj_abcd_atom(ring, n, delta.rows, atom))
+    rhs = Word(ring, n, conj_abcd_atom(ring, delta.rows, atom))
     return IdentityInstance(f"det1-conjugation:{shape}", ring, n, lhs, rhs, {"x": x})
 
 

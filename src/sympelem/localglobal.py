@@ -55,7 +55,7 @@ from .identities import (
     unit_bracket_shapes,
     unit_rel,
 )
-from .rewrite import decompose_full, simplify_shape_word
+from .rewrite import decompose_full, eliminate_units_inplace, simplify_shape_word
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
 from .words import ABCDAtom, CornerMatrixAtom, Word, same_value
@@ -238,8 +238,9 @@ def dilate(base_ring, s, n, word, *, value=None):
     the search starts at the largest such bound and refuses one above
     DEFAULT_FUEL (``ExponentTooSmall``, naming the m needed). Each
     candidate m is accepted only if every parameter of the reassembled
-    word lands in R[X]. The output is merged by ``simplify_shape_word``,
-    each merge checked.
+    word lands in R[X]; if none up to DEFAULT_FUEL is, the word needs a
+    larger m (``ExponentTooSmall``, naming DEFAULT_FUEL). The output is
+    merged by ``simplify_shape_word``, each merge checked.
 
     ``value`` is the matrix ``word`` evaluates to, for a caller that has
     already checked it; it defaults to ``word.eval()``. Both checks read
@@ -333,7 +334,8 @@ def dilate(base_ring, s, n, word, *, value=None):
             return m, out
         except (ExponentTooSmall, StepBudgetExceeded):
             continue
-    raise StepBudgetExceeded(f"no dilation exponent found up to {DEFAULT_FUEL}")
+    raise ExponentTooSmall(f"no dilation exponent found up to {DEFAULT_FUEL}; "
+                           f"dilation needs m > {DEFAULT_FUEL}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +555,11 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
 
     gamma is a generator word or a single det-1 corner block; h is a shape
     word. gamma h(T) gamma^-1 is built once over R[T] (a corner block
-    conjugates h atom by atom, any other gamma is decomposed over R). At
-    a unit s it is itself the local word, as R_s[T] = R[T]; elsewhere it
-    is mapped into R_s[T], which is injective, as s is no zero divisor.
+    conjugates h atom by atom, by the det-1 conjugation row with its units
+    expanded, each expansion checked; any other gamma is decomposed over
+    R). At a unit s it is itself the local word, as R_s[T] = R[T];
+    elsewhere it is mapped into R_s[T], which is injective, as s is no
+    zero divisor.
     The local words are patched along the cover, against alpha, the word
     gamma h(T) gamma^-1 evaluated once, and evaluated at T = 1.
     """
@@ -573,8 +577,8 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     alpha = gamma_t.concat(h_t).concat(gamma_t.inverse()).eval()
 
     if len(gamma_t) == 1 and isinstance(gamma_t.atoms[0], CornerMatrixAtom):
-        conj = Word(RT, n, [a for atom in h_t.atoms
-                            for a in conj_abcd_atom(RT, n, gamma_t.atoms[0].rows, atom)])
+        conj, _ = eliminate_units_inplace(Word(RT, n, [
+            a for atom in h_t.atoms for a in conj_abcd_atom(RT, gamma_t.atoms[0].rows, atom)]))
     else:
         g_abcd = decompose_full(gamma_word).output_word.map_params(RT.const, RT)
         conj = g_abcd.concat(h_t).concat(g_abcd.inverse())

@@ -8,7 +8,7 @@ on representations:
 * ``Zmod(m)``      -- ints in ``[0, m)``
 * ``Rationals()``  -- reduced int pairs ``(numerator, denominator)``,
                       denominator > 0
-* ``PolyRing``     -- tuple of ``(exponent_tuple, coeff)`` pairs, graded-lex
+* ``PolyRing``     -- tuple of ``(monomial_key, coeff)`` pairs, keys
                       descending, zero coefficients dropped
 * ``Localized``    -- pairs ``(numerator, k)`` standing for ``num / s^k``
                       with ``k`` minimal
@@ -16,14 +16,18 @@ on representations:
 Representations are immutable and hashable. Rings are immutable after
 construction and safe to share: nothing is cached on a ring object.
 
-``PolyRing`` arithmetic relies on its term-order invariant: the exponents
-of a polynomial are strictly descending in graded-lex order (total degree
-first, then the exponent tuple; univariate, the exponent alone) and no
-coefficient is zero. ``add`` and ``sub`` merge two such tuples in one pass,
-and ``mul`` by a single term shifts the other operand's exponents, which
-keeps the order because graded-lex is a monomial order; neither sorts.
-Two single-term operands are combined directly, with no merge set-up.
-Every operation must return a tuple with the same invariant.
+``PolyRing`` stores a monomial x_1^e_1 ... x_v^e_v by its key, the tuple
+(e_1 + ... + e_v, e_1, ..., e_{v-1}); the last exponent is implied by the
+total, and a univariate key is (e,). Plain tuple order on keys is
+graded-lex order, and the key of a product is the sum of the keys. The
+arithmetic relies on one invariant: the keys of a polynomial are strictly
+descending and no coefficient is zero. ``add`` and ``sub`` merge two such
+tuples in one pass, and ``mul`` by a single term adds its key to the other
+operand's keys, which keeps the order because graded-lex is a monomial
+order; neither sorts. Two single-term operands are combined directly,
+with no merge set-up. Every operation must return a tuple with the same
+invariant. Only ``var``, ``sample``, ``show``, ``subst`` and
+``try_exact_div`` read exponents back from keys.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import EvenModulus, NilpotentS, ParseError, ZeroDivisorS
+from .errors import EvenModulus, ParseError, ZeroDivisorS
 
 
 class Ring:
@@ -71,11 +75,9 @@ class Ring:
             return self.mul(a, inv)
         return None
 
-    def is_nilpotent_elem(self, a):
-        return self.is_zero(a)
-
     def is_zero_divisor_elem(self, a):
-        """Best-effort detection; False means 'not detectably a zero divisor'."""
+        """Exact: whether a is a zero divisor, 0 included. The default, the
+        zero test, is exact for Q, a field."""
         return self.is_zero(a)
 
     def sample(self, rng, small=False):
@@ -134,14 +136,6 @@ class Zmod(Ring):
             return None
         mg = self.m // g
         return (a // g) * pow(d // g, -1, mg) % mg
-
-    def is_nilpotent_elem(self, a):
-        x = a % self.m
-        for _ in range(self.m.bit_length() + 1):
-            if x == 0:
-                return True
-            x = x * x % self.m
-        return False
 
     def is_zero_divisor_elem(self, a):
         return math.gcd(a % self.m, self.m) != 1
@@ -250,8 +244,15 @@ def _q_mul(na, da, nb, db):
     return (na * nb, da * db)
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+def monomial_key(exps):
+    """The key (total degree, e_1, ..., e_{v-1}) of the exponent tuple e_1..e_v."""
+    return (sum(exps),) + exps[:-1]
+
+
+def key_exponents(key):
+    """The exponents e_1..e_v of the monomial with key ``key``."""
+    rest = key[1:]
+    return rest + (key[0] - sum(rest),)
 
 
 class PolyRing(Ring):
@@ -285,12 +286,13 @@ class PolyRing(Ring):
 
     def var(self, name):
         i = self.names.index(name)
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
+        e = monomial_key(tuple(1 if j == i else 0 for j in range(self.nvars)))
         return ((e, self.base.one),)
 
     def freeze(self, d):
+        """The polynomial with the terms of the dict ``d``, key -> coeff."""
         items = [(e, c) for e, c in d.items() if not self.base.is_zero(c)]
-        items.sort(key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        items.sort(key=operator.itemgetter(0), reverse=True)
         return tuple(items)
 
     # -- ring operations ------------------------------------------------------
@@ -321,33 +323,24 @@ class PolyRing(Ring):
                 c = combine(ca, cb)
                 return () if self.base.is_zero(c) else ((ea, c),)
             tb = b[0] if bneg is None else (eb, bneg(cb))
-            if ea > eb if self.nvars == 1 else _grlex_key(ea) > _grlex_key(eb):
-                return a[0], tb
-            return tb, a[0]
-        if self.nvars == 1:
-            # univariate grlex is the order of the exponents themselves;
-            # the first tuple zip(*terms) yields holds every exponent
-            ka = next(zip(*a))
-            kb = next(zip(*b))
-        else:
-            ka = [(sum(e), e) for e, _ in a]
-            kb = [(sum(e), e) for e, _ in b]
+            return (a[0], tb) if ea > eb else (tb, a[0])
         is_zero = self.base.is_zero
         out = []
         i = j = 0
         na, nb = len(a), len(b)
         while i < na and j < nb:
-            x, y = ka[i], kb[j]
+            ta, tb = a[i], b[j]
+            x, y = ta[0], tb[0]
             if x > y:
-                out.append(a[i])
+                out.append(ta)
                 i += 1
             elif x < y:
-                out.append(b[j] if bneg is None else (b[j][0], bneg(b[j][1])))
+                out.append(tb if bneg is None else (y, bneg(tb[1])))
                 j += 1
             else:
-                c = combine(a[i][1], b[j][1])
+                c = combine(ta[1], tb[1])
                 if not is_zero(c):
-                    out.append((a[i][0], c))
+                    out.append((x, c))
                 i += 1
                 j += 1
         if i < na:
@@ -373,8 +366,7 @@ class PolyRing(Ring):
             c = self.base.mul(ca, cb)
             if self.base.is_zero(c):
                 return ()
-            e = (ea[0] + eb[0],) if self.nvars == 1 else tuple(map(operator.add, ea, eb))
-            return ((e, c),)
+            return ((tuple(map(operator.add, ea, eb)), c),)
         if len(a) == 1 or len(b) == 1:
             return self._mul_monomial(a, b)
         d = {}
@@ -382,7 +374,7 @@ class PolyRing(Ring):
         bmul = self.base.mul
         for e1, c1 in a:
             for e2, c2 in b:
-                e = tuple(map(sum, zip(e1, e2)))
+                e = tuple(map(operator.add, e1, e2))
                 c = bmul(c1, c2)
                 if e in d:
                     d[e] = badd(d[e], c)
@@ -391,8 +383,8 @@ class PolyRing(Ring):
         return self.freeze(d)
 
     def _mul_monomial(self, a, b):
-        """a * b where one operand is a single term: shift the other by its
-        exponent and scale by its coefficient. Multiplying by a monomial
+        """a * b where one operand is a single term: add its key to the
+        other's keys and scale by its coefficient. Multiplying by a monomial
         keeps grlex order, so the result needs no sort; products that
         vanish over a zero-divisor base are dropped."""
         if len(a) == 1:
@@ -400,7 +392,9 @@ class PolyRing(Ring):
         (em, cm), = b
         bmul, is_zero = self.base.mul, self.base.is_zero
         out = []
-        if self.nvars == 1:
+        if len(em) == 1:
+            # a one-element key is shifted by hand: map costs about a
+            # microsecond per call more, which R[X] words feel
             (k,) = em
             for (e,), c in a:
                 c = bmul(c, cm)
@@ -441,7 +435,7 @@ class PolyRing(Ring):
         acc = ()
         for e, c in a:
             term = self.const(c)
-            for i, p in enumerate(e):
+            for i, p in enumerate(key_exponents(e)):
                 if p == 0:
                     continue
                 v = values.get(i)
@@ -480,16 +474,17 @@ class PolyRing(Ring):
         if not a:
             return ()
         lead_e, lead_c = d[0]
+        lead_exps = key_exponents(lead_e)
         rem = a
         quo = {}
         while rem:
             e, c = rem[0]
-            if any(ei < di for ei, di in zip(e, lead_e)):
+            if any(ei < di for ei, di in zip(key_exponents(e), lead_exps)):
                 return None
             q = self.base.try_exact_div(c, lead_c)
             if q is None:
                 return None
-            qe = tuple(ei - di for ei, di in zip(e, lead_e))
+            qe = tuple(map(operator.sub, e, lead_e))
             quo[qe] = self.base.add(quo.get(qe, self.base.zero), q)
             rem = self.sub(rem, self.mul(((qe, q),), d))
             # refuse a leading term that did not cancel; otherwise the leading
@@ -497,9 +492,6 @@ class PolyRing(Ring):
             if rem and rem[0][0] == e:
                 return None
         return self.freeze(quo)
-
-    def is_nilpotent_elem(self, a):
-        return all(self.base.is_nilpotent_elem(c) for _, c in a) if a else True
 
     def is_zero_divisor_elem(self, a):
         """Exact, by McCoy's theorem: a polynomial is a zero divisor iff a
@@ -522,7 +514,7 @@ class PolyRing(Ring):
         d = {}
         maxdeg = 1 if small else 2
         for _ in range(nterms):
-            e = tuple(rng.randint(0, maxdeg) for _ in range(self.nvars))
+            e = monomial_key(tuple(rng.randint(0, maxdeg) for _ in range(self.nvars)))
             c = self.base.sample(rng, small=True)
             if not self.base.is_zero(c):
                 d[e] = self.base.add(d.get(e, self.base.zero), c)
@@ -538,7 +530,7 @@ class PolyRing(Ring):
                 if not _is_simple(cs):
                     cs = f"({cs})"
             factors = []
-            for name, p in zip(self.names, e):
+            for name, p in zip(self.names, key_exponents(e)):
                 if p == 1:
                     factors.append(name)
                 elif p > 1:
@@ -577,7 +569,8 @@ def _is_simple(s):
 
 
 class Localized(Ring):
-    """Ring of fractions a / s^k for a non-nilpotent non-zero-divisor s.
+    """Ring of fractions a / s^k for an s that is no zero divisor (so in
+    particular not nilpotent: s * s^(j-1) = 0 would make it one).
 
     Representations keep k minimal (powers of s are divided out of the
     numerator whenever the base ring can decide divisibility), so equality
@@ -586,8 +579,6 @@ class Localized(Ring):
     """
 
     def __init__(self, base, s):
-        if base.is_nilpotent_elem(s):
-            raise NilpotentS(f"cannot localize at nilpotent {base.show(s)}")
         if base.is_zero_divisor_elem(s):
             raise ZeroDivisorS(f"{base.show(s)} is a zero divisor")
         self.base = base
@@ -596,14 +587,22 @@ class Localized(Ring):
         self.one = (base.one, 0)
         self.inv2 = (base.inv2, 0)
 
-    def normalize(self, num, k):
-        if self.base.is_zero(num):
-            return (self.base.zero, 0)
-        while k > 0:
+    def _divide_s(self, num, limit):
+        """(q, j) with num = s^j q: s divided out of num at most limit times."""
+        j = 0
+        while j < limit:
             q = self.base.try_exact_div(num, self.s)
             if q is None:
                 break
-            num, k = q, k - 1
+            num, j = q, j + 1
+        return num, j
+
+    def normalize(self, num, k):
+        if self.base.is_zero(num):
+            return (self.base.zero, 0)
+        if k > 0:
+            num, j = self._divide_s(num, k)
+            k -= j
         return (num, k)
 
     def embed(self, a):
@@ -642,7 +641,7 @@ class Localized(Ring):
             return self.normalize(self.base.mul(num, self.base.pow_int(self.s, e)), k)
         return self.normalize(num, k - e)
 
-    def valuation_floor(self, a, cap=256):
+    def valuation_floor(self, a, cap):
         """Largest e <= cap with a in s^e * (base embedded); None for zero.
         The cap also bounds the search when s is a unit, where every
         element divides arbitrarily."""
@@ -651,38 +650,22 @@ class Localized(Ring):
             return None
         if k > 0:
             return -k  # canonical form already divided out all it could
-        e = 0
-        while e < cap:
-            q = self.base.try_exact_div(num, self.s)
-            if q is None:
-                break
-            num = q
-            e += 1
-        return e
+        return self._divide_s(num, cap)[1]
 
     def try_invert(self, a):
         num, k = a
         if self.base.is_zero(num):
             return None
-        j = 0
         # a unit s divides every element, so dividing it out would never
         # stop; then R_s = R, and a is invertible exactly when num is
-        if self.base.try_invert(self.s) is None:
-            while True:
-                q = self.base.try_exact_div(num, self.s)
-                if q is None:
-                    break
-                num, j = q, j + 1
+        unit_s = self.base.try_invert(self.s) is not None
+        num, j = self._divide_s(num, 0 if unit_s else math.inf)
         inv = self.base.try_invert(num)
         if inv is None:
             return None
         if k >= j:
             return self.normalize(self.base.mul(inv, self.base.pow_int(self.s, k - j)), 0)
         return self.normalize(inv, j - k)
-
-    def is_nilpotent_elem(self, a):
-        # s is not a zero divisor, so a/s^k is nilpotent iff a is
-        return self.base.is_nilpotent_elem(a[0])
 
     def is_zero_divisor_elem(self, a):
         # s^k is a unit and s is no zero divisor, so a/s^k is one iff a is

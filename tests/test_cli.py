@@ -222,6 +222,19 @@ def test_dilate_refuses_an_exponent_above_its_bound(tmp_path, capsys):
     assert time.perf_counter() - start < 2
 
 
+def test_dilate_that_no_exponent_up_to_its_bound_clears_is_a_usage_error(tmp_path, capsys):
+    # every m up to 64 leaves a conjugation chain exponent too small; the
+    # same word behind a 3-atom prefix clears at m = 36
+    src = tmp_path / "w.txt"
+    src.write_text("A 2 1/t\nD 2 1/t\nA 2 1/t\nD 2 1/t\nB 2 X\n"
+                   "D 2 -1/t\nA 2 -1/t\nD 2 -1/t\nA 2 -1/t\n")
+    start = time.perf_counter()
+    assert run(["dilate", "--ring", "poly:q:t", "--s", "t", "--n", "2", "--in", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "up to 64" in err and "verification failure" not in err
+    assert time.perf_counter() - start < 2
+
+
 def test_decompose_over_localization_at_a_unit(tmp_path, capsys):
     src = tmp_path / "w.txt"
     src.write_text("A 2 1/7\n")

@@ -155,7 +155,7 @@ def test_conj_abcd_atom():
             t, u = Z15.sample(rng), Z15.sample(rng)
             delta = int_matrix(Z15, [[1, 0], [t, 1]]).mul(int_matrix(Z15, [[1, u], [0, 1]]))
             atom = ABCDAtom(rng.choice("ABCD"), rng.randint(2, n), Z15.sample(rng))
-            out = conj_abcd_atom(Z15, n, delta.rows, atom)
+            out = conj_abcd_atom(Z15, delta.rows, atom)
             emb = corner_embed(delta, n)
             want = emb.mul(eval_atoms(Z15, n, [atom])).mul(symp_inverse(emb))
             assert eval_atoms(Z15, n, out) == want
@@ -192,7 +192,8 @@ def test_decompose_full_mixed_alphabet():
 
 
 def test_conjugation_closure_of_shape_words():
-    # det-1 corner conjugates of shape words are again shape words
+    # det-1 corner conjugates of shape words are shape and unit words, and
+    # so shape words once the units are expanded
     rng = random.Random(41)
     for _ in range(10):
         t, u = Z15.sample(rng), Z15.sample(rng)
@@ -201,10 +202,14 @@ def test_conjugation_closure_of_shape_words():
                           for _ in range(rng.randint(1, 3))])
         out = []
         for atom in h.atoms:
-            out.extend(conj_abcd_atom(Z15, 3, delta.rows, atom))
+            out.extend(conj_abcd_atom(Z15, delta.rows, atom))
         emb = corner_embed(delta, 3)
-        assert Word(Z15, 3, out).eval() == emb.mul(h.eval()).mul(symp_inverse(emb))
-        assert all(isinstance(a, ABCDAtom) for a in out)
+        want = emb.mul(h.eval()).mul(symp_inverse(emb))
+        assert Word(Z15, 3, out).eval() == want
+        assert all(isinstance(a, (ABCDAtom, UnitAtom)) for a in out)
+        flat, _ = rw.eliminate_units_inplace(Word(Z15, 3, out))
+        assert flat.eval() == want
+        assert all(isinstance(a, ABCDAtom) for a in flat.atoms)
 
 
 def test_decompose_full_over_polynomials():
