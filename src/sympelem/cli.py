@@ -113,11 +113,12 @@ def cmd_conj(args):
     loc = Localized(base, s)
     a = parse_element(base, args.a)
     x = parse_element(base, args.x)
-    word, trace = conj_decompose(loc, args.n, args.xshape, args.i, a, args.k,
-                                 args.yshape, args.j, args.m, x)
-    print(f"PASS conj length={len(word)} min_exponent={trace.min_exponent()}")
-    for (sh, pos, e, c) in trace.entries:
-        print(f"  {sh}@{pos} exponent={e} coeff={base.show(c)}")
+    word, graded = conj_decompose(loc, args.n, args.xshape, args.i, a, args.k,
+                                  args.yshape, args.j, args.m, x)
+    print(f"PASS conj length={len(word)} "
+          f"min_exponent={min((g.e[0] for g in graded), default=None)}")
+    for g in graded:
+        print(f"  {g.shape}@{g.pos} exponent={g.e[0]} coeff={base.show(g.e[1])}")
     if args.out:
         _write(args.out, word.to_text())
     return 0

@@ -43,7 +43,8 @@ class StepVerificationFailed(SympelemError):
 
 
 class StepBudgetExceeded(SympelemError):
-    """Fuel ran out before the rewriting terminated."""
+    """A conjugation chain of ``dilate`` outgrew its bound at one candidate
+    dilation exponent; ``dilate`` then tries the next one."""
 
 
 class ExponentTooSmall(SympelemError):

@@ -167,6 +167,21 @@ def tag_pos(tag, i):
     return 1 if tag == "1" else i
 
 
+def commutes(X, i, Y, j):
+    """Whether E(X_i)(x) and E(Y_j)(y) commute for every x, y: the pair
+    is in no table of its positions."""
+    if i == j:
+        return (X, Y) not in _UNIT_BRACKET and (X, Y) not in _CROSSING
+    return (X, Y) not in _PLACED
+
+
+def bracket_unit(ring, X, i, x, Y, y):
+    """The unit [E(X_i)(x), E(Y_i)(y)] of a same-position pair of
+    _UNIT_BRACKET."""
+    sh, tag, c = _UNIT_BRACKET[(X, Y)]
+    return UnitAtom(sh, tag_pos(tag, i), ring.scale_int(c, ring.mul(x, y)))
+
+
 def commutator_entry_key(X, Y, i, j):
     rel = "eq" if i == j else ("lt" if i < j else "gt")
     return f"commutator:{X}{Y}:{rel}"
@@ -177,17 +192,16 @@ def commutator_matrix(ring, n, X, i, x, Y, j, y):
     as a matrix."""
     if not (2 <= i <= n and 2 <= j <= n):
         raise BadIndices("positions must lie in 2..n")
-    xy = ring.mul(x, y)
-    if i == j and (X, Y) in _UNIT_BRACKET:
-        sh, tag, c = _UNIT_BRACKET[(X, Y)]
-        return gen_small(ring, n, sh, tag_pos(tag, i), ring.scale_int(c, xy))
-    if i == j and (X, Y) in _CROSSING:
-        return crossing_commutator_matrix(ring, n, X, i, x, Y, y)
-    if i == j or (X, Y) not in _PLACED:
+    if commutes(X, i, Y, j):
         return Matrix.identity(ring, 2 * n)
+    if i == j and (X, Y) in _UNIT_BRACKET:
+        u = bracket_unit(ring, X, i, x, Y, y)
+        return gen_small(ring, n, u.shape, u.pos, u.e)
+    if i == j:
+        return crossing_commutator_matrix(ring, n, X, i, x, Y, y)
     sh_lt, sh_gt, c = _PLACED[(X, Y)]
     return placed_abcd(ring, n, min(i, j) - 1, sh_lt if i < j else sh_gt, abs(i - j) + 1,
-                       ring.scale_int(c, xy))
+                       ring.scale_int(c, ring.mul(x, y)))
 
 
 def crossing_commutator_matrix(ring, n, X, i, x, Y, y):
@@ -389,6 +403,8 @@ _COMPOSITE = {
     ("D", "A"): (("B", "1", 4), ("B", 1), ("C", "i", 1)),
     ("C", "B"): (("B", "1", -4), ("A", 1), ("B", "i", 1)),
 }
+# the four crossing pairs, in the order verify-tables lists their items
+CROSSING_PAIRS = tuple(_COMPOSITE)
 
 
 def composite_pieces(ring, n, X, Y, i, y, z):

@@ -1,16 +1,22 @@
 """Conjugation decompositions over localizations, the dilation argument,
 patching along a comaximal cover, and the normality demonstration.
 
-Everything here works with parameters written as s^e * c where c lives in
-the numerator ring (R, or R[X], or R[Y][X] for the two-variable case);
-the exponent bookkeeping is what the valuation traces report. Every
-produced word is verified against its defining identity, and every
-closed form used is read from the tables verify-tables checks, through
-the same builders (``conj_abcd_atom`` is the det-1 conjugation row).
+The conjugation decompositions, and the chains ``dilate`` builds from
+them, write a parameter s^e * c, c in the numerator ring (R, or R[X], or
+R[Y][X] for the two-variable case), as the graded pair (e, c) of
+``_Graded``. Their atoms are ``ABCDAtom``s and ``UnitAtom``s over such
+pairs, built by the ``identities`` builders verify-tables checks
+(``bracket_atoms``, ``bracket_unit``, ``unit_commutator_word`` and
+``composite_pieces``); ``conj_abcd_atom`` is the det-1 conjugation row of
+``normality_demo``. So no closed form is read here but through the
+builder its table's items check. Every produced word is verified against
+its defining identity.
 
 Where the element a word must equal is itself a word, the two are
-compared with ``same_value``: ``conj_decompose`` against g h g^-1, and
-``normality_demo`` against gamma h gamma^-1. Otherwise each produced word
+compared with ``same_value``, through ``rewrite._same``, whose failure
+names the rule, the ring and n and lists both sides: ``conj_decompose``
+against g h g^-1 (rule ``conj``), and ``normality_demo`` against
+gamma h gamma^-1 (rule ``normality``). Otherwise each produced word
 is evaluated in full, once, over the smallest ring it lives in, and the
 matrix it must equal is derived from a matrix that was already checked,
 mapped through a ring homomorphism, which is exact since
@@ -44,165 +50,140 @@ from .errors import (
     StepBudgetExceeded,
     StepVerificationFailed,
 )
-from .identities import (
-    _COMPOSITE,
-    _CROSSING,
-    _PLACED,
-    _UNIT_BRACKET,
-    _UNIT_COMMUTATOR,
-    conj_abcd_atom,
-    tag_pos,
-    unit_bracket_shapes,
-    unit_rel,
-)
-from .rewrite import decompose_full, eliminate_units_inplace, simplify_shape_word
+from . import identities as idn
+from .rewrite import _same, decompose_full, eliminate_units_inplace, simplify_shape_word
 from .rings import Localized, PolyRing, parse_element
 from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, Word, same_value
+from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word
 
 DEFAULT_FUEL = 64      # largest dilation exponent m that dilate tries
 MAX_ATOMS = 200_000    # longest conjugation chain dilate builds for one step
 
 
 # ---------------------------------------------------------------------------
-# conjugation decompositions: entries s^e * c with c in a numerator ring
+# conjugation decompositions: parameters s^e * c as graded pairs (e, c)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValuationTrace:
-    entries: list  # (shape, pos, exponent, coeff)
+class _Graded:
+    """Parameters s^e * c as pairs (e, c), c in the numerator ring ``num``.
 
-    def min_exponent(self):
-        return min((e for _, _, e, _ in self.entries), default=None)
-
-
-class _Emitter:
-    """Collects the (shape, pos, exponent, coeff) entries of a shape word
-    whose parameters are s^exponent * coeff, coeff in the numerator ring."""
+    Atoms whose parameters are such pairs are built by the ``identities``
+    builders verify-tables checks. Those only multiply, negate and scale
+    by integers, which is all this offers: a sum has no exponent, so a
+    stray ``add`` fails with AttributeError."""
 
     def __init__(self, num):
         self.num = num
-        self.entries = []
 
-    def shape(self, sh, pos, e, c):
-        if not self.num.is_zero(c):
-            self.entries.append((sh, pos, e, c))
+    def mul(self, p, q):
+        return p[0] + q[0], self.num.mul(p[1], q[1])
 
-    def unit(self, sh, pos, i_for_corner, e, c):
-        """Expand I perp (I_2 + sh(s^e c)) perp I as a 4-atom commutator,
-        splitting the exponent between the two bracket parameters."""
-        num = self.num
+    def neg(self, p):
+        return p[0], self.num.neg(p[1])
+
+    def scale_int(self, k, p):
+        return p[0], self.num.scale_int(k, p[1])
+
+
+def _shape_atoms(G, atoms, i):
+    """Graded shape and unit atoms as graded shape atoms, zero parameters
+    dropped. A unit sh(s^e c) is the bracket [g1(s^e1 c/4), g2(s^e2)] of
+    ``unit_bracket_shapes`` at its position, a corner unit at i, with
+    e2 = e // 2 for e >= 2 and 0 otherwise: split so, both exponents stay
+    above the denominators ``dilate`` conjugates the word through."""
+    num = G.num
+    out = []
+    for atom in atoms:
+        e, c = atom.e
         if num.is_zero(c):
-            return
-        if e >= 2:
-            e2 = e // 2
-            e1 = e - e2
-        else:
-            e1, e2 = e, 0
-        quarter = num.mul(num.inv2, num.inv2)
-        u = num.mul(c, quarter)
-        s1, s2 = unit_bracket_shapes(sh, pos)
-        p = i_for_corner if pos == 1 else pos
-        self.shape(s1, p, e1, u)
-        self.shape(s2, p, e2, num.one)
-        self.shape(s1, p, e1, num.neg(u))
-        self.shape(s2, p, e2, num.neg(num.one))
-
-    def emit_inverse_of(self, entries):
-        for sh, pos, e, c in reversed(entries):
-            self.shape(sh, pos, e, self.num.neg(c))
+            continue
+        if isinstance(atom, ABCDAtom):
+            out.append(atom)
+            continue
+        e2 = e // 2 if e >= 2 else 0
+        g1, g2 = idn.unit_bracket_shapes(atom.shape, atom.pos)
+        p = i if atom.pos == 1 else atom.pos
+        u = num.mul(c, num.mul(num.inv2, num.inv2))
+        out += idn.bracket_atoms(G, [ABCDAtom(g1, p, (e - e2, u))],
+                                 [ABCDAtom(g2, p, (e2, num.one))])
+    return out
 
 
 def conj_decompose(locring, n, Xshape, i, a, k, Yshape, j, m, x):
     """Word for E(X_i)(a/s^k) E(Y_j)(s^m x) E(X_i)(a/s^k)^-1 over R_s,
-    together with its valuation trace. Requires m > k, and both in
+    together with its graded atoms: the same word with each parameter
+    s^e c as the pair (e, c). Requires m > k, and both in
     -DEFAULT_FUEL..DEFAULT_FUEL, as the cost grows with m - k; the usage
     errors name k and m as the conj command's flags."""
     if m <= k:
         raise ExponentTooSmall(f"--m {m} must be greater than --k {k}")
     if max(abs(k), abs(m)) > DEFAULT_FUEL:
         raise ValueError(f"--k {k} and --m {m} must lie in -{DEFAULT_FUEL}..{DEFAULT_FUEL}")
-    entries = _conj_decompose_ctx(locring.base, locring.s, n, Xshape, i, a, k, Yshape, j, m, x)
-
-    def atom(sh, pos, e, c):
-        return ABCDAtom(sh, pos, locring.s_power_mul(locring.embed(c), e))
-
-    word = Word(locring, n, [atom(*entry) for entry in entries])
-    g = atom(Xshape, i, -k, a)
-    if not same_value(locring, n, word.atoms, [g, atom(Yshape, j, m, x), g._inverse(locring)]):
-        raise StepVerificationFailed("conjugation decomposition is off")
-    return word, ValuationTrace(entries)
+    g, h = ABCDAtom(Xshape, i, (-k, a)), ABCDAtom(Yshape, j, (m, x))
+    graded = _conj_decompose_ctx(locring.base, locring.s, n, g, h)
+    over = lambda p: locring.s_power_mul(locring.embed(p[1]), p[0])  # (e, c) -> s^e c
+    word = Word(locring, n, [atom._map(over) for atom in graded])
+    g_loc = g._map(over)
+    _same(locring, n, "conj", [g_loc, h._map(over), g_loc._inverse(locring)], word.atoms)
+    return word, graded
 
 
-def _conj_decompose_ctx(num, s_num, n, Xshape, i, a, k, Yshape, j, m, x):
-    """Entries (shape, pos, exponent, coeff) of the conjugation word, with
-    a, x and every coeff in the numerator ring ``num`` and s = ``s_num``."""
+def _conj_decompose_ctx(num, s_num, n, g, h):
+    """The graded shape atoms of the word for g h g^-1, where g and h are
+    shape atoms with graded parameters over the numerator ring ``num``
+    and s = ``s_num``."""
+    X, i, Y, j = g.shape, g.pos, h.shape, h.pos
     if not (2 <= i <= n and 2 <= j <= n):
         raise BadIndices("positions must lie in 2..n")
-    em = _Emitter(num)
+    G = _Graded(num)
 
-    if Xshape == Yshape or num.is_zero(a) or num.is_zero(x) \
-            or (i != j and (Xshape, Yshape) not in _PLACED):
-        # g commutes with h: pairs absent from _PLACED commute at different positions
-        em.shape(Yshape, j, m, x)
-    elif i != j or (Xshape, Yshape) not in _CROSSING:
-        # the commutator word with the exponent split across the pair
-        q = (m - k) // 2
-        p = (m - k) - q
-        em.shape(Xshape, i, p, a)
-        em.shape(Yshape, j, q, x)
-        em.shape(Xshape, i, p, num.neg(a))
-        em.shape(Yshape, j, q, num.neg(x))
-        em.shape(Yshape, j, m, x)
+    if num.is_zero(g.e[1]) or num.is_zero(h.e[1]) or idn.commutes(X, i, Y, j):
+        atoms = _shape_atoms(G, [h], i)
+    elif i != j or (X, Y) not in idn.CROSSING_PAIRS:
+        # [g, h] is read off the product of the two parameters: split the
+        # exponent m - k of that product across the pair
+        q = (h.e[0] + g.e[0]) // 2
+        p = h.e[0] + g.e[0] - q
+        atoms = idn.bracket_atoms(G, [ABCDAtom(X, i, (p, g.e[1]))],
+                                  [ABCDAtom(Y, j, (q, h.e[1]))]) + [h]
     else:
-        _case3_same_position(num, s_num, em, Xshape, Yshape, i, a, k, m, x)
+        atoms = _case3_same_position(G, s_num, n, g, h)
 
-    if len(em.entries) > 45:
-        raise StepVerificationFailed(f"decomposition length {len(em.entries)} exceeds 45")
-    return em.entries
+    if len(atoms) > 45:
+        raise StepVerificationFailed(f"decomposition length {len(atoms)} exceeds 45")
+    return atoms
 
 
-def _case3_same_position(num, s_num, em, X, Y, i, a, k, m, x):
-    """Same-position crossing pairs, via the composite commutator route.
+def _case3_same_position(G, s_num, n, g, h):
+    """g h g^-1 for a same-position crossing pair, through its composite
+    row.
 
-    With y = s^m3, z = 4u s^(2 m3) and u = s^(m - 3 m3) x / 8, the
-    conjugated element E(Y_i)(s^m x) = E(Y_i)(2yz) is y_g [z_g, w_g] as
-    _COMPOSITE tabulates it: y_g, w_g placed units and z_g a block
+    With h = E(Y_i)(s^m x), y = s^m3, z = 4u s^(2 m3) and
+    u = s^(m - 3 m3) x / 8, h = E(Y_i)(2yz) is y_g [z_g, w_g] as
+    ``composite_pieces`` builds it: y_g, w_g placed units and z_g a block
     generator. The group identity
     [g, h[k,l]] = [g,h] h [[g,k]k, [g,l]l] [l,k] h^-1,
     after the final [l,k] h^-1 h [k,l] cancels, leaves
-    [g,y_g] y_g [P, Q] with P = [g,z_g] z_g and Q = [g,w_g] w_g.
-    Each bracket with g = E(X_i)(a/s^k) is read from _UNIT_BRACKET or
-    _UNIT_COMMUTATOR: a bracketed parameter s^e c gives
-    s^(e-k) on a c and s^(e-2k) on a^2 c.
+    [g,y_g] y_g [P, Q] with P = [g,z_g] z_g and Q = [g,w_g] w_g. Each
+    bracket with g is read from ``unit_commutator_word`` for a unit and
+    from ``bracket_unit`` for z_g.
     """
+    num, X, i = G.num, g.shape, g.pos
+    m, x = h.e
     m3 = m // 3
     u = num.mul(num.mul(num.pow_int(num.inv2, 3), x), num.pow_int(s_num, m - 3 * m3))
-    (ysh, ytag, yc), (zsh, zc), (wsh, wtag, wc) = _COMPOSITE[(X, Y)]
-    sc = num.scale_int
 
-    def conj_unit(sh, pos, e, c):
-        """[g, U] U for the unit U = sh(s^e c) at pos; returns its entries."""
-        start = len(em.entries)
-        ush, utag, uc, esh, ec = _UNIT_COMMUTATOR[(X, sh, unit_rel(i, pos))]
-        em.unit(ush, tag_pos(utag, i), i, e - 2 * k, sc(uc, num.mul(num.mul(a, a), c)))
-        em.shape(esh, i, e - k, sc(ec, num.mul(a, c)))
-        em.unit(sh, pos, i, e, c)
-        return em.entries[start:]
+    def conj(z):
+        """[g, z] z as graded shape atoms."""
+        if isinstance(z, UnitAtom):
+            bracket = idn.unit_commutator_word(G, n, X, i, g.e, z.shape, z.pos, z.e).atoms
+        else:
+            bracket = (idn.bracket_unit(G, X, i, g.e, z.shape, z.e),)
+        return _shape_atoms(G, [*bracket, z], i)
 
-    def conj_shape(sh, e, c):
-        """[g, Z] Z for Z = E(sh_i)(s^e c); returns its entries."""
-        start = len(em.entries)
-        ush, utag, uc = _UNIT_BRACKET[(X, sh)]
-        em.unit(ush, tag_pos(utag, i), i, e - k, sc(uc, num.mul(a, c)))
-        em.shape(sh, i, e, c)
-        return em.entries[start:]
-
-    conj_unit(ysh, tag_pos(ytag, i), 4 * m3, sc(4 * yc, u))
-    p_entries = conj_shape(zsh, m3, sc(zc, num.one))
-    q_entries = conj_unit(wsh, tag_pos(wtag, i), 2 * m3, sc(4 * wc, u))
-    em.emit_inverse_of(p_entries)
-    em.emit_inverse_of(q_entries)
+    yc, pc, qc = map(conj, idn.composite_pieces(G, n, X, h.shape, i, (m3, num.one),
+                                                (2 * m3, num.scale_int(4, u))))
+    return yc + idn.bracket_atoms(G, pc, qc)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +249,7 @@ def dilate(base_ring, s, n, word, *, value=None):
     # peephole-merged words (inverse pairs cancel, which is what keeps the
     # conjugation chains short for words built from bracket expansions)
     steps = []    # (shape, pos, simplified prefix snapshot, linear part)
-    prefix = []   # simplified list of (shape, pos, b0)
+    prefix = []   # simplified list of shape atoms with constant parameters b0
     den_cap = lowest = 0
     for atom in word.atoms:
         if not isinstance(atom, ABCDAtom):
@@ -281,16 +262,18 @@ def dilate(base_ring, s, n, word, *, value=None):
         if bp:
             steps.append((atom.shape, atom.pos, list(prefix), bp))
         if not Rs.is_zero(b0):
-            prefix.append((atom.shape, atom.pos, b0))
-            while len(prefix) >= 2 and prefix[-1][0] == prefix[-2][0] \
-                    and prefix[-1][1] == prefix[-2][1]:
-                merged = Rs.add(prefix[-2][2], prefix[-1][2])
-                sh_m, pos_m, _ = prefix[-2]
-                prefix[-2:] = [] if Rs.is_zero(merged) else [(sh_m, pos_m, merged)]
+            prefix.append(ABCDAtom(atom.shape, atom.pos, b0))
+            while len(prefix) >= 2 and prefix[-1].shape == prefix[-2].shape \
+                    and prefix[-1].pos == prefix[-2].pos:
+                b, c = prefix[-2:]
+                merged = Rs.add(b.e, c.e)
+                prefix[-2:] = [] if Rs.is_zero(merged) else [ABCDAtom(b.shape, b.pos, merged)]
 
     if lowest > DEFAULT_FUEL:
         raise ExponentTooSmall(f"dilation needs m >= {lowest}; dilate tries m up to "
                                f"{DEFAULT_FUEL}")
+    G = _Graded(RX)
+    graded = lambda b: (-b[1], RX.const(b[0]))  # b = num/s^k in R_s -> (-k, num)
     for m in range(lowest, DEFAULT_FUEL + 1):
         smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
         try:
@@ -300,32 +283,28 @@ def dilate(base_ring, s, n, word, *, value=None):
                 got = _param_valuation(Rs, param, m + den_cap + 4)
                 if got is None:
                     raise ExponentTooSmall("parameter does not clear")
-                e0, x0 = got
                 # the prefix's leading run of denominator-free constants
                 # wraps the step as it stands; conjugate through the rest,
                 # innermost first
-                lead = next((idx for idx, (_, _, b0) in enumerate(pre) if b0[1]), len(pre))
-                chain = [(shape, pos, e0, x0)]
-                for (bsh, bpos, (a_num, k_den)) in reversed(pre[lead:]):
-                    a_lift = RX.const(a_num)
+                pre = [b._map(graded) for b in pre]
+                lead = next((idx for idx, b in enumerate(pre) if b.e[0]), len(pre))
+                chain = [ABCDAtom(shape, pos, got)]
+                for b in reversed(pre[lead:]):
                     new_chain = []
-                    for (zsh, zpos, ze, zx) in chain:
-                        if ze <= k_den and not (zsh == bsh or RX.is_zero(zx)):
+                    for z in chain:
+                        if z.e[0] <= -b.e[0] and not (z.shape == b.shape or RX.is_zero(z.e[1])):
                             raise ExponentTooSmall("chain exponent too small")
-                        new_chain.extend(_conj_decompose_ctx(
-                            RX, s_num, n, bsh, bpos, a_lift, k_den, zsh, zpos, ze, zx))
+                        new_chain.extend(_conj_decompose_ctx(RX, s_num, n, b, z))
                     chain = new_chain
                     if len(chain) > MAX_ATOMS:
                         raise StepBudgetExceeded("dilation chain too long")
-                wrap = [(bsh, bpos, 0, RX.const(b0[0])) for (bsh, bpos, b0) in pre[:lead]]
-                out_atoms.extend(wrap + chain + [(bsh, bpos, 0, RX.neg(bx))
-                                                 for (bsh, bpos, _, bx) in reversed(wrap)])
+                wrap = pre[:lead]
+                out_atoms.extend(wrap + chain + [b._inverse(G) for b in reversed(wrap)])
             # all parameters must land in R[X]
-            final = []
-            for (osh, opos, oe, ox) in out_atoms:
-                if oe < 0:
-                    raise ExponentTooSmall("negative exponent survives")
-                final.append(ABCDAtom(osh, opos, RX.mul(RX.const(base_ring.pow_int(s, oe)), ox)))
+            if any(a.e[0] < 0 for a in out_atoms):
+                raise ExponentTooSmall("negative exponent survives")
+            final = [a._map(lambda p: RX.mul(RX.const(base_ring.pow_int(s, p[0])), p[1]))
+                     for a in out_atoms]
             out, _ = simplify_shape_word(Word(RX, n, final))
             # verification: embed eval(out) into R_s[X], compare with value(s^m X)
             target = value.map(lambda p: RsX.subst(p, {Xvar: smx}))
@@ -578,7 +557,7 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
 
     if len(gamma_t) == 1 and isinstance(gamma_t.atoms[0], CornerMatrixAtom):
         conj, _ = eliminate_units_inplace(Word(RT, n, [
-            a for atom in h_t.atoms for a in conj_abcd_atom(RT, gamma_t.atoms[0].rows, atom)]))
+            a for atom in h_t.atoms for a in idn.conj_abcd_atom(RT, gamma_t.atoms[0].rows, atom)]))
     else:
         g_abcd = decompose_full(gamma_word).output_word.map_params(RT.const, RT)
         conj = g_abcd.concat(h_t).concat(g_abcd.inverse())
@@ -595,7 +574,6 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
         raise StepVerificationFailed(f"normality homotopy: {exc}") from None
     out, _ = simplify_shape_word(
         patched.map_params(lambda p: patched.ring.eval_at(p, base_ring.one), base_ring))
-    if not same_value(base_ring, n, out.atoms,
-                      gamma_word.concat(h_word).concat(gamma_word.inverse()).atoms):
-        raise StepVerificationFailed("normality conjugation is off")
+    _same(base_ring, n, "normality",
+          gamma_word.concat(h_word).concat(gamma_word.inverse()).atoms, out.atoms)
     return out

@@ -151,7 +151,7 @@ def iter_table_items(ring, n_values, rng, trials=3, corrupt=None):
                                    idn.unit_commutator_instance,
                                    (sring, n, X, i, x, Y, j, y, corrupt))
             sring, (y, z) = binds("y", "z")
-            for X, Y in idn._COMPOSITE:
+            for X, Y in idn.CROSSING_PAIRS:
                 for i in range(2, n + 1):
                     yield (f"composite:{X}{Y}@{i}", n, idn.composite_instance,
                            (sring, n, X, Y, i, y, z))

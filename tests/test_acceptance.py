@@ -216,9 +216,10 @@ def test_criterion_07_conjugation_decomposition_sweep():
         for Xs, Ys in itertools.product("ABCD", repeat=2):
             for i, j in itertools.product((2, 3), repeat=2):
                 for (k, m) in ((1, 2), (1, 3), (2, 4)):
-                    word, trace = lg.conj_decompose(loc, 3, Xs, i, a, k, Ys, j, m, x)
+                    word, graded = lg.conj_decompose(loc, 3, Xs, i, a, k, Ys, j, m, x)
                     assert len(word) <= 45
-                    mins.setdefault((Xs, Ys, i, j, k), []).append((m, trace.min_exponent()))
+                    mins.setdefault((Xs, Ys, i, j, k), []).append(
+                        (m, min((g.e[0] for g in graded), default=None)))
         for key, series in mins.items():
             series.sort()
             vals = [v for _, v in series if v is not None]

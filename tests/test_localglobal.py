@@ -45,17 +45,17 @@ def assert_reduced(word):
 
 
 def test_conj_decompose_case1():
-    w, tr = lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "A", 3, 3, QT.one)
+    w, graded = lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "A", 3, 3, QT.one)
     assert len(w) == 1
-    assert tr.entries[0] == ("A", 3, 3, QT.one)
+    assert graded[0] == ABCDAtom("A", 3, (3, QT.one))
 
 
 def test_conj_decompose_case2():
     a = QT.from_int(3)
     x = QT.add(QT.from_int(2), T)
-    w, tr = lg.conj_decompose(RT, 3, "A", 2, a, 1, "B", 2, 3, x)
+    w, graded = lg.conj_decompose(RT, 3, "A", 2, a, 1, "B", 2, 3, x)
     assert len(w) == 5
-    exps = [e for _, _, e, _ in tr.entries]
+    exps = [g.e[0] for g in graded]
     assert all(e >= 1 for e in exps)
     # distance case for a free pair is a single atom
     w, tr = lg.conj_decompose(RT, 3, "A", 2, a, 1, "B", 3, 3, x)
@@ -73,6 +73,52 @@ def test_crossing_conjugation_reads_the_checked_unit_table(monkeypatch):
     assert {r.name for r in report.records if r.status == "FAIL"} == {"unit-commutator:A2,C@1"}
     with pytest.raises(StepVerificationFailed):
         lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "D", 2, 3, QT.one)
+
+
+def _slip_unit_commutator(monkeypatch):
+    """Negate the unit of unit_commutator_word's row (A, C, j1), the
+    bracket of A_i with the corner unit y_g of the crossing pair (A, D)."""
+    real = idn.unit_commutator_word
+
+    def slipped(ring, n, X, i, x, Y, j, y):
+        word = real(ring, n, X, i, x, Y, j, y)
+        if (X, Y, idn.unit_rel(i, j)) != ("A", "C", "j1"):
+            return word
+        unit, shape = word.atoms
+        return Word(ring, n, [unit._inverse(ring), shape])
+
+    monkeypatch.setattr(idn, "unit_commutator_word", slipped)
+    return {"unit-commutator:A2,C@1"}
+
+
+def _slip_composite(monkeypatch):
+    """Negate the unit w_g of composite_pieces' row (A, D)."""
+    real = idn.composite_pieces
+
+    def slipped(ring, n, X, Y, i, y, z):
+        yg, zg, wg = real(ring, n, X, Y, i, y, z)
+        return (yg, zg, wg._inverse(ring) if (X, Y) == ("A", "D") else wg)
+
+    monkeypatch.setattr(idn, "composite_pieces", slipped)
+    return {"composite:AD@2"}
+
+
+@pytest.mark.parametrize("slip", [_slip_unit_commutator, _slip_composite])
+def test_a_builder_slip_fails_its_items_and_the_conjugations(slip, monkeypatch):
+    # conj and dilate build the crossing conjugation through the builders
+    # verify-tables checks, so a slip in one fails exactly that row's
+    # items, conj_decompose's named check and dilate's check
+    failing = slip(monkeypatch)
+    report = run_verify_tables(PolyRing(Q, ("x", "y")), [2])
+    assert {r.name for r in report.records if r.status == "FAIL"} == failing
+    with pytest.raises(StepVerificationFailed) as exc:
+        lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "D", 2, 3, QT.one)
+    assert str(exc.value).startswith(
+        "rule 'conj' changed the evaluation over loc:poly:q:t:s=t at n=3\n"
+        "before:\nA 2 3/t\nD 2 t^3\nA 2 (-3)/t\nafter:\n")
+    homotopy = word_from_text(_rsx(), 2, "A 2 3/t\nD 2 X\nA 2 -3/t")
+    with pytest.raises(StepVerificationFailed, match="dilated word does not match"):
+        lg.dilate(QT, T, 2, homotopy)
 
 
 def test_conj_decompose_exponent_guard():
@@ -117,14 +163,14 @@ def test_conj_decompose_valuation_growth():
     for (X, Y) in (("A", "D"), ("B", "C")):
         mins = []
         for m in range(2, 19):
-            w, tr = lg.conj_decompose(RT, 3, X, 2, QT.from_int(3), 1, Y, 2, m, QT.one)
-            mins.append(tr.min_exponent())
+            w, graded = lg.conj_decompose(RT, 3, X, 2, QT.from_int(3), 1, Y, 2, m, QT.one)
+            mins.append(min(g.e[0] for g in graded))
         assert all(a <= b for a, b in zip(mins, mins[1:]))
         assert mins[-1] >= 2
     # plain commutator cases have positive exponents once m - k >= 2
     for m in range(3, 9):
-        w, tr = lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "C", 2, m, QT.one)
-        assert tr.min_exponent() >= 1
+        w, graded = lg.conj_decompose(RT, 3, "A", 2, QT.from_int(3), 1, "C", 2, m, QT.one)
+        assert min(g.e[0] for g in graded) >= 1
 
 
 def _rsx():
@@ -285,8 +331,8 @@ def _negate_first_conj_entry(monkeypatch):
 
     def corrupted(num, *args):
         calls.append(args)
-        (sh, pos, e, c), *rest = ctx(num, *args)
-        return [(sh, pos, e, num.neg(c))] + rest
+        first, *rest = ctx(num, *args)
+        return [first._map(lambda p: (p[0], num.neg(p[1])))] + rest
 
     monkeypatch.setattr(lg, "_conj_decompose_ctx", corrupted)
     return calls
