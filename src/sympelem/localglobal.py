@@ -561,6 +561,9 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     else:
         g_abcd = decompose_full(gamma_word).output_word.map_params(RT.const, RT)
         conj = g_abcd.concat(h_t).concat(g_abcd.inverse())
+    # merged here, where it is still one word over R[T], patch's own merge
+    # finds nothing to merge and does not evaluate the word again
+    conj, _ = simplify_shape_word(conj)
 
     local_words = []
     for (s, _, _, _) in cover.entries:

@@ -4,9 +4,10 @@ Rows are tuples of raw ring representations; two matrices are equal when
 their rows are, and a matrix is not hashable. The sizes here are tiny
 (2n <= 12), so dense storage is fine. A product follows the nonzeros:
 output row i is the sum of u_k * (row k of the right factor) over the
-nonzero u_k of row i, and a factor 1 or a partial sum 0 costs no ring
-operation; representations are canonical, so every entry equals the full
-inner product. Words of generators are evaluated in ``words`` by sparse
+nonzero u_k of row i. The first term of an entry is a product, free
+when a factor is 1, and each further term one ``addmul``;
+representations are canonical, so every entry equals the full inner
+product. Words of generators are evaluated in ``words`` by sparse
 column updates, not by products of these matrices.
 """
 
@@ -49,7 +50,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
         ring = self.ring
-        zero, one, add, mul = ring.zero, ring.one, ring.add, ring.mul
+        zero, one, mul, addmul = ring.zero, ring.one, ring.mul, ring.addmul
         support = [[(j, v) for j, v in enumerate(r) if v != zero] for r in other.rows]
         out = []
         for row in self.rows:
@@ -58,8 +59,10 @@ class Matrix:
                 if u == zero:
                     continue
                 for j, v in terms:
-                    p = v if u == one else u if v == one else mul(u, v)
-                    acc[j] = p if acc[j] == zero else add(acc[j], p)
+                    if acc[j] == zero:
+                        acc[j] = v if u == one else u if v == one else mul(u, v)
+                    else:
+                        acc[j] = addmul(acc[j], u, v)
             out.append(tuple(acc))
         return Matrix._trusted(ring, tuple(out))
 

@@ -15,6 +15,10 @@ on representations:
 
 Representations are immutable and hashable. Rings are immutable after
 construction and safe to share: nothing is cached on a ring object.
+Besides the ring operations, every ring answers ``addmul(acc, lam, v)``,
+acc + lam * v, the one update of word evaluation and matrix products. Its
+default is an ``add`` of a ``mul``; ``Zmod``, ``Rationals`` and
+``PolyRing`` (for a single-term lam) compute it in one step.
 
 ``PolyRing`` stores a monomial x_1^e_1 ... x_v^e_v by its key, the tuple
 (e_1 + ... + e_v, e_1, ..., e_{v-1}); the last exponent is implied by the
@@ -22,12 +26,13 @@ total, and a univariate key is (e,). Plain tuple order on keys is
 graded-lex order, and the key of a product is the sum of the keys. The
 arithmetic relies on one invariant: the keys of a polynomial are strictly
 descending and no coefficient is zero. ``add`` and ``sub`` merge two such
-tuples in one pass, and ``mul`` by a single term adds its key to the other
-operand's keys, which keeps the order because graded-lex is a monomial
-order; neither sorts. Two single-term operands are combined directly,
-with no merge set-up. Every operation must return a tuple with the same
-invariant. Only ``var``, ``sample``, ``show``, ``subst`` and
-``try_exact_div`` read exponents back from keys.
+tuples in one pass; ``addmul`` with a single-term lam adds lam's key to
+v's keys, which keeps their order because graded-lex is a monomial order,
+and merges the products into acc in the same pass, and ``mul`` by a single
+term is that pass with nothing to merge into. None of them sorts. Single
+terms are combined directly, with no merge set-up. Every operation must
+return a tuple with the same invariant. Only ``var``, ``sample``,
+``show``, ``subst`` and ``try_exact_div`` read exponents back from keys.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import EvenModulus, ParseError, ZeroDivisorS
 class Ring:
     """Base class; every subclass defines ``zero``, ``one``, ``inv2``, ``add``,
     ``sub``, ``neg``, ``mul``, ``from_int`` and ``try_invert`` on raw
-    representations."""
+    representations, and may replace the default ``addmul``."""
 
     def is_zero(self, a):
         return a == self.zero
@@ -64,6 +69,11 @@ class Ring:
             if e:
                 base = self.mul(base, base)
         return acc
+
+    def addmul(self, acc, lam, v):
+        """acc + lam * v; a zero acc costs no ``add``."""
+        p = self.mul(lam, v)
+        return p if self.is_zero(acc) else self.add(acc, p)
 
     def scale_int(self, k, a):
         return self.mul(self.from_int(k), a)
@@ -118,6 +128,9 @@ class Zmod(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.m
+
+    def addmul(self, acc, lam, v):
+        return (acc + lam * v) % self.m
 
     def from_int(self, k):
         return k % self.m
@@ -184,6 +197,15 @@ class Rationals(Ring):
         if da == 1 and db == 1:
             return (na * nb, 1)
         return _q_mul(na, da, nb, db)
+
+    def addmul(self, acc, lam, v):
+        na, da = lam
+        nb, db = v
+        n, d = (na * nb, 1) if da == 1 and db == 1 else _q_mul(na, da, nb, db)
+        nc, dc = acc
+        if dc == 1 and d == 1:
+            return (nc + n, 1)
+        return _q_add(nc, dc, n, d)
 
     def from_int(self, k):
         return (k, 1)
@@ -356,19 +378,21 @@ class PolyRing(Ring):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        if a == self.one:
-            return b
-        if b == self.one:
-            return a
         if len(a) == 1 == len(b):
             (ea, ca), = a
             (eb, cb), = b
             c = self.base.mul(ca, cb)
             if self.base.is_zero(c):
                 return ()
-            return ((tuple(map(operator.add, ea, eb)), c),)
+            # a one-element key is added by hand, cheaper than map
+            return (((ea[0] + eb[0],) if len(ea) == 1 else tuple(map(operator.add, ea, eb)), c),)
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
         if len(a) == 1 or len(b) == 1:
-            return self._mul_monomial(a, b)
+            # by a single term: addmul's one pass, into nothing
+            return self.addmul((), a, b) if len(a) == 1 else self.addmul((), b, a)
         d = {}
         badd = self.base.add
         bmul = self.base.mul
@@ -382,29 +406,44 @@ class PolyRing(Ring):
                     d[e] = c
         return self.freeze(d)
 
-    def _mul_monomial(self, a, b):
-        """a * b where one operand is a single term: add its key to the
-        other's keys and scale by its coefficient. Multiplying by a monomial
-        keeps grlex order, so the result needs no sort; products that
-        vanish over a zero-divisor base are dropped."""
-        if len(a) == 1:
-            a, b = b, a
-        (em, cm), = b
-        bmul, is_zero = self.base.mul, self.base.is_zero
+    def addmul(self, acc, lam, v):
+        """acc + lam * v in one pass for a single-term lam: a product whose
+        key coincides with one of acc's combines through the base's
+        ``addmul``, and a product that vanishes over a zero-divisor base is
+        dropped. Any other lam takes the default."""
+        if len(lam) != 1:
+            return self.add(acc, self.mul(lam, v))
+        (em, cm), = lam
+        base = self.base
+        if len(v) == 1 and len(acc) <= 1:
+            (e, c), = v
+            e = (e[0] + em[0],) if len(e) == 1 else tuple(map(operator.add, e, em))
+            if acc and acc[0][0] == e:
+                c = base.addmul(acc[0][1], cm, c)
+                return () if base.is_zero(c) else ((e, c),)
+            c = base.mul(cm, c)
+            if base.is_zero(c):
+                return acc
+            return (acc[0], (e, c)) if acc and acc[0][0] > e else ((e, c),) + acc
+        bmul, baddmul, is_zero = base.mul, base.addmul, base.is_zero
+        k = em[0] if len(em) == 1 else None
         out = []
-        if len(em) == 1:
+        i, na = 0, len(acc)
+        for e, c in v:
             # a one-element key is shifted by hand: map costs about a
             # microsecond per call more, which R[X] words feel
-            (k,) = em
-            for (e,), c in a:
-                c = bmul(c, cm)
-                if not is_zero(c):
-                    out.append(((e + k,), c))
-        else:
-            for e, c in a:
-                c = bmul(c, cm)
-                if not is_zero(c):
-                    out.append((tuple(map(operator.add, e, em)), c))
+            e = (e[0] + k,) if k is not None else tuple(map(operator.add, e, em))
+            while i < na and acc[i][0] > e:
+                out.append(acc[i])
+                i += 1
+            if i < na and acc[i][0] == e:
+                c = baddmul(acc[i][1], cm, c)
+                i += 1
+            else:
+                c = bmul(cm, c)
+            if not is_zero(c):
+                out.append((e, c))
+        out.extend(acc[i:])
         return tuple(out)
 
     def from_int(self, k):

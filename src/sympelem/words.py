@@ -12,9 +12,9 @@ P^-1 G P. A term x u w^t becomes (x/2)(P u)(P w)^t, since P^-1 = P/2.
 A sign vector that fills a block has one nonzero entry after P, so each
 shape or unit term updates one column of the running product by a
 multiple of one other; a single entry e_r spreads to the two entries of
-its block. Each term costs one ring multiplication per row and a column
-addition per target column, never a dense 2n x 2n product. The running
-product is M' = P^-1 M P, started at I.
+its block. Each term costs one ``addmul`` (acc + lam * v) per nonzero
+entry of the source column and per target column, never a dense 2n x 2n
+product. The running product is M' = P^-1 M P, started at I.
 
 2 is invertible in every ring here, so M -> M' is injective, and
 ``same_value`` decides eval(a) == eval(b) on the columns of M'. The
@@ -29,7 +29,7 @@ every parameter) and ``_text(ring)`` (its line in a word file).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BadIndices, DimensionMismatch, NonZeroDet, ParseError
 from .matrices import Matrix
@@ -56,6 +56,14 @@ def _hpair(base, s0, s1):
     return ((base + (s0 != s1), s0),)
 
 
+# per shape, the two single-entry terms of ``_block_terms``, read off
+# _SHAPE_SIGNS once: the first term's row and the second's column lie in
+# block 1 and are given as entries; the first term's column and the
+# second's row lie in the atom's block and are given as (offset, sign)
+_BLOCK_ENTRIES = {shape: (_hpair(0, u0, u1), (w0 != w1, w0), (w1 != -w0, w1), _hpair(0, -u1, u0))
+                  for shape, ((u0, u1), (w0, w1)) in _SHAPE_SIGNS.items()}
+
+
 def _hunit(i, sign=1):
     """P (sign e_i): sign on both entries of i's block, negated on the
     second when i is the second."""
@@ -76,11 +84,10 @@ def _block_terms(ring, n, shape, pos, x):
         raise BadIndices(f"unknown shape {shape!r}")
     if x == ring.zero:
         return ()
-    (u0, u1), (w0, w1) = _SHAPE_SIGNS[shape]
+    rows, (dc, sc), (dr, sr), cols = _BLOCK_ENTRIES[shape]
     b = 2 * (pos - 1)
     x2 = ring.add(x, x)
-    return ((x2, _hpair(0, u0, u1), _hpair(b, w0, w1)),
-            (x2, _hpair(b, w1, -w0), _hpair(0, -u1, u0)))
+    return ((x2, rows, ((b + dc, sc),)), (x2, ((b + dr, sr),), cols))
 
 
 def _hadamard(ring, cols):
@@ -133,13 +140,13 @@ def _map_rows(rows, f):
 
 class _OneParam:
     """An atom whose only ring parameter is ``e`` and whose inverse is the
-    same atom at -e."""
+    same atom at -e; each class builds itself at another e in ``_with``."""
 
     def _inverse(self, ring):
-        return replace(self, e=ring.neg(self.e))
+        return self._with(ring.neg(self.e))
 
     def _map(self, f):
-        return replace(self, e=f(self.e))
+        return self._with(f(self.e))
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,9 @@ class SAtom(_OneParam):
         return ((h, _hunit(i - 1), _hunit(j - 1)),
                 (h, _hunit(pi_swap(j) - 1, sign), _hunit(pi_swap(i) - 1)))
 
+    def _with(self, e):
+        return SAtom(self.i, self.j, e)
+
     def _text(self, ring):
         return f"S {self.i} {self.j} {_fmt(ring, self.e)}"
 
@@ -179,6 +189,9 @@ class CornerAtom(_OneParam):
         r, c = (0, 1) if self.kind == "E12" else (1, 0)
         return ((ring.half(self.e), _hunit(r), _hunit(c)),)
 
+    def _with(self, e):
+        return CornerAtom(self.kind, e)
+
     def _text(self, ring):
         return f"{self.kind} {_fmt(ring, self.e)}"
 
@@ -191,6 +204,9 @@ class ABCDAtom(_OneParam):
 
     def _terms(self, ring, n):
         return _block_terms(ring, n, self.shape, self.pos, self.e)
+
+    def _with(self, e):
+        return ABCDAtom(self.shape, self.pos, e)
 
     def _text(self, ring):
         return f"{self.shape} {self.pos} {_fmt(ring, self.e)}"
@@ -213,6 +229,9 @@ class UnitAtom(_OneParam):
         (u0, u1), (w0, w1) = _SHAPE_SIGNS[self.shape]
         b = 2 * (self.pos - 1)
         return ((ring.add(self.e, self.e), _hpair(b, u0, u1), _hpair(b, w0, w1)),)
+
+    def _with(self, e):
+        return UnitAtom(self.shape, self.pos, e)
 
     def _text(self, ring):
         return f"U{self.shape} {self.pos} {_fmt(ring, self.e)}"
@@ -274,21 +293,23 @@ def _combine(ring, a, b, plus):
 def _apply_terms(ring, cols, terms):
     """Replace the matrix with columns ``cols`` by its product with G,
     where G - I is the sum of ``terms`` (both in the basis P): for each
-    term lam u w^t the column y = lam * (M u) is added, with the signs of
-    w, to the columns of w. Every y is read off the old columns before any
-    column changes."""
-    zero, mul = ring.zero, ring.mul
+    term lam u w^t, lam times each nonzero entry of z = M u is added, with
+    the signs of w, into the columns of w, one ``addmul`` per entry and
+    target column. Every z is read off the old columns before any column
+    changes."""
+    zero, neg, addmul = ring.zero, ring.neg, ring.addmul
     updates = []
     for lam, rows, targets in terms:
         (r0, s0), *rest = rows
         z = cols[r0]
         for r, s in rest:
             z = _combine(ring, z, cols[r], s == s0)
-        y = [zero if v == zero else mul(lam, v) for v in z]
-        updates.append((y, s0, targets))
-    for y, s0, targets in updates:
+        updates.append((lam, s0, targets, [(r, v) for r, v in enumerate(z) if v != zero]))
+    for lam, s0, targets, entries in updates:
         for c, s in targets:
-            cols[c] = _combine(ring, cols[c], y, s == s0)
+            col, lam_c = cols[c], lam if s == s0 else neg(lam)
+            for r, v in entries:
+                col[r] = addmul(col[r], lam_c, v)
 
 
 def _eval_cols(ring, n, atoms):

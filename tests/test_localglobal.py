@@ -618,6 +618,20 @@ def test_normality_demo_evaluates_its_word_once_over_r_t(monkeypatch):
     assert sum(w.ring is conj.ring and w.atoms == conj.atoms for w in evals) == 1
 
 
+def test_normality_demo_merges_the_conjugate_word_before_patch(monkeypatch):
+    # the decomposed gamma and h meet at shape atoms that merge; merged
+    # before patch, the word patch checks against alpha is the word it
+    # returns, so R[T] sees two evaluations: alpha and patch's local check
+    gamma = word_from_text(Z15, 2, "S 1 3 1")
+    h = word_from_text(Z15, 2, "B 2 1")
+    evals = []
+    real_eval = Word.eval
+    monkeypatch.setattr(Word, "eval", lambda self: evals.append(self.ring.descriptor()) or real_eval(self))
+    out = lg.normality_demo(Z15, 2, gamma, h, _z15_cover())
+    assert (out.digest(), len(out)) == ("ae088bbc977b7c52", 43)
+    assert evals.count("poly:zmod:15:T") == 2
+
+
 def test_patch_detects_bad_local_word():
     cov = _z15_cover()
     rx = PolyRing(Z15, ("X",))

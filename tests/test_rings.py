@@ -530,3 +530,61 @@ def test_single_term_ops_match_the_general_route(descriptor):
         assert ring.mul(ring.scale_int(3, t), ring.from_int(5)) == ()
         assert ring.add(ring.scale_int(7, t), ring.scale_int(8, t)) == ()
         assert ring.sub(ring.scale_int(7, t), ring.scale_int(7, t)) == ()
+
+
+# -- addmul: acc + lam * v in one call, as add and mul give it --
+
+_ADDMUL_RINGS = ["zmod:15", "q", "poly:q:x,y", "poly:zmod:15:t", "loc:poly:q:t:s=t",
+                 "poly:loc:poly:q:t:s=t:X"]
+
+
+@pytest.mark.parametrize("descriptor", _ADDMUL_RINGS)
+def test_addmul_agrees_with_add_and_mul(descriptor):
+    ring = ring_from_descriptor(descriptor)
+
+    def elem(seed, terms):
+        rng = random.Random(seed)
+        acc = ring.zero
+        for _ in range(terms):
+            acc = ring.add(acc, ring.sample(rng))
+        return acc
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(0, 2), st.integers(1, 2), st.integers(0, 3))
+    def check(seed, n_acc, n_lam, n_v):
+        acc, lam, v = elem(seed, n_acc), elem(seed + 1, n_lam), elem(seed + 2, n_v)
+        got = ring.addmul(acc, lam, v)
+        assert got == ring.add(acc, ring.mul(lam, v)), (acc, lam, v)
+        if isinstance(ring, PolyRing):
+            _assert_canonical(ring, got)
+
+    check()
+
+
+def test_addmul_edge_cases():
+    for descriptor in ("poly:q:t", "poly:zmod:15:t"):
+        ring = ring_from_descriptor(descriptor)
+        t = ring.var("t")
+        t2 = ring.mul(t, t)
+        one_t = ring.add(ring.one, t)
+        cases = [
+            (ring.add(ring.scale_int(7, t2), ring.one), ring.scale_int(-7, t), t),  # t^2 cancels
+            (ring.zero, ring.scale_int(3, t), one_t),  # empty acc
+            (t, one_t, one_t),  # a multi-term lam
+            (one_t, ring.scale_int(2, t), ring.zero),  # zero v
+        ]
+        for acc, lam, v in cases:
+            got = ring.addmul(acc, lam, v)
+            assert got == ring.add(acc, ring.mul(lam, v)), (descriptor, acc, lam, v)
+            _assert_canonical(ring, got)
+        assert ring.addmul(ring.scale_int(7, t2), ring.scale_int(-7, t), t) == ()
+    # over Z/15: 7t^2 + t * 8t cancels, and 3t * 5 vanishes, in a gap of
+    # acc's keys and at one of them
+    zt = ring_from_descriptor("poly:zmod:15:t")
+    t = zt.var("t")
+    t2 = zt.mul(t, t)
+    acc = zt.add(t2, zt.one)
+    assert zt.addmul(zt.add(zt.scale_int(7, t2), t), t, zt.scale_int(8, t)) == t
+    assert zt.addmul(acc, zt.scale_int(3, t), zt.from_int(5)) == acc
+    assert zt.addmul(acc, zt.scale_int(3, t), zt.add(zt.from_int(5), t)) == \
+        zt.add(acc, zt.scale_int(3, t2))

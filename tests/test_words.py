@@ -292,3 +292,40 @@ def test_shape_and_unit_terms_are_single_entries(name):
             terms = atom._terms(ring, n)
             assert len(terms) == (2 if isinstance(atom, ABCDAtom) else 1)
             assert all(len(rows) == len(cols) == 1 for _, rows, cols in terms)
+
+
+def test_a_kernel_slip_fails_the_independent_routes(monkeypatch):
+    # same_value compares two outputs of one kernel, so a slip in addmul
+    # must show on the dense sides: the identity tables and the rewrite's
+    # step checks against their dense or closed-form routes
+    from sympelem.errors import StepVerificationFailed
+    from sympelem.rewrite import decompose_full
+    from sympelem.verify import run_verify_tables
+
+    def failed(ring, n_values):
+        return [r.name for r in run_verify_tables(ring, n_values).records if r.status != "PASS"]
+
+    with monkeypatch.context() as m:
+        m.setattr(Zmod, "addmul", lambda self, acc, lam, v: (acc - lam * v) % self.m)
+        names = failed(Z15, [2, 3])
+    assert any(name.startswith("atom-terms") for name in names), names
+
+    real = PolyRing.addmul
+
+    def drop_trailing(self, acc, lam, v):
+        # the single-term route without its last step: acc's terms below
+        # every key of lam * v are lost
+        out = real(self, acc, lam, v)
+        if len(lam) != 1 or not acc or not v:
+            return out
+        low = tuple(map(sum, zip(v[-1][0], lam[0][0])))
+        return tuple(t for t in out if t[0] >= low)
+
+    with monkeypatch.context() as m:
+        m.setattr(PolyRing, "addmul", drop_trailing)
+        assert failed(ring_from_descriptor("poly:q:x,y"), [2, 3])
+        qt = ring_from_descriptor("poly:q:t")
+        word = word_from_text(qt, 3, "S 1 3 2+t\nS 3 5 -1\nE12 t")
+        with pytest.raises(StepVerificationFailed, match="corner-to-shapes"):
+            decompose_full(word)
+    assert not failed(Z15, [2, 3])
