@@ -141,8 +141,7 @@ def cmd_patch(args):
     base = ring_from_descriptor(args.ring)
     cover = CoverData.from_text(base, _read(args.cover))
     ring_x = PolyRing(base, ("X",))
-    alpha_word = word_from_text(ring_x, args.n, _read(args.alpha))
-    alpha = alpha_word.eval()
+    alpha = word_from_text(ring_x, args.n, _read(args.alpha))
     if len(args.locals) != len(cover.entries):
         raise err.ParseError(f"--locals gives {len(args.locals)} word file(s) for a cover of "
                              f"{len(cover.entries)} entries; give one local word per entry")

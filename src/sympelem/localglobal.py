@@ -12,27 +12,17 @@ pairs, built by the ``identities`` builders verify-tables checks
 builder its table's items check. Every produced word is verified against
 its defining identity.
 
-Where the element a word must equal is itself a word, the two are
-compared with ``same_value``, through ``rewrite._same``, whose failure
-names the rule, the ring and n and lists both sides: ``conj_decompose``
-against g h g^-1 (rule ``conj``), and ``normality_demo`` against
-gamma h gamma^-1 (rule ``normality``). Otherwise each produced word
-is evaluated in full, once, over the smallest ring it lives in, and the
-matrix it must equal is derived from a matrix that was already checked,
-mapped through a ring homomorphism, which is exact since
-eval(phi o w) = phi(eval w):
-
-* ``dilate`` evaluates its input word once (or takes that matrix as
-  ``value``), checks its image under X -> 0 is the identity, and compares
-  the output, evaluated over R[X] and embedded into R_s[X], with its image
-  under X -> s^m X;
-* ``patch`` checks each local word against alpha: where s is a unit of R
-  it pulls the word back along the isomorphism R_s[X] -> R[X] and compares
-  over R[X], elsewhere it compares over R_s[X]. A cover with a unit s
-  needs no dilation: the first pulled-back word is returned. Otherwise
-  ``patch`` passes dilate beta's matrix, alpha(X + Y) alpha(Y)^-1 over
-  (R[Y])_s[X], the one dense product of this module. Either way the
-  patched word is compared with alpha itself.
+Every check here compares two words with ``same_value``, and the element
+a word must equal is always given as a word. Where one word is the image
+of another under a ring homomorphism phi, the image is phi applied to
+every parameter, which is exact since eval(phi o w) = phi(eval w). The
+final checks go through ``rewrite._same``, whose failure names the rule,
+the ring and n and lists both words: ``conj_decompose`` against g h g^-1
+(rule ``conj``), ``dilate`` against its input at X -> s^m X (rule
+``dilate``), ``patch`` against alpha (rule ``patch``) and
+``normality_demo`` against gamma h gamma^-1 (rule ``normality``). A
+homotopy's value at X = 0 is its word at X -> 0, compared with the empty
+word. No dense matrix is multiplied or inverted.
 """
 
 from __future__ import annotations
@@ -53,8 +43,7 @@ from .errors import (
 from . import identities as idn
 from .rewrite import _same, decompose_full, eliminate_units_inplace, simplify_shape_word
 from .rings import Localized, PolyRing, parse_element
-from .symplectic import symp_inverse
-from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word
+from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word, same_value
 
 DEFAULT_FUEL = 64      # largest dilation exponent m that dilate tries
 MAX_ATOMS = 200_000    # longest conjugation chain dilate builds for one step
@@ -209,7 +198,12 @@ def _embed_poly(RsX, p):
     return tuple((e, Rs.embed(c)) for e, c in p)
 
 
-def dilate(base_ring, s, n, word, *, value=None):
+def _identity_at_zero(word, base):
+    """Whether ``word``, over base[X], evaluates to the identity at X = 0."""
+    return same_value(base, word.n, word.map_params(word.ring.eval_at_zero, base).atoms, ())
+
+
+def dilate(base_ring, s, n, word):
     """Clear the localization denominators of a homotopy word.
 
     ``word`` is over R_s[X] and must evaluate to the identity at X = 0.
@@ -223,14 +217,10 @@ def dilate(base_ring, s, n, word, *, value=None):
     larger m (``ExponentTooSmall``, naming DEFAULT_FUEL). The output is
     merged by ``simplify_shape_word``, each merge checked.
 
-    ``value`` is the matrix ``word`` evaluates to, for a caller that has
-    already checked it; it defaults to ``word.eval()``. Both checks read
-    it through ring homomorphisms: the homotopy check maps it by X -> 0,
-    and the target is its image under X -> s^m X. The output word is
-    evaluated over R[X] and its matrix embedded into R_s[X], which is
-    injective because s is not a zero divisor. The output is built from
-    the atoms of ``word`` alone, so a wrong ``value`` cannot give a wrong
-    word: it ends in ``NotHomotopy`` or ``StepVerificationFailed``.
+    Both checks compare words. ``word`` at X -> 0 must equal the empty
+    word (``NotHomotopy``). The output, its parameters embedded into
+    R_s[X], which is injective because s is not a zero divisor, must
+    equal ``word`` at X -> s^m X (rule ``dilate``).
     """
     RsX = word.ring
     if not (isinstance(RsX, PolyRing) and RsX.nvars == 1 and isinstance(RsX.base, Localized)):
@@ -240,9 +230,7 @@ def dilate(base_ring, s, n, word, *, value=None):
     RX = PolyRing(Rs.base, RsX.names)
     s_num = RX.const(Rs.s)
 
-    if value is None:
-        value = word.eval()
-    if not value.map(RsX.eval_at_zero, Rs).is_identity():
+    if not _identity_at_zero(word, Rs):
         raise NotHomotopy("word does not evaluate to the identity at X = 0")
 
     # the constant parts form the conjugating prefixes; keep them as
@@ -306,10 +294,8 @@ def dilate(base_ring, s, n, word, *, value=None):
             final = [a._map(lambda p: RX.mul(RX.const(base_ring.pow_int(s, p[0])), p[1]))
                      for a in out_atoms]
             out, _ = simplify_shape_word(Word(RX, n, final))
-            # verification: embed eval(out) into R_s[X], compare with value(s^m X)
-            target = value.map(lambda p: RsX.subst(p, {Xvar: smx}))
-            if out.eval().map(lambda p: _embed_poly(RsX, p), RsX) != target:
-                raise StepVerificationFailed("dilated word does not match")
+            _same(RsX, n, "dilate", word.map_params(lambda p: RsX.subst(p, {Xvar: smx})).atoms,
+                  out.map_params(lambda p: _embed_poly(RsX, p), RsX).atoms)
             return m, out
         except (ExponentTooSmall, StepBudgetExceeded):
             continue
@@ -397,31 +383,33 @@ def _pull_back(base_ring, s_inv, p):
 def patch(base_ring, n, alpha, cover, local_words):
     """Assemble a global homotopy word from local ones.
 
-    ``alpha`` is a symplectic matrix over R[X] with alpha(0) = I; each
-    local word lives over R_{s_i}[X] (or, at a unit s_i, over alpha's own
-    ring R[X]) and must evaluate to alpha there. The output word is over
-    R[X] and evaluates to alpha exactly.
+    ``alpha`` is a word over R[X] that evaluates to the identity at X = 0;
+    each local word lives over R_{s_i}[X] (or, at a unit s_i, over alpha's
+    own ring R[X]) and must have alpha's value there. The output word is
+    over R[X] and has alpha's value exactly. Every check compares words.
 
     Every local word is checked, in cover order, before anything is
     built. Where s_i is a unit of R, R -> R_{s_i} is an isomorphism: the
     local word is pulled back along R_{s_i}[X] -> R[X], a word over R[X]
     being its own pull-back, and compared with alpha over R[X]. Elsewhere
-    it is compared with alpha embedded into R_{s_i}[X]. A pulled-back
-    word equal to one already compared is not evaluated again. If some
-    s_i is a unit, the first pulled-back word is already a global word
-    for alpha, and it is the one returned: no local word is dilated.
+    it is compared with alpha, its parameters embedded into R_{s_i}[X]. A
+    pulled-back word equal to one already compared is not evaluated
+    again. If some s_i is a unit, the first pulled-back word is already a
+    global word for alpha, and it is the one returned: no local word is
+    dilated.
     Otherwise each local word w gives beta(X, Y) = w(X + Y) w(Y)^-1 over
     (R[Y])_s[X], ``dilate`` clears its denominators, and the factors,
     substituted so that they telescope, are concatenated. Either way the
     word is merged by ``simplify_shape_word``, each merge checked, and
-    compared with alpha, unless it is a pulled-back word compared already.
+    compared with alpha (rule ``patch``), unless it is a pulled-back word
+    compared already.
     """
     RX = alpha.ring
     if not (isinstance(RX, PolyRing) and RX.nvars == 1):
         raise TypeError("alpha must live over R[X]")
     Xvar = RX.names[0]
     cover.validate(base_ring)
-    if not alpha.map(RX.eval_at_zero, base_ring).is_identity():
+    if not _identity_at_zero(alpha, base_ring):
         raise NotHomotopy("alpha(0) must be the identity")
 
     k = len(cover.entries)
@@ -437,12 +425,13 @@ def patch(base_ring, n, alpha, cover, local_words):
         if not own and local.ring.descriptor() != RsX.descriptor():
             raise LocalWordMismatch(f"local word {idx} is over {local.ring.descriptor()}")
         if s_inv is None:
-            ok = local.eval() == alpha.map(lambda p: _embed_poly(RsX, p), RsX)
+            ok = same_value(RsX, n, local.atoms,
+                            alpha.map_params(lambda p: _embed_poly(RsX, p), RsX).atoms)
         else:
             pulled = local if own else local.map_params(
                 lambda p: _pull_back(base_ring, s_inv, p), RX)
             # equal words have equal values, so a repeat needs no evaluation
-            ok = pulled.atoms in pulled_checked or pulled.eval() == alpha
+            ok = pulled.atoms in pulled_checked or same_value(RX, n, pulled.atoms, alpha.atoms)
             pulled_checked.add(pulled.atoms)
             if global_word is None:
                 global_word = pulled
@@ -458,18 +447,19 @@ def patch(base_ring, n, alpha, cover, local_words):
     else:
         factors = _dilated_factors(base_ring, n, alpha, cover, local_words)
     out, _ = simplify_shape_word(Word(RX, n, [a for f in factors for a in f.atoms]))
-    if out.atoms not in pulled_checked and out.eval() != alpha:
-        raise StepVerificationFailed("patched word does not evaluate to alpha")
+    if out.atoms not in pulled_checked:
+        _same(RX, n, "patch", alpha.atoms, out.atoms)
     return out
 
 
 def _dilated_factors(base_ring, n, alpha, cover, local_words):
-    """Words over R[X] whose product is alpha, one per cover entry, for a
-    cover with no unit s_i. The local word w_i evaluates to alpha over
-    R_{s_i}[X]; ``dilate`` turns beta_i = w_i(X + Y) w_i(Y)^-1 into a word
-    for beta_i(s_i^m X, Y) over R[Y][X], and factor i is that word at
-    X -> c_i v_i X, Y -> T_i, where b_i = s_i^m v_i and T_i is the sum of
-    c_j b_j X over j > i. The factors telescope to alpha(X) alpha(0)^-1."""
+    """Words over R[X] whose product has alpha's value, one per cover
+    entry, for a cover with no unit s_i. The local word w_i has alpha's
+    value over R_{s_i}[X]; ``dilate`` turns beta_i = w_i(X + Y) w_i(Y)^-1
+    into a word for beta_i(s_i^m X, Y) over R[Y][X], and factor i is that
+    word at X -> c_i v_i X, Y -> T_i, where b_i = s_i^m v_i and T_i is the
+    sum of c_j b_j X over j > i. The factors telescope to
+    alpha(X) alpha(0)^-1."""
     RX = alpha.ring
     Xvar = RX.names[0]
     # two-variable tower: R[Y] as the spectator base, then localize, then [X]
@@ -478,8 +468,7 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
 
     factors = []
     for idx, ((s, c, _, _), local) in enumerate(zip(cover.entries, local_words)):
-        # beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s [X]; w evaluates to
-        # alpha, so beta's matrix is the same substitutions of alpha
+        # beta(X, Y) = w(X + Y) w(Y)^-1 over (R[Y])_s [X]
         RYs = Localized(RY, RY.const(s))
         RYsX = PolyRing(RYs, (Xvar,))
 
@@ -497,11 +486,9 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
 
         w_lift = local.map_params(lift, RYsX)
         beta = w_lift.map_params(at_xy).concat(w_lift.map_params(at_y).inverse())
-        a_lift = alpha.map(lambda p: tuple((e, RYs.embed(RY.const(x))) for e, x in p), RYsX)
-        beta_value = a_lift.map(at_xy).mul(symp_inverse(a_lift.map(at_y)))
 
         try:
-            m, w_global = dilate(RY, RY.const(s), n, beta, value=beta_value)
+            m, w_global = dilate(RY, RY.const(s), n, beta)
         except NotHomotopy as exc:  # beta(0, Y) = I: beta is built here, not given
             raise StepVerificationFailed(f"beta of local word {idx}: {exc}") from None
         v = cover.cofactor(base_ring, idx, m)
@@ -540,7 +527,7 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     elsewhere it is mapped into R_s[T], which is injective, as s is no
     zero divisor.
     The local words are patched along the cover, against alpha, the word
-    gamma h(T) gamma^-1 evaluated once, and evaluated at T = 1.
+    gamma h(T) gamma^-1 as given, and evaluated at T = 1.
     """
     for idx, atom in enumerate(h_word.atoms, start=1):
         if not isinstance(atom, ABCDAtom):
@@ -553,7 +540,7 @@ def normality_demo(base_ring, n, gamma_word, h_word, cover):
     RT = PolyRing(base_ring, ("T",))
     h_t = h_word.map_params(lambda p: RT.mul(RT.const(p), RT.var("T")), RT)
     gamma_t = gamma_word.map_params(RT.const, RT)
-    alpha = gamma_t.concat(h_t).concat(gamma_t.inverse()).eval()
+    alpha = gamma_t.concat(h_t).concat(gamma_t.inverse())
 
     if len(gamma_t) == 1 and isinstance(gamma_t.atoms[0], CornerMatrixAtom):
         conj, _ = eliminate_units_inplace(Word(RT, n, [

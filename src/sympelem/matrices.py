@@ -91,11 +91,6 @@ class Matrix:
                 rows[r0 + i][c0 + j] = v
         return Matrix._trusted(self.ring, tuple(map(tuple, rows)))
 
-    def is_identity(self):
-        ring = self.ring
-        z, o = ring.zero, ring.one
-        return all(v == (o if i == j else z) for i, r in enumerate(self.rows) for j, v in enumerate(r))
-
     def det2(self):
         if (self.nrows, self.ncols) != (2, 2):
             raise DimensionMismatch("det2 needs 2x2")
@@ -110,9 +105,6 @@ class Matrix:
         n = self.ring.neg
         (a, b), (c, d) = self.rows
         return Matrix(self.ring, [(d, n(b)), (n(c), a)])
-
-    def map(self, f, target_ring=None):
-        return Matrix(target_ring or self.ring, [tuple(f(v) for v in r) for r in self.rows])
 
     # -- protocol -------------------------------------------------------------
     def __eq__(self, other):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .matrices import Matrix
 from .rings import PolyRing, Rationals
 from .symplectic import SHAPES, corner_embed, gen_abcd, gen_corner, gen_s, gen_small, pi_swap
-from .words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, UnitAtom, eval_atoms
+from .words import ABCDAtom, CornerAtom, CornerMatrixAtom, SAtom, UnitAtom, Word
 from . import identities as idn
 
 
@@ -89,7 +89,7 @@ def atom_terms_instance(ring, n, kind, x, t, u):
     so a sign slip in an atom's ``_terms`` would otherwise go unseen."""
     pairs = ATOM_KINDS[kind](ring, n, x, _det1_witness(ring, t, u))
     return idn.IdentityInstance(f"atom-terms:{kind}", ring, n,
-                                tuple(eval_atoms(ring, n, [a]) for a, _ in pairs),
+                                tuple(Word(ring, n, [a]).eval() for a, _ in pairs),
                                 tuple(m for _, m in pairs), {"x": x, "t": t, "u": u})
 
 

@@ -18,8 +18,8 @@ product. The running product is M' = P^-1 M P, started at I.
 
 2 is invertible in every ring here, so M -> M' is injective, and
 ``same_value`` decides eval(a) == eval(b) on the columns of M'. The
-rewriting engine checks every step that way. ``Word.eval`` and
-``eval_atoms`` convert back once, at the end, to the standard basis.
+rewriting engine checks every step that way. ``Word.eval`` converts
+back once, at the end, to the standard basis.
 
 Every atom class answers one protocol: ``_terms(ring, n)`` (its terms of
 P^-1 (G - I) P), ``_inverse(ring)``, ``_map(f)`` (a ring map applied to
@@ -31,9 +31,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import BadIndices, DimensionMismatch, NonZeroDet, ParseError
+from .errors import BadIndices, NonZeroDet, ParseError
 from .matrices import Matrix
-from .symplectic import SHAPES, is_symplectic, pi_swap, symp_inverse
+from .symplectic import SHAPES, pi_swap
 
 # shape(v) = v * u w^t for the sign vectors (u, w) of each 2x2 shape
 _SHAPE_SIGNS = {
@@ -121,21 +121,8 @@ def _hadamard(ring, cols):
     return rows
 
 
-def _matrix_terms(ring, rows):
-    """One single-entry term per nonzero entry of P^-1 X P, where X = G - I
-    is given by its rows and fills the top-left corner of the matrix."""
-    zero = ring.zero
-    return tuple((v, ((r, 1),), ((c, 1),))
-                 for r, row in enumerate(_hadamard(ring, list(zip(*rows))))
-                 for c, v in enumerate(row) if v != zero)
-
-
 def _fmt(ring, e):
     return ring.show(e).replace(" ", "")
-
-
-def _map_rows(rows, f):
-    return tuple(tuple(f(v) for v in r) for r in rows)
 
 
 class _OneParam:
@@ -242,42 +229,24 @@ class CornerMatrixAtom:
     rows: tuple  # ((a,b),(c,d)), det 1
 
     def _terms(self, ring, n):
+        """One single-entry term per nonzero entry of P^-1 (G - I) P, where
+        G - I fills the top-left 2x2 block."""
         (a, b), (c, d) = self.rows
         if not ring.is_one(ring.sub(ring.mul(a, d), ring.mul(b, c))):
             raise NonZeroDet("corner block must have determinant 1")
-        one = ring.one
-        return _matrix_terms(ring, ((ring.sub(a, one), b), (c, ring.sub(d, one))))
+        one, zero = ring.one, ring.zero
+        cols = ((ring.sub(a, one), c), (b, ring.sub(d, one)))
+        return tuple((v, ((r, 1),), ((k, 1),)) for r, row in enumerate(_hadamard(ring, cols))
+                     for k, v in enumerate(row) if v != zero)
 
     def _inverse(self, ring):
         return CornerMatrixAtom(Matrix(ring, self.rows).adj2().rows)
 
     def _map(self, f):
-        return CornerMatrixAtom(_map_rows(self.rows, f))
+        return CornerMatrixAtom(tuple(tuple(map(f, r)) for r in self.rows))
 
     def _text(self, ring):
         return "CORNER " + " ".join(_fmt(ring, v) for r in self.rows for v in r)
-
-
-@dataclass(frozen=True)
-class DenseAtom:
-    rows: tuple  # full 2n x 2n entries; must be symplectic
-
-    def _terms(self, ring, n):
-        size = 2 * n
-        if len(self.rows) != size or any(len(r) != size for r in self.rows):
-            raise DimensionMismatch(f"dense atom is not {size}x{size}")
-        one = ring.one
-        return _matrix_terms(ring, [[ring.sub(v, one) if r == c else v for c, v in enumerate(row)]
-                                    for r, row in enumerate(self.rows)])
-
-    def _inverse(self, ring):
-        return DenseAtom(symp_inverse(Matrix(ring, self.rows)).rows)
-
-    def _map(self, f):
-        return DenseAtom(_map_rows(self.rows, f))
-
-    def _text(self, ring):
-        return "DENSE " + " ".join(_fmt(ring, v) for r in self.rows for v in r)
 
 
 def _combine(ring, a, b, plus):
@@ -322,10 +291,6 @@ def _eval_cols(ring, n, atoms):
     return cols
 
 
-def _eval(ring, n, atoms):
-    return Matrix._trusted(ring, tuple(map(tuple, _hadamard(ring, _eval_cols(ring, n, atoms)))))
-
-
 class Word:
     """An ordered product of generator atoms in Sp_{2n}(R)."""
 
@@ -337,7 +302,9 @@ class Word:
         self.atoms = tuple(atoms)
 
     def eval(self):
-        return _eval(self.ring, self.n, self.atoms)
+        ring = self.ring
+        cols = _eval_cols(ring, self.n, self.atoms)
+        return Matrix._trusted(ring, tuple(map(tuple, _hadamard(ring, cols))))
 
     def inverse(self):
         return Word(self.ring, self.n, [a._inverse(self.ring) for a in reversed(self.atoms)])
@@ -397,17 +364,10 @@ def word_from_text(ring, n, text):
                     raise ParseError("CORNER atom needs four elements")
                 a, b, c, d = (parse_element(ring, t) for t in toks[1:])
                 atoms.append(CornerMatrixAtom(((a, b), (c, d))))
-            elif head == "DENSE":
-                # the (2n)^2 entries row by row; _terms checks the shape
-                vals = [parse_element(ring, t) for t in toks[1:]]
-                atoms.append(DenseAtom(tuple(tuple(vals[r:r + 2 * n])
-                                             for r in range(0, len(vals), 2 * n))))
             else:
                 raise ParseError(f"unknown atom kind {toks[0]!r}")
             atoms[-1]._terms(ring, n)
-            if head == "DENSE" and not is_symplectic(Matrix(ring, atoms[-1].rows)):
-                raise ParseError(f"{line}: the matrix is not symplectic")
-        except (BadIndices, DimensionMismatch, NonZeroDet) as exc:
+        except (BadIndices, NonZeroDet) as exc:
             raise ParseError(f"{line}: {exc}", line=lineno) from None
         except ParseError as exc:
             if exc.line is None:
@@ -416,10 +376,6 @@ def word_from_text(ring, n, text):
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     return Word(ring, n, atoms)
-
-
-def eval_atoms(ring, n, atoms):
-    return _eval(ring, n, atoms)
 
 
 def same_value(ring, n, atoms, other):

@@ -260,7 +260,7 @@ def test_criterion_09_patch_and_normality():
                 lrx = PolyRing(lring, ("X",))
                 locs.append(aw.map_params(
                     lambda p: tuple((e, lring.embed(cc)) for e, cc in p), lrx))
-            out = lg.patch(Z15, 2, aw.eval(), cover, locs)
+            out = lg.patch(Z15, 2, aw, cover, locs)
             assert out.eval() == aw.eval()
         count = 0
         while count < 20:

@@ -327,14 +327,17 @@ _GUARDED = [
      "--h", str(EXAMPLES / "h_z15.txt"), "--cover", str(EXAMPLES / "cover_z15.txt")],
     ["normality-demo", "--ring", "zmod:15", "--n", "2", "--gamma", "<corner>",
      "--h", str(EXAMPLES / "h_z15.txt"), "--cover", str(EXAMPLES / "cover_z15.txt")],
+    ["normality-demo", "--ring", "poly:q:t", "--n", "2", "--gamma", str(EXAMPLES / "gamma_qt.txt"),
+     "--h", str(EXAMPLES / "h_qt.txt"), "--cover", str(EXAMPLES / "cover_qt.txt")],
 ]
 
 
 @pytest.mark.parametrize("argv", _GUARDED, ids=["decompose", "conj-crossing", "conj-placed",
-                                                "normality", "normality-corner"])
+                                                "normality", "normality-corner", "normality-qt"])
 def test_word_commands_multiply_no_dense_matrices(argv, monkeypatch, tmp_path, capsys):
-    # decompose, conj and normality-demo over a cover of units check their
-    # words on the word evaluator: no dense product and no dense inverse
+    # decompose, conj and normality-demo check their words on the word
+    # evaluator: no dense product and no dense inverse, also on the (t, 1 - t)
+    # cover of Q[t], where patch dilates
     corner = tmp_path / "corner.txt"
     corner.write_text("CORNER 7 3 2 1\n")  # det 1 mod 15
     argv = [str(corner) if a == "<corner>" else a for a in argv]
@@ -771,8 +774,9 @@ def _generator_product(ring, n, word):
 
 def _generator_lines(data, m, n):
     """A word file over zmod:m with up to four lines of any atom kind. Most
-    lines are valid; indices may fall outside the generators' range, and
-    CORNER and DENSE lines, which decompose refuses, come valid or not."""
+    lines are valid; indices may fall outside the generators' range,
+    CORNER lines, which decompose refuses, come valid or not, and DENSE
+    lines, no atom kind, are refused when parsed."""
     c = st.integers(0, m - 1)
     line = st.one_of(
         st.builds("S {} {} {}".format, st.integers(1, 2 * n), st.integers(1, 2 * n), c),

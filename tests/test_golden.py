@@ -127,7 +127,7 @@ def example_digests():
     normal = normality_demo(Z15, 2, gamma, h, cover)
 
     rx = PolyRing(Z15, ("X",))
-    alpha = word_from_text(rx, 2, _read("alpha_z15.txt")).eval()
+    alpha = word_from_text(rx, 2, _read("alpha_z15.txt"))
     locals_ = []
     for (s, _, _, _), name in zip(cover.entries, ("local1_z15.txt", "local2_z15.txt")):
         locals_.append(word_from_text(PolyRing(Localized(Z15, s), ("X",)), 2, _read(name)))
@@ -208,7 +208,7 @@ def qt_conjugation_digests():
         dilated.append((m, out.digest(), len(out)))
     cover = CoverData.from_text(QT, "s=t c=6*t^2-15*t+10 b=t^3 N=3\n"
                                     "s=1-t c=6*t^2+3*t+1 b=(1-t)^3 N=3\n")
-    alpha = word_from_text(PolyRing(QT, ("X",)), 2, "D 2 X").eval()
+    alpha = word_from_text(PolyRing(QT, ("X",)), 2, "D 2 X")
     locals_ = []
     for s in ("t", "1-t"):
         rsx = PolyRing(Localized(QT, parse_element(QT, s)), ("X",))

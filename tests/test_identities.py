@@ -365,11 +365,10 @@ def test_corrupt_keys_follow_the_n_range():
 
 def test_unit_bracket_atoms():
     from sympelem.identities import unit_bracket_atoms
-    from sympelem.words import eval_atoms
     rng = random.Random(12)
     for n in (2, 3):
         for sh in "BC":
             for pos in range(1, n + 1):
                 c = Z15.sample(rng)
                 atoms = unit_bracket_atoms(Z15, n, sh, pos, c)
-                assert eval_atoms(Z15, n, atoms) == gen_small(Z15, n, sh, pos, c)
+                assert Word(Z15, n, atoms).eval() == gen_small(Z15, n, sh, pos, c)

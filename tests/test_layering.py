@@ -45,3 +45,23 @@ def test_localglobal_reads_no_table_layout():
     assert {"tag_pos", "unit_rel"}.isdisjoint(name for _, name in reads)
     assert {"bracket_atoms", "unit_commutator_word", "composite_pieces",
             "bracket_unit"} <= {name for _, name in reads}
+
+
+def test_localglobal_compares_words_only():
+    # every check of the local-global layer compares words: it evaluates
+    # no word to a matrix and imports neither dense matrices nor the dense
+    # symplectic constructions
+    tree = ast.parse((SRC / "localglobal.py").read_text())
+    evals = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "eval"]
+    dense = {"matrices", "symplectic"}
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[-1]] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            continue
+        imports += [(node.lineno, name) for name in names if name in dense]
+    assert evals == [] and imports == []

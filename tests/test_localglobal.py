@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sympelem import identities as idn
 from sympelem import localglobal as lg
+from sympelem import words
 from sympelem.errors import (
     AlphabetViolation,
     CoverNotComaximal,
@@ -18,6 +19,7 @@ from sympelem.errors import (
     ParseError,
     StepVerificationFailed,
 )
+from sympelem.matrices import Matrix
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod
 from sympelem.symplectic import symp_inverse
 from sympelem.verify import run_verify_tables
@@ -117,8 +119,11 @@ def test_a_builder_slip_fails_its_items_and_the_conjugations(slip, monkeypatch):
         "rule 'conj' changed the evaluation over loc:poly:q:t:s=t at n=3\n"
         "before:\nA 2 3/t\nD 2 t^3\nA 2 (-3)/t\nafter:\n")
     homotopy = word_from_text(_rsx(), 2, "A 2 3/t\nD 2 X\nA 2 -3/t")
-    with pytest.raises(StepVerificationFailed, match="dilated word does not match"):
+    with pytest.raises(StepVerificationFailed) as exc:
         lg.dilate(QT, T, 2, homotopy)
+    assert str(exc.value).startswith(
+        "rule 'dilate' changed the evaluation over poly:loc:poly:q:t:s=t:X at n=2\n"
+        "before:\nA 2 3/t\nD 2 (t^3)*X\nA 2 ((-3)/t)\nafter:\n")
 
 
 def test_conj_decompose_exponent_guard():
@@ -310,19 +315,6 @@ def _conjugated_homotopy():
                          ABCDAtom("C", 2, rsx.neg(vv))])
 
 
-def test_dilate_rejects_a_value_the_word_does_not_have():
-    # the output is built from the word's atoms, so a value it does not
-    # have can only fail a check, never give a wrong word
-    w = _conjugated_homotopy()
-    rsx = w.ring
-    other = Word(rsx, 2, [ABCDAtom("A", 2, rsx.var("X"))]).eval()
-    with pytest.raises(StepVerificationFailed):
-        lg.dilate(QT, T, 2, w, value=other)
-    not_at_zero = Word(rsx, 2, [ABCDAtom("A", 2, rsx.one)]).eval()
-    with pytest.raises(NotHomotopy):
-        lg.dilate(QT, T, 2, w, value=not_at_zero)
-
-
 def _negate_first_conj_entry(monkeypatch):
     """Make every conjugation decomposition dilate builds wrong in one
     coefficient; returns the list the corrupted calls are counted in."""
@@ -394,7 +386,7 @@ def test_patch_trivial_cover():
     aw = Word(rx, 2, [ABCDAtom("A", 2, rx.mul(rx.const(7), rx.var("X")))])
     loc = Localized(Z15, Z15.one)
     lw = embed_word_params(aw, loc, PolyRing(loc, ("X",)))
-    out = lg.patch(Z15, 2, aw.eval(), cov, [lw])
+    out = lg.patch(Z15, 2, aw, cov, [lw])
     assert out.eval() == aw.eval()
 
 
@@ -412,12 +404,12 @@ def test_patch_z15_random_homotopies():
         for (s, c, b, N) in cov.entries:
             loc = Localized(Z15, s)
             locs.append(embed_word_params(aw, loc, PolyRing(loc, ("X",))))
-        out = lg.patch(Z15, 2, aw.eval(), cov, locs)
+        out = lg.patch(Z15, 2, aw, cov, locs)
         assert out.eval() == aw.eval()
         assert_reduced(out)
         assert rx.eval_at_zero  # output evaluates to I at X = 0 via alpha(0) = I
         at0 = out.map_params(rx.eval_at_zero, Z15)
-        assert at0.eval().is_identity()
+        assert at0.eval() == Matrix.identity(Z15, 4)
 
 
 def test_patch_qt_cover():
@@ -433,7 +425,7 @@ def test_patch_qt_cover():
     for (s, c, b, N) in cov.entries:
         loc = Localized(QT, s)
         locs.append(embed_word_params(aw, loc, PolyRing(loc, ("X",))))
-    out = lg.patch(QT, 2, aw.eval(), cov, locs)
+    out = lg.patch(QT, 2, aw, cov, locs)
     assert out.eval() == aw.eval()
     assert_reduced(out)
 
@@ -443,7 +435,7 @@ def test_patch_catches_a_wrong_conjugation(monkeypatch):
     # constant prefix 1/s sends dilate through the conjugation decomposition
     cov = _qt_cover()
     rx = PolyRing(QT, ("X",))
-    alpha = Word(rx, 2, [ABCDAtom("A", 2, rx.var("X"))]).eval()
+    alpha = Word(rx, 2, [ABCDAtom("A", 2, rx.var("X"))])
     locs = []
     for (s, c, b, N) in cov.entries:
         loc = Localized(QT, s)
@@ -451,34 +443,11 @@ def test_patch_catches_a_wrong_conjugation(monkeypatch):
         a = rsx.const(loc.frac(QT.one, 1))
         locs.append(Word(rsx, 2, [ABCDAtom("A", 2, a), ABCDAtom("A", 2, rsx.var("X")),
                                   ABCDAtom("A", 2, rsx.neg(a))]))
-    assert lg.patch(QT, 2, alpha, cov, locs).eval() == alpha
+    assert lg.patch(QT, 2, alpha, cov, locs).eval() == alpha.eval()
     calls = _negate_first_conj_entry(monkeypatch)
     with pytest.raises(StepVerificationFailed):
         lg.patch(QT, 2, alpha, cov, locs)
     assert calls
-
-
-@pytest.mark.parametrize("ring, name", [(Z15, "z15"), (QT, "qt")])
-def test_patch_gives_dilate_the_value_of_beta(ring, name, monkeypatch):
-    # patch hands dilate beta's matrix from alpha; it must be what beta
-    # evaluates to, on the non-unit cover of Q[t]. On the all-unit cover of
-    # Z/15 the local word at s = 2 is already global: nothing is dilated
-    dilate = lg.dilate
-    calls = []
-
-    def checked(base_ring, s, n, word, *, value=None):
-        assert value is not None and value == word.eval()
-        calls.append(s)
-        return dilate(base_ring, s, n, word, value=value)
-
-    monkeypatch.setattr(lg, "dilate", checked)
-    cover = lg.CoverData.from_text(ring, (EXAMPLES / f"cover_{name}.txt").read_text())
-    gamma = word_from_text(ring, 2, (EXAMPLES / f"gamma_{name}.txt").read_text())
-    h = word_from_text(ring, 2, (EXAMPLES / f"h_{name}.txt").read_text())
-    out = lg.normality_demo(ring, 2, gamma, h, cover)
-    g = gamma.eval()
-    assert out.eval() == g.mul(h.eval()).mul(symp_inverse(g))
-    assert len(calls) == (0 if name == "z15" else len(cover.entries))
 
 
 def _mixed_qt_cover(order):
@@ -509,7 +478,7 @@ def test_patch_returns_the_word_at_a_unit_s_without_dilating(order, monkeypatch)
     cover = _mixed_qt_cover(order)
     cover.validate(QT)
     aw = _qt_homotopy()
-    out = lg.patch(QT, 2, aw.eval(), cover, _local_words(cover, aw))
+    out = lg.patch(QT, 2, aw, cover, _local_words(cover, aw))
     assert out.eval() == aw.eval()
     assert_reduced(out)
     assert not calls
@@ -526,7 +495,7 @@ def test_patch_checks_every_local_word_of_a_mixed_cover(order, wrong):
     off = aw.concat(Word(aw.ring, 2, [ABCDAtom("D", 2, aw.ring.var("X"))]))
     locs[wrong] = _local_words(cover, off)[wrong]
     with pytest.raises(LocalWordMismatch, match=f"local word {wrong} does not evaluate"):
-        lg.patch(QT, 2, aw.eval(), cover, locs)
+        lg.patch(QT, 2, aw, cover, locs)
 
 
 def test_patch_refuses_a_local_word_outside_the_shape_alphabet():
@@ -536,7 +505,14 @@ def test_patch_refuses_a_local_word_outside_the_shape_alphabet():
     rx = PolyRing(Z15, ("X",))
     aw = Word(rx, 2, [SAtom(1, 3, rx.mul(rx.const(7), rx.var("X")))])
     with pytest.raises(AlphabetViolation, match="local word 0 must be a shape word; atom 1 is"):
-        lg.patch(Z15, 2, aw.eval(), cover, _local_words(cover, aw))
+        lg.patch(Z15, 2, aw, cover, _local_words(cover, aw))
+
+
+def _count_evaluations(monkeypatch, record):
+    """Call ``record(ring, atoms)`` on every evaluation of a word."""
+    real = words._eval_cols
+    monkeypatch.setattr(words, "_eval_cols",
+                        lambda ring, n, atoms: record(ring, atoms) or real(ring, n, atoms))
 
 
 def test_patch_evaluates_an_equal_pulled_back_word_once(monkeypatch):
@@ -544,19 +520,20 @@ def test_patch_evaluates_an_equal_pulled_back_word_once(monkeypatch):
     # pull back to A(7X) over Z/15[X]; equal words have equal values, so
     # the second is not evaluated again
     rx = PolyRing(Z15, ("X",))
-    alpha = word_from_text(rx, 2, (EXAMPLES / "alpha_z15.txt").read_text()).eval()
+    alpha = word_from_text(rx, 2, (EXAMPLES / "alpha_z15.txt").read_text())
     cover = lg.CoverData.from_text(Z15, (EXAMPLES / "cover_z15.txt").read_text())
     locs = [word_from_text(PolyRing(Localized(Z15, s), ("X",)), 2,
                            (EXAMPLES / f"local{idx}_z15.txt").read_text())
             for idx, (s, _, _, _) in enumerate(cover.entries, start=1)]
     events = []
-    real_eval, real_simplify = Word.eval, lg.simplify_shape_word
-    monkeypatch.setattr(Word, "eval", lambda self: events.append("eval") or real_eval(self))
+    real_simplify = lg.simplify_shape_word
+    _count_evaluations(monkeypatch, lambda ring, atoms: events.append(ring.descriptor()))
     monkeypatch.setattr(lg, "simplify_shape_word",
                         lambda word: events.append("simplify") or real_simplify(word))
     out = lg.patch(Z15, 2, alpha, cover, locs)
-    # the local checks are the evaluations before the word is merged
-    assert events.index("simplify") == 1
+    # alpha(0) and the empty word over Z/15, then alpha and the first
+    # pulled-back word over Z/15[X]; the merged word is that word again
+    assert events == ["zmod:15"] * 2 + ["poly:zmod:15:X"] * 2 + ["simplify"]
     assert out.to_text() == "A 2 7*X\n"
 
 
@@ -574,12 +551,24 @@ def test_patch_compares_a_word_over_r_x_at_a_unit_s(wrong):
     cover = _z15_cover()
     rx = PolyRing(Z15, ("X",))
     aw = word_from_text(rx, 2, "A 2 7*X\nC 2 3*X\n")
-    alpha = aw.eval()
-    assert lg.patch(Z15, 2, alpha, cover, [aw, aw]).to_text() == aw.to_text()
+    assert lg.patch(Z15, 2, aw, cover, [aw, aw]).to_text() == aw.to_text()
     locs = [aw, aw]
     locs[wrong] = _plus_one_first(aw)
     with pytest.raises(LocalWordMismatch, match=f"local word {wrong} does not evaluate"):
-        lg.patch(Z15, 2, alpha, cover, locs)
+        lg.patch(Z15, 2, aw, cover, locs)
+
+
+def test_a_wrong_patched_word_names_the_rule_patch(monkeypatch):
+    # the patched word is compared with alpha through rewrite._same: a
+    # failure names the rule, the ring and n, and lists both words
+    rx = PolyRing(Z15, ("X",))
+    aw = word_from_text(rx, 2, "A 2 7*X\n")
+    real = lg.simplify_shape_word
+    monkeypatch.setattr(lg, "simplify_shape_word", lambda word: (_plus_one_first(real(word)[0]), []))
+    with pytest.raises(StepVerificationFailed) as exc:
+        lg.patch(Z15, 2, aw, _z15_cover(), [aw, aw])
+    assert str(exc.value) == ("rule 'patch' changed the evaluation over poly:zmod:15:X at n=2\n"
+                              "before:\nA 2 7*X\nafter:\nA 2 7*X+1\n")
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["t-then-2", "2-then-t"])
@@ -592,7 +581,7 @@ def test_patch_refuses_a_word_over_r_x_at_a_non_unit_s(order):
         locs = _local_words(cover, aw)
         locs[idx] = aw
         with pytest.raises(LocalWordMismatch, match=f"local word {idx} is over poly:poly:q:t:X"):
-            lg.patch(QT, 2, aw.eval(), cover, locs)
+            lg.patch(QT, 2, aw, cover, locs)
 
 
 def test_normality_demo_evaluates_its_word_once_over_r_t(monkeypatch):
@@ -603,9 +592,9 @@ def test_normality_demo_evaluates_its_word_once_over_r_t(monkeypatch):
     gamma = word_from_text(Z15, 2, (EXAMPLES / "gamma_z15.txt").read_text())
     h = word_from_text(Z15, 2, (EXAMPLES / "h_z15.txt").read_text())
     embeds, evals, seen = [], [], []
-    real_embed, real_eval, real_patch = lg._embed_poly, Word.eval, lg.patch
+    real_embed, real_patch = lg._embed_poly, lg.patch
     monkeypatch.setattr(lg, "_embed_poly", lambda rsx, p: embeds.append(p) or real_embed(rsx, p))
-    monkeypatch.setattr(Word, "eval", lambda self: evals.append(self) or real_eval(self))
+    _count_evaluations(monkeypatch, lambda ring, atoms: evals.append((ring, tuple(atoms))))
     monkeypatch.setattr(lg, "patch", lambda *args: seen.append(args[4]) or real_patch(*args))
     out = lg.normality_demo(Z15, 2, gamma, h, cover)
     g = gamma.eval()
@@ -615,21 +604,23 @@ def test_normality_demo_evaluates_its_word_once_over_r_t(monkeypatch):
     conj = local_words[0]
     assert conj.ring.descriptor() == "poly:zmod:15:T"
     assert all(w is conj for w in local_words)
-    assert sum(w.ring is conj.ring and w.atoms == conj.atoms for w in evals) == 1
+    assert sum(ring is conj.ring and atoms == conj.atoms for ring, atoms in evals) == 1
 
 
 def test_normality_demo_merges_the_conjugate_word_before_patch(monkeypatch):
     # the decomposed gamma and h meet at shape atoms that merge; merged
     # before patch, the word patch checks against alpha is the word it
-    # returns, so R[T] sees two evaluations: alpha and patch's local check
+    # returns, so from patch on R[T] sees two evaluations: alpha and the
+    # local word, in patch's local check
     gamma = word_from_text(Z15, 2, "S 1 3 1")
     h = word_from_text(Z15, 2, "B 2 1")
-    evals = []
-    real_eval = Word.eval
-    monkeypatch.setattr(Word, "eval", lambda self: evals.append(self.ring.descriptor()) or real_eval(self))
+    evals, patch_starts = [], []
+    real_patch = lg.patch
+    _count_evaluations(monkeypatch, lambda ring, atoms: evals.append(ring.descriptor()))
+    monkeypatch.setattr(lg, "patch", lambda *args: patch_starts.append(len(evals)) or real_patch(*args))
     out = lg.normality_demo(Z15, 2, gamma, h, _z15_cover())
     assert (out.digest(), len(out)) == ("ae088bbc977b7c52", 43)
-    assert evals.count("poly:zmod:15:T") == 2
+    assert evals[patch_starts[0]:].count("poly:zmod:15:T") == 2
 
 
 def test_patch_detects_bad_local_word():
@@ -642,7 +633,7 @@ def test_patch_detects_bad_local_word():
         wrong = Word(rx, 2, [ABCDAtom("A", 2, rx.mul(rx.const(8), rx.var("X")))])
         locs.append(embed_word_params(wrong, loc, PolyRing(loc, ("X",))))
     with pytest.raises(LocalWordMismatch):
-        lg.patch(Z15, 2, aw.eval(), cov, locs)
+        lg.patch(Z15, 2, aw, cov, locs)
 
 
 def test_normality_demo_identity_gamma():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from sympelem.errors import DimensionMismatch
 from sympelem.matrices import Matrix
 from sympelem.rings import ring_from_descriptor
-from sympelem.words import ABCDAtom, UnitAtom, eval_atoms
+from sympelem.words import ABCDAtom, UnitAtom, Word
 
 PRODUCT_RINGS = {text: ring_from_descriptor(text)
                  for text in ("zmod:15", "q", "poly:q:x,y", "loc:poly:q:t:s=t")}
@@ -67,7 +67,7 @@ def test_outside_rows_are_copied_and_checked_built_rows_are_tuples():
         Matrix(z15, [(1, 2), (3,)])
     built = [m.mul(m), m.add(m), Matrix.identity(z15, 3),
              Matrix.identity(z15, 3).paste(1, 1, m),
-             eval_atoms(z15, 2, [ABCDAtom("A", 2, 7), UnitAtom("B", 1, 4)])]
+             Word(z15, 2, [ABCDAtom("A", 2, 7), UnitAtom("B", 1, 4)]).eval()]
     for b in built:
         assert type(b.rows) is tuple and all(type(r) is tuple and len(r) == b.ncols
                                              for r in b.rows)

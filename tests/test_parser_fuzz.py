@@ -62,7 +62,8 @@ def test_ring_from_descriptor_fuzz(text):
     _parses_or_usage_error(ring_from_descriptor, text)
 
 
-# atom kinds with the number of fields their lines take (DENSE: n = 2)
+# atom kinds with the number of fields their lines take; DENSE, no atom
+# kind, with the 16 entries of a 4x4 matrix
 WORD_ARITY = {"S": 3, "A": 2, "B": 2, "C": 2, "D": 2, "E12": 1, "E21": 1, "UB": 2, "UC": 2,
               "CORNER": 4, "DENSE": 16, "#": 1, "X": 1}
 WORD_ARGS = ["0", "1", "2", "3", "4", "5", "6", "-1", "t", "1+t", "1/2", "t/0", "(1+t)^65", "a"]

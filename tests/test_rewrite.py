@@ -149,7 +149,6 @@ def test_corner_to_abcd():
 
 def test_conj_abcd_atom():
     rng = random.Random(36)
-    from sympelem.words import eval_atoms
     for n in (2, 3):
         for _ in range(10):
             t, u = Z15.sample(rng), Z15.sample(rng)
@@ -157,8 +156,8 @@ def test_conj_abcd_atom():
             atom = ABCDAtom(rng.choice("ABCD"), rng.randint(2, n), Z15.sample(rng))
             out = conj_abcd_atom(Z15, delta.rows, atom)
             emb = corner_embed(delta, n)
-            want = emb.mul(eval_atoms(Z15, n, [atom])).mul(symp_inverse(emb))
-            assert eval_atoms(Z15, n, out) == want
+            want = emb.mul(Word(Z15, n, [atom]).eval()).mul(symp_inverse(emb))
+            assert Word(Z15, n, out).eval() == want
 
 
 def test_decompose_full_round_trip():

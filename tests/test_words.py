@@ -15,18 +15,15 @@ from sympelem.symplectic import (
     gen_s,
     gen_small,
     pi_swap,
-    placed_abcd,
     symp_inverse,
 )
 from sympelem.words import (
     ABCDAtom,
     CornerAtom,
     CornerMatrixAtom,
-    DenseAtom,
     SAtom,
     UnitAtom,
     Word,
-    eval_atoms,
     same_value,
     word_from_text,
 )
@@ -44,9 +41,7 @@ def gen_matrix(ring, n, atom):
         return gen_abcd(ring, n, atom.shape, atom.pos, atom.e)
     if isinstance(atom, UnitAtom):
         return gen_small(ring, n, atom.shape, atom.pos, atom.e)
-    if isinstance(atom, CornerMatrixAtom):
-        return corner_embed(Matrix(ring, atom.rows), n)
-    return Matrix(ring, atom.rows)
+    return corner_embed(Matrix(ring, atom.rows), n)
 
 
 def dense_product(ring, n, atoms):
@@ -122,7 +117,7 @@ def atoms_for(draw, ring, n):
     elem = st.builds(lambda c: _element(ring, *c),
                      st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)))
     kinds = ["E12", "E21", "CORNER"] if n == 1 else \
-        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER", "DENSE"]
+        ["S", "E12", "E21", "ABCD", "UNIT", "CORNER"]
     kind = draw(st.sampled_from(kinds))
     if kind in ("E12", "E21"):
         return CornerAtom(kind, draw(elem))
@@ -134,13 +129,8 @@ def atoms_for(draw, ring, n):
         return ABCDAtom(draw(st.sampled_from("ABCD")), draw(st.integers(2, n)), draw(elem))
     if kind == "UNIT":
         return UnitAtom(draw(st.sampled_from("BC")), draw(st.integers(1, n)), draw(elem))
-    if kind == "CORNER":
-        rows = gen_corner(ring, 1, "E12", draw(elem)).mul(gen_corner(ring, 1, "E21", draw(elem)))
-        return CornerMatrixAtom(rows.rows)
-    # a dense symplectic matrix: a transvection times a shape generator
-    i = draw(st.integers(3, 2 * n))
-    g = gen_s(ring, n, 1, i, draw(elem)).mul(gen_abcd(ring, n, "D", n, draw(elem)))
-    return DenseAtom(g.rows)
+    rows = gen_corner(ring, 1, "E12", draw(elem)).mul(gen_corner(ring, 1, "E21", draw(elem)))
+    return CornerMatrixAtom(rows.rows)
 
 
 @st.composite
@@ -159,7 +149,6 @@ def test_eval_atoms_matches_generator_product(name, data):
     ring = EVAL_RINGS[name]
     n, atoms = data.draw(words_for(ring))
     want = dense_product(ring, n, atoms)
-    assert eval_atoms(ring, n, atoms) == want
     assert Word(ring, n, atoms).eval() == want
     for atom in atoms:
         assert Word(ring, n, [atom]).inverse().eval() == symp_inverse(gen_matrix(ring, n, atom))
@@ -183,11 +172,9 @@ def test_atom_indices_rejected_like_the_generators():
                 rejected = True
             if rejected:
                 with pytest.raises(BadIndices):
-                    eval_atoms(Z15, n, [atom])
-                with pytest.raises(BadIndices):
                     Word(Z15, n, [atom]).eval()
             else:
-                assert eval_atoms(Z15, n, [atom]) == gen_matrix(Z15, n, atom)
+                assert Word(Z15, n, [atom]).eval() == gen_matrix(Z15, n, atom)
 
 
 def test_parse_rejects_bad_indices():
@@ -212,24 +199,17 @@ def test_text_round_trip():
     back = word_from_text(ring, 2, text)
     assert back == w
     assert back.digest() == w.digest()
-    # dense atoms keep their pinned text and parse back
-    w = Word(ring, 2, [DenseAtom(gen_s(ring, 2, 1, 3, ring.neg(t)).rows)])
-    assert w.to_text() == "DENSE 1 0 -t 0 0 1 0 0 0 0 1 0 0 t 0 1\n"
-    assert w.digest() == "95cb571a5e159cf2"
-    assert word_from_text(ring, 2, w.to_text()) == w
 
 
 @pytest.mark.parametrize("text", ["PLACED 1 A 3 4", "PLACED 0 Q 2 4", "PLACED -1 A 2 4",
                                   "PLACED 1 A 2", "DENSE 1 0 0 1", "DENSE",
                                   "DENSE 2 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"])
 def test_bad_placed_and_dense_lines_name_the_line(text):
-    # PLACED is no atom kind any more; a bad DENSE line says what is wrong
+    # PLACED and DENSE are no atom kinds any more
     with pytest.raises(ParseError) as exc:
         word_from_text(Z15, 2, "S 1 3 4\n" + text + "\n")
     msg = str(exc.value)
-    unknown = "unknown atom kind" in msg
-    assert "line 2" in msg and unknown == text.startswith("PLACED")
-    assert not unknown or "unknown atom kind 'PLACED'" in msg
+    assert "line 2" in msg and f"unknown atom kind {text.split()[0]!r}" in msg
 
 
 def test_parse_errors_name_lines():
@@ -247,10 +227,9 @@ def test_comment_and_blank_lines_skipped():
 
 
 def test_special_atoms_evaluate():
-    placed = DenseAtom(placed_abcd(Z15, 3, 1, "C", 2, 5).rows)
-    corner = tuple(r[:2] for r in eval_atoms(Z15, 3, [placed]).rows[:2])
-    assert corner == Matrix.identity(Z15, 2).rows
-    w = Word(Z15, 3, [placed])
+    corner = CornerMatrixAtom(((7, 3), (2, 1)))  # det 1 mod 15
+    w = Word(Z15, 3, [corner])
+    assert w.eval() == corner_embed(Matrix(Z15, corner.rows), 3)
     assert w.inverse().eval() == symp_inverse(w.eval())
 
 
