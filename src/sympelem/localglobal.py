@@ -280,7 +280,8 @@ def dilate(base_ring, s, n, word):
                 for b in reversed(pre[lead:]):
                     new_chain = []
                     for z in chain:
-                        if z.e[0] <= -b.e[0] and not (z.shape == b.shape or RX.is_zero(z.e[1])):
+                        if z.e[0] <= -b.e[0] and not (idn.commutes(b.shape, b.pos, z.shape, z.pos)
+                                                  or RX.is_zero(z.e[1])):
                             raise ExponentTooSmall("chain exponent too small")
                         new_chain.extend(_conj_decompose_ctx(RX, s_num, n, b, z))
                     chain = new_chain

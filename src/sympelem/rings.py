@@ -16,7 +16,7 @@ on representations:
 Representations are immutable and hashable. Rings are immutable after
 construction and safe to share: nothing is cached on a ring object.
 Besides the ring operations, every ring answers ``addmul(acc, lam, v)``,
-acc + lam * v, the one update of word evaluation and matrix products. Its
+acc + lam * v, the one way a sum of products is accumulated here. Its
 default is an ``add`` of a ``mul``; ``Zmod``, ``Rationals`` and
 ``PolyRing`` (for a single-term lam) compute it in one step.
 
@@ -28,11 +28,14 @@ arithmetic relies on one invariant: the keys of a polynomial are strictly
 descending and no coefficient is zero. ``add`` and ``sub`` merge two such
 tuples in one pass; ``addmul`` with a single-term lam adds lam's key to
 v's keys, which keeps their order because graded-lex is a monomial order,
-and merges the products into acc in the same pass, and ``mul`` by a single
-term is that pass with nothing to merge into. None of them sorts. Single
-terms are combined directly, with no merge set-up. Every operation must
-return a tuple with the same invariant. Only ``var``, ``sample``,
-``show``, ``subst`` and ``try_exact_div`` read exponents back from keys.
+and merges the products into acc in the same pass. Every product is a
+run of such passes: ``mul`` makes one per term of its shorter factor, and
+``try_exact_div`` subtracts each quotient term times the divisor in one,
+so the remainder's leading key falls and the quotient comes out in order.
+Only ``freeze``, the constructor that ``sample`` and the tests use,
+sorts. Every operation returns a tuple with the same invariant. Only
+``var``, ``sample``, ``show``, ``subst`` and ``try_exact_div`` read
+exponents back from keys.
 """
 
 from __future__ import annotations
@@ -219,10 +222,6 @@ class Rationals(Ring):
             return None
         return (d, n) if n > 0 else (-d, -n)
 
-    def try_exact_div(self, a, d):
-        inv = self.try_invert(d)
-        return None if inv is None else _q_mul(*a, *inv)
-
     def sample(self, rng, small=False):
         if small:
             return (rng.randint(-3, 3), 1)
@@ -390,21 +389,12 @@ class PolyRing(Ring):
             return b
         if b == self.one:
             return a
-        if len(a) == 1 or len(b) == 1:
-            # by a single term: addmul's one pass, into nothing
-            return self.addmul((), a, b) if len(a) == 1 else self.addmul((), b, a)
-        d = {}
-        badd = self.base.add
-        bmul = self.base.mul
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(map(operator.add, e1, e2))
-                c = bmul(c1, c2)
-                if e in d:
-                    d[e] = badd(d[e], c)
-                else:
-                    d[e] = c
-        return self.freeze(d)
+        if len(a) > len(b):
+            a, b = b, a
+        acc = ()
+        for t in a:
+            acc = self.addmul(acc, (t,), b)
+        return acc
 
     def addmul(self, acc, lam, v):
         """acc + lam * v in one pass for a single-term lam: a product whose
@@ -467,21 +457,16 @@ class PolyRing(Ring):
 
     def subst(self, a, assignment):
         """Substitute variables by elements of this same ring (a ring hom)."""
-        values = {}
-        for name, val in assignment.items():
-            i = self.names.index(name)
-            values[i] = val
+        values = [self.var(x) for x in self.names]
+        for name, v in assignment.items():
+            values[self.names.index(name)] = v
         acc = ()
         for e, c in a:
-            term = self.const(c)
-            for i, p in enumerate(key_exponents(e)):
-                if p == 0:
-                    continue
-                v = values.get(i)
-                if v is None:
-                    v = self.var(self.names[i])
-                term = self.mul(term, self.pow_int(v, p))
-            acc = self.add(acc, term)
+            v = self.one
+            for x, p in zip(values, key_exponents(e)):
+                if p:
+                    v = self.mul(v, self.pow_int(x, p))
+            acc = self.addmul(acc, ((self._zexp, c),), v)
         return acc
 
     def eval_at(self, a, point):
@@ -490,7 +475,7 @@ class PolyRing(Ring):
             raise ValueError("eval_at needs a univariate ring")
         acc = self.base.zero
         for (e,), c in a:
-            acc = self.base.add(acc, self.base.mul(c, self.base.pow_int(point, e)))
+            acc = self.base.addmul(acc, c, self.base.pow_int(point, e))
         return acc
 
     def eval_at_zero(self, a):
@@ -510,12 +495,10 @@ class PolyRing(Ring):
     def try_exact_div(self, a, d):
         if not d:
             return None
-        if not a:
-            return ()
         lead_e, lead_c = d[0]
         lead_exps = key_exponents(lead_e)
         rem = a
-        quo = {}
+        quo = []
         while rem:
             e, c = rem[0]
             if any(ei < di for ei, di in zip(key_exponents(e), lead_exps)):
@@ -524,13 +507,13 @@ class PolyRing(Ring):
             if q is None:
                 return None
             qe = tuple(map(operator.sub, e, lead_e))
-            quo[qe] = self.base.add(quo.get(qe, self.base.zero), q)
-            rem = self.sub(rem, self.mul(((qe, q),), d))
+            quo.append((qe, q))
+            rem = self.addmul(rem, ((qe, self.base.neg(q)),), d)
             # refuse a leading term that did not cancel; otherwise the leading
             # monomial of rem strictly decreases in grlex, a well-order, so the loop ends
             if rem and rem[0][0] == e:
                 return None
-        return self.freeze(quo)
+        return tuple(quo)
 
     def is_zero_divisor_elem(self, a):
         """Exact, by McCoy's theorem: a polynomial is a zero divisor iff a
@@ -620,6 +603,13 @@ class Localized(Ring):
     def __init__(self, base, s):
         if base.is_zero_divisor_elem(s):
             raise ZeroDivisorS(f"{base.show(s)} is a zero divisor")
+        # dividing by s divides by its leading coefficient at every poly level
+        ring, lead = base, s
+        while isinstance(ring, PolyRing):
+            ring, lead = ring.base, lead[0][1]
+            if ring.is_zero_divisor_elem(lead):
+                raise ZeroDivisorS(f"{base.show(s)} has the zero-divisor leading "
+                                   f"coefficient {ring.show(lead)}")
         self.base = base
         self.s = s
         self.zero = (base.zero, 0)
@@ -654,10 +644,9 @@ class Localized(Ring):
         (na, ka), (nb, kb) = a, b
         if ka == kb:
             return self.normalize(self.base.add(na, nb), ka)
-        k = max(ka, kb)
-        sa = self.base.mul(na, self.base.pow_int(self.s, k - ka))
-        sb = self.base.mul(nb, self.base.pow_int(self.s, k - kb))
-        return self.normalize(self.base.add(sa, sb), k)
+        if ka < kb:
+            (na, ka), (nb, kb) = b, a
+        return self.normalize(self.base.addmul(na, nb, self.base.pow_int(self.s, ka - kb)), ka)
 
     def sub(self, a, b):
         if a[1] == b[1]:

@@ -12,9 +12,9 @@ P^-1 G P. A term x u w^t becomes (x/2)(P u)(P w)^t, since P^-1 = P/2.
 A sign vector that fills a block has one nonzero entry after P, so each
 shape or unit term updates one column of the running product by a
 multiple of one other; a single entry e_r spreads to the two entries of
-its block. Each term costs one ``addmul`` (acc + lam * v) per nonzero
-entry of the source column and per target column, never a dense 2n x 2n
-product. The running product is M' = P^-1 M P, started at I.
+its block. A term adds each column it reads straight into each column it
+writes, one ``addmul`` (acc + lam * v) per nonzero entry, never a dense
+2n x 2n product. The running product is M' = P^-1 M P, started at I.
 
 2 is invertible in every ring here, so M -> M' is injective, and
 ``same_value`` decides eval(a) == eval(b) on the columns of M'. The
@@ -249,31 +249,16 @@ class CornerMatrixAtom:
         return "CORNER " + " ".join(_fmt(ring, v) for r in self.rows for v in r)
 
 
-def _combine(ring, a, b, plus):
-    """a + b (or a - b) entrywise, skipping the zeros of b and of a."""
-    zero = ring.zero
-    if plus:
-        add = ring.add
-        return [x if y == zero else y if x == zero else add(x, y) for x, y in zip(a, b)]
-    neg, sub = ring.neg, ring.sub
-    return [x if y == zero else neg(y) if x == zero else sub(x, y) for x, y in zip(a, b)]
-
-
 def _apply_terms(ring, cols, terms):
     """Replace the matrix with columns ``cols`` by its product with G,
     where G - I is the sum of ``terms`` (both in the basis P): for each
-    term lam u w^t, lam times each nonzero entry of z = M u is added, with
-    the signs of w, into the columns of w, one ``addmul`` per entry and
-    target column. Every z is read off the old columns before any column
-    changes."""
+    term lam u w^t, lam times each nonzero entry of each column of M named
+    in u is added into each column named in w, with the product of the
+    two signs, one ``addmul`` per entry and target column. Every source
+    column is read before any column changes."""
     zero, neg, addmul = ring.zero, ring.neg, ring.addmul
-    updates = []
-    for lam, rows, targets in terms:
-        (r0, s0), *rest = rows
-        z = cols[r0]
-        for r, s in rest:
-            z = _combine(ring, z, cols[r], s == s0)
-        updates.append((lam, s0, targets, [(r, v) for r, v in enumerate(z) if v != zero]))
+    updates = [(lam, s0, targets, [(r, v) for r, v in enumerate(cols[c]) if v != zero])
+               for lam, rows, targets in terms for c, s0 in rows]
     for lam, s0, targets, entries in updates:
         for c, s in targets:
             col, lam_c = cols[c], lam if s == s0 else neg(lam)

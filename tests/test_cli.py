@@ -543,6 +543,12 @@ def test_localization_at_a_zero_divisor_in_a_tower(tmp_path, capsys):
     for ring in ("loc:poly:zmod:200001:t:s=3*t", "loc:poly:poly:zmod:15:y:x:s=3"):
         assert run(["decompose", "--ring", ring, "--n", "2", "--in", str(src)]) == 2
         assert "zero divisor" in capsys.readouterr().err
+    # 1 + 3t is no zero divisor, but its leading coefficient 3 is: 5/(1 + 3t)
+    # is 5 and could not be divided down to it
+    src.write_text("S 1 3 5/(1+3*t)\n")
+    assert run(["decompose", "--ring", "loc:poly:zmod:15:t:s=1+3*t", "--n", "2",
+                "--in", str(src)]) == 2
+    assert "zero-divisor leading coefficient 3" in capsys.readouterr().err
 
 
 LOCAL_GLOBAL_ARGV = {

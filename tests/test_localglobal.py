@@ -288,6 +288,15 @@ def test_dilate_wraps_the_denominator_free_start_of_a_prefix(text, m, atoms):
     assert embedded.eval() == w.map_params(lambda p: rsx.subst(p, {"X": tmx})).eval()
 
 
+def test_dilate_needs_no_exponent_to_pass_a_commuting_prefix():
+    # at n = 3, A at position 2 commutes with B at position 3: conjugating
+    # B(X) by A(1/t) leaves it as it is, so no denominator is cleared
+    w = word_from_text(_rsx(), 3, "A 2 1/t\nB 3 X\nA 2 -1/t")
+    assert idn.commutes("A", 2, "B", 3)
+    m, out = lg.dilate(QT, T, 3, w)
+    assert (m, out.to_text()) == (0, "B 3 X\n")
+
+
 def test_dilate_starts_at_the_exponent_the_parameters_need(monkeypatch):
     # X^2/t^5 needs m >= ceil(5/2) = 3, so m = 0, 1, 2 are never tried
     tried = []

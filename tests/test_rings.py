@@ -328,15 +328,19 @@ def test_zmod_exact_div_matches_brute_force():
 
 @pytest.mark.parametrize("text", ["loc:poly:zmod:200001:t:s=3*t",
                                   "loc:poly:poly:zmod:15:y:x:s=3",
-                                  "loc:loc:zmod:15:s=2:s=3"])
+                                  "loc:loc:zmod:15:s=2:s=3",
+                                  # no zero divisor, but a leading coefficient
+                                  # is one, at the top level or one below
+                                  "loc:poly:zmod:15:t:s=1+3*t",
+                                  "loc:poly:poly:zmod:15:y:x:s=(1+3*y)*x+1"])
 def test_localize_rejects_zero_divisor_in_towers(text):
     with pytest.raises(ZeroDivisorS):
         ring_from_descriptor(text)
 
 
 def test_localize_accepts_non_zero_divisor_in_towers():
-    # 3t + 1 has a unit constant term mod 15; t is monic
-    for text in ("loc:poly:zmod:15:t:s=1+3*t", "loc:poly:zmod:200001:t:s=t",
+    # t + 3 and t are monic
+    for text in ("loc:poly:zmod:15:t:s=3+t", "loc:poly:zmod:200001:t:s=t",
                  "loc:poly:poly:zmod:15:y:x:s=x+3*y", "loc:poly:q:t:s=t"):
         ring_from_descriptor(text)
 
@@ -475,10 +479,14 @@ def _kernel_towers():
 _TOWERS = _kernel_towers()
 
 
+def _tower_elements(ring, ref, coeff):
+    keys = st.tuples(*[st.integers(0, 3)] * ring.nvars).map(monomial_key)
+    return st.dictionaries(keys, coeff, max_size=4).map(ref._freeze)
+
+
 @pytest.mark.parametrize("name,ring,ref,coeff", _TOWERS, ids=[t[0] for t in _TOWERS])
 def test_poly_kernels_match_dict_sort_reference(name, ring, ref, coeff):
-    keys = st.tuples(*[st.integers(0, 3)] * ring.nvars).map(monomial_key)
-    elems = st.dictionaries(keys, coeff, max_size=4).map(ref._freeze)
+    elems = _tower_elements(ring, ref, coeff)
 
     @settings(max_examples=300, deadline=None)
     @given(elems, elems)
@@ -489,6 +497,93 @@ def test_poly_kernels_match_dict_sort_reference(name, ring, ref, coeff):
             _assert_canonical(ring, got)
 
     check()
+
+
+@pytest.mark.parametrize("name,ring,ref,coeff", _TOWERS, ids=[t[0] for t in _TOWERS])
+def test_exact_division_undoes_a_reference_product(name, ring, ref, coeff):
+    # the quotient is built term by term, leading term first, and must come
+    # out canonical; a divisor with a unit leading coefficient divides
+    # every multiple of it
+    elems = _tower_elements(ring, ref, coeff)
+    base = ring.base
+
+    @settings(max_examples=200, deadline=None)
+    @given(elems, elems.filter(bool))
+    def check(a, d):
+        if base.try_invert(d[0][1]) is None:
+            d = ((d[0][0], base.one),) + d[1:]
+        got = ring.try_exact_div(ref.mul(a, d), d)
+        assert got == a, (a, d)
+        _assert_canonical(ring, got)
+
+    check()
+
+
+def _reference_subst(ref, a, values):
+    """a with variable i replaced by values[i], in the reference arithmetic."""
+    acc = ()
+    for e, c in a:
+        term = ref.const(c)
+        for i, p in enumerate(key_exponents(e)):
+            v = values.get(i, ref.var(ref.names[i]))
+            term = ref.mul(term, ref.pow_int(v, p))
+        acc = ref.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("name,ring,ref,coeff", _TOWERS, ids=[t[0] for t in _TOWERS])
+def test_subst_matches_the_reference(name, ring, ref, coeff):
+    # the zero polynomial () is a value too, although it is falsy
+    elems = _tower_elements(ring, ref, coeff)
+
+    @settings(max_examples=200, deadline=None)
+    @given(elems, st.lists(st.one_of(st.just(()), elems), min_size=ring.nvars,
+                           max_size=ring.nvars), st.data())
+    def check(a, vals, data):
+        names = data.draw(st.lists(st.sampled_from(range(ring.nvars)), min_size=1, unique=True))
+        values = {i: vals[i] for i in names}
+        got = ring.subst(a, {ring.names[i]: v for i, v in values.items()})
+        assert got == _reference_subst(ref, a, values), (a, values)
+        _assert_canonical(ring, got)
+
+    check()
+    x = ring.var(ring.names[0])
+    assert ring.subst(ring.add(x, ring.one), {ring.names[0]: ()}) == ring.one
+    with pytest.raises(ValueError):
+        ring.subst(x, {"not_a_variable": ring.one})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 14), max_size=5), st.lists(st.integers(0, 14), max_size=5),
+       st.integers(0, 14))
+def test_eval_at_over_a_zero_divisor_base(cp, cr, point):
+    zt = ring_from_descriptor("poly:zmod:15:t")
+    p, r = (zt.freeze({(e,): c for e, c in enumerate(cs)}) for cs in (cp, cr))
+    assert zt.eval_at(p, point) == sum(c * point ** e for e, c in enumerate(cp)) % 15
+    assert zt.eval_at(zt.mul(p, r), point) == zt.eval_at(p, point) * zt.eval_at(r, point) % 15
+
+
+_LOCALIZED_TOWERS = [t for t in _TOWERS if isinstance(t[1].base, Localized)]
+
+
+@pytest.mark.parametrize("name,ring,ref,coeff", _LOCALIZED_TOWERS,
+                         ids=[t[0] for t in _LOCALIZED_TOWERS])
+def test_localized_add_matches_cross_multiplication(name, ring, ref, coeff):
+    # na/s^ka + nb/s^kb = (na s^kb + nb s^ka) / s^(ka + kb), in either order
+    loc, ref_loc = ring.base, ref.base
+    base, s = ref_loc.base, ref_loc.s
+    unequal = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeff, coeff)
+    def check(a, b):
+        (na, ka), (nb, kb) = a, b
+        unequal.append(ka != kb)
+        cross = base.add(base.mul(na, base.pow_int(s, kb)), base.mul(nb, base.pow_int(s, ka)))
+        assert loc.add(a, b) == ref_loc.frac(cross, ka + kb), (a, b)
+
+    check()
+    assert any(unequal) or loc.base.try_invert(loc.s) is not None
 
 
 # -- single-term operands: combined directly, as the general route would --
