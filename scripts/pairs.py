@@ -60,16 +60,23 @@ def relative(x, ref):
     return 0.0 if x == ref else math.copysign(math.inf, x - ref)
 
 
+def summary(values):
+    """(q1, median, q3, min, max) of one side's values, the quartiles by
+    ``statistics.quantiles(values, n=4)``."""
+    return (*statistics.quantiles(values, n=4), min(values), max(values))
+
+
 def verdict(metric, p, c):
-    """One metric's verdict on the parent's values p and the change's c."""
-    pq1, pmed, pq3 = statistics.quantiles(p, n=4)
-    cq1, cmed, cq3 = statistics.quantiles(c, n=4)
+    """One metric's verdict on the summaries p of the parent's values and
+    c of the change's."""
+    pq1, pmed, pq3, pmin, pmax = p
+    cq1, cmed, cq3, cmin, cmax = c
     sign = 1 if metric["better"] == "higher" else -1
     if sign * relative(cmed, pmed) < -metric["bound"]:
         return "worse beyond bound"
     # each side's interquartile distance relative to its median
     spread = max(relative(pmed + pq3 - pq1, pmed), relative(cmed + cq3 - cq1, cmed))
-    if spread > metric["bound"] and max(min(p), min(c)) <= min(max(p), max(c)):
+    if spread > metric["bound"] and max(pmin, cmin) <= min(pmax, cmax):
         return "unresolved"
     return "within bound"
 
@@ -113,13 +120,13 @@ def main():
         print(f"{workload}: failed ops parent {fails['parent']}, change {fails['change']}")
         for m in spec["end_to_end"]:
             p, c = values["parent"][m["name"]], values["change"][m["name"]]
-            pq1, pmed, pq3 = statistics.quantiles(p, n=4)
-            cq1, cmed, cq3 = statistics.quantiles(c, n=4)
+            ps, cs = summary(p), summary(c)
+            (pq1, pmed, pq3, _, _), (cq1, cmed, cq3, _, _) = ps, cs
             sign = 1 if m["better"] == "higher" else -1
             wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
             losses = sum(sign * (y - x) < 0 for x, y in zip(p, c))
             beyond = abs(cmed - pmed) > pq3 - pq1
-            verdicts.append(verdict(m, p, c))
+            verdicts.append(verdict(m, ps, cs))
             print(f"  {m['name']:18s} parent {pmed:11.5g} [{pq1:.5g}, {pq3:.5g}]  "
                   f"change {cmed:11.5g} [{cq1:.5g}, {cq3:.5g}]  "
                   f"ratio {cmed / pmed if pmed else float('nan'):6.3f}  "

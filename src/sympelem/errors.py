@@ -42,11 +42,6 @@ class StepVerificationFailed(SympelemError):
     """A rewrite step changed the evaluation; indicates a rule bug."""
 
 
-class StepBudgetExceeded(SympelemError):
-    """A conjugation chain of ``dilate`` outgrew its bound at one candidate
-    dilation exponent; ``dilate`` then tries the next one."""
-
-
 class ExponentTooSmall(SympelemError):
     """An exponent is too small for the word to clear: conjugation
     decomposition requires m > k, and dilate refuses a homotopy whose

@@ -43,7 +43,6 @@ class IdentityInstance:
     """A side is a Matrix, a Word or a tuple of matrices. Two Words are
     compared in the evaluator's basis; otherwise a Word side is evaluated
     once and the matrices are compared."""
-    name: str
     ring: object
     n: int
     lhs: object
@@ -230,7 +229,7 @@ def commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
     rhs = commutator_matrix(ring, n, X, i, x, Y, j, y)
     if corrupt == commutator_entry_key(X, Y, i, j):
         rhs = rhs.mul(gen_abcd(ring, n, X, i, ring.one))
-    return IdentityInstance(f"commutator:{X}{i},{Y}{j}", ring, n, lhs, rhs, {"x": x, "y": y})
+    return IdentityInstance(ring, n, lhs, rhs, {"x": x, "y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def unit_commutator_instance(ring, n, X, i, x, Y, j, y, corrupt=None):
     rhs = unit_commutator_word(ring, n, X, i, x, Y, j, y)
     if corrupt == f"unit:{X}{Y}:{unit_rel(i, j)}":
         rhs = rhs.concat(Word(ring, n, [ABCDAtom(X, i, ring.one)]))
-    return IdentityInstance(f"unit-commutator:{X}{i},{Y}@{j}", ring, n, lhs, rhs, {"x": x, "y": y})
+    return IdentityInstance(ring, n, lhs, rhs, {"x": x, "y": y})
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +303,7 @@ def corner_conjugation(ring, n, lam, x, y):
     e12 = Matrix(ring, [(ring.one, ring.mul(x, y)), (ring.zero, ring.one)])
     delta = e21.mul(e12).mul(e21.adj2())
     rhs = corner_embed(delta, n).mul(graded_block(ring, n, ring.one, lam, x, y, n))
-    return IdentityInstance("corner-conjugation", ring, n, lhs, rhs,
-                            {"lam": lam, "x": x, "y": y})
+    return IdentityInstance(ring, n, lhs, rhs, {"lam": lam, "x": x, "y": y})
 
 
 def elementary_criterion(ring, n, k, eps, x, y):
@@ -320,8 +318,7 @@ def elementary_criterion(ring, n, k, eps, x, y):
         .mul(gen_s(ring, n, 1, 2 * k, y))
     emb = corner_embed(eps, n)
     rhs = emb.mul(core).mul(symp_inverse(emb))
-    return IdentityInstance("elementary-criterion", ring, n, lhs, rhs,
-                            {"lam": lam, "mu": mu, "x": x, "y": y})
+    return IdentityInstance(ring, n, lhs, rhs, {"lam": lam, "mu": mu, "x": x, "y": y})
 
 
 def row_conjugation(ring, n, delta, ys):
@@ -342,8 +339,7 @@ def row_conjugation(ring, n, delta, ys):
     rhs = corner_embed(sigma, n)
     for i in range(2, n + 1):
         rhs = rhs.mul(graded_block(ring, n, lam, mu, ys[2 * (i - 2)], ys[2 * (i - 2) + 1], i))
-    return IdentityInstance("row-conjugation", ring, n, lhs, rhs,
-                            {f"y{i + 3}": v for i, v in enumerate(ys)})
+    return IdentityInstance(ring, n, lhs, rhs, {f"y{i + 3}": v for i, v in enumerate(ys)})
 
 
 def graded_split(ring, n, k, lam, mu, x, y):
@@ -355,8 +351,7 @@ def graded_split(ring, n, k, lam, mu, x, y):
     rhs = Word(ring, n, [CornerMatrixAtom(corner_correction(ring, lam, mu, a, b).rows)]
                + form_split_atoms(ring, "A", lam, mu, a, k)
                + form_split_atoms(ring, "B", lam, mu, b, k))
-    return IdentityInstance("graded-split", ring, n, lhs, rhs,
-                            {"lam": lam, "mu": mu, "x": x, "y": y})
+    return IdentityInstance(ring, n, lhs, rhs, {"lam": lam, "mu": mu, "x": x, "y": y})
 
 
 def form_split(ring, n, k, kind, lam, mu, val):
@@ -364,8 +359,7 @@ def form_split(ring, n, k, kind, lam, mu, val):
     y = val if _FORM_SPLIT[kind][3] > 0 else ring.neg(val)
     lhs = graded_block(ring, n, lam, mu, val, y, k)
     rhs = Word(ring, n, form_split_atoms(ring, kind, lam, mu, val, k))
-    return IdentityInstance(f"{kind.lower()}-form-split", ring, n, lhs, rhs,
-                            {"lam": lam, "mu": mu, kind.lower(): val})
+    return IdentityInstance(ring, n, lhs, rhs, {"lam": lam, "mu": mu, kind.lower(): val})
 
 
 def block_conjugation(ring, n, k, delta, lam, mu, x, y):
@@ -376,8 +370,7 @@ def block_conjugation(ring, n, k, delta, lam, mu, x, y):
     lam2 = ring.add(ring.mul(lam, a), ring.mul(mu, b))
     mu2 = ring.add(ring.mul(c, lam), ring.mul(mu, d))
     rhs = graded_block(ring, n, lam2, mu2, x, y, k)
-    return IdentityInstance("block-conjugation", ring, n, lhs, rhs,
-                            {"lam": lam, "mu": mu, "x": x, "y": y})
+    return IdentityInstance(ring, n, lhs, rhs, {"lam": lam, "mu": mu, "x": x, "y": y})
 
 
 def det1_conjugation(ring, n, delta, shape, i, x):
@@ -386,7 +379,7 @@ def det1_conjugation(ring, n, delta, shape, i, x):
     atom = ABCDAtom(shape, i, x)
     lhs = Word(ring, n, [CornerMatrixAtom(delta.rows), atom, CornerMatrixAtom(delta.adj2().rows)])
     rhs = Word(ring, n, conj_abcd_atom(ring, delta.rows, atom))
-    return IdentityInstance(f"det1-conjugation:{shape}", ring, n, lhs, rhs, {"x": x})
+    return IdentityInstance(ring, n, lhs, rhs, {"x": x})
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +416,7 @@ def composite_instance(ring, n, X, Y, i, y, z):
     yg, zg, wg = composite_pieces(ring, n, X, Y, i, y, z)
     lhs = Word(ring, n, [ABCDAtom(Y, i, ring.scale_int(2, ring.mul(y, z)))])
     rhs = Word(ring, n, [yg, *bracket_atoms(ring, [zg], [wg])])
-    return IdentityInstance(f"composite:{X}{Y}", ring, n, lhs, rhs, {"y": y, "z": z})
+    return IdentityInstance(ring, n, lhs, rhs, {"y": y, "z": z})
 
 
 # ---------------------------------------------------------------------------

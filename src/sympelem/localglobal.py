@@ -21,8 +21,10 @@ the ring and n and lists both words: ``conj_decompose`` against g h g^-1
 (rule ``conj``), ``dilate`` against its input at X -> s^m X (rule
 ``dilate``), ``patch`` against alpha (rule ``patch``) and
 ``normality_demo`` against gamma h gamma^-1 (rule ``normality``). A
-homotopy's value at X = 0 is its word at X -> 0, compared with the empty
-word. No dense matrix is multiplied or inverted.
+homotopy's value at X = 0 is read off its word at X -> 0, merged atom by
+atom by ``rewrite._push_shape``, each merge checked: a merged word that
+is empty is the identity, and any other is compared with the empty word.
+No dense matrix is multiplied or inverted.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from .errors import (
     LocalWordMismatch,
     NotHomotopy,
     ParseError,
-    StepBudgetExceeded,
     StepVerificationFailed,
 )
 from . import identities as idn
-from .rewrite import _same, decompose_full, eliminate_units_inplace, simplify_shape_word
+from .rewrite import (_push_shape, _same, decompose_full, eliminate_units_inplace,
+                      simplify_shape_word)
 from .rings import Localized, PolyRing, parse_element
 from .words import ABCDAtom, CornerMatrixAtom, UnitAtom, Word, same_value
 
@@ -199,8 +201,13 @@ def _embed_poly(RsX, p):
 
 
 def _identity_at_zero(word, base):
-    """Whether ``word``, over base[X], evaluates to the identity at X = 0."""
-    return same_value(base, word.n, word.map_params(word.ring.eval_at_zero, base).atoms, ())
+    """Whether ``word``, over base[X], evaluates to the identity at X = 0.
+    Its atoms at X -> 0 are merged as they are read, each merge checked,
+    and only what the merges leave is evaluated."""
+    left, merges = [], []
+    for atom in word.atoms:
+        _push_shape(base, word.n, left, atom._map(word.ring.eval_at_zero), merges)
+    return not left or same_value(base, word.n, left, ())
 
 
 def dilate(base_ring, s, n, word):
@@ -217,10 +224,13 @@ def dilate(base_ring, s, n, word):
     larger m (``ExponentTooSmall``, naming DEFAULT_FUEL). The output is
     merged by ``simplify_shape_word``, each merge checked.
 
-    Both checks compare words. ``word`` at X -> 0 must equal the empty
-    word (``NotHomotopy``). The output, its parameters embedded into
-    R_s[X], which is injective because s is not a zero divisor, must
-    equal ``word`` at X -> s^m X (rule ``dilate``).
+    The word is read once: its constant terms, merged as they are read by
+    ``rewrite._push_shape``, each merge checked, form the prefixes its
+    linear parts are conjugated through, and the merged prefix of the
+    whole word, its image at X -> 0, must be empty or equal the empty word
+    (``NotHomotopy``). The output, its parameters embedded into R_s[X],
+    which is injective because s is not a zero divisor, must equal
+    ``word`` at X -> s^m X (rule ``dilate``).
     """
     RsX = word.ring
     if not (isinstance(RsX, PolyRing) and RsX.nvars == 1 and isinstance(RsX.base, Localized)):
@@ -229,15 +239,16 @@ def dilate(base_ring, s, n, word):
     Xvar = RsX.names[0]
     RX = PolyRing(Rs.base, RsX.names)
     s_num = RX.const(Rs.s)
+    G = _Graded(RX)
+    graded = lambda b: (-b[1], RX.const(b[0]))  # b = num/s^k in R_s -> (-k, num)
 
-    if not _identity_at_zero(word, Rs):
-        raise NotHomotopy("word does not evaluate to the identity at X = 0")
-
-    # the constant parts form the conjugating prefixes; keep them as
-    # peephole-merged words (inverse pairs cancel, which is what keeps the
-    # conjugation chains short for words built from bracket expansions)
-    steps = []    # (shape, pos, simplified prefix snapshot, linear part)
-    prefix = []   # simplified list of shape atoms with constant parameters b0
+    # the constant parts form the conjugating prefixes, merged as they are
+    # read (inverse pairs cancel, which is what keeps the conjugation
+    # chains short for words built from bracket expansions). The prefix's
+    # leading run of denominator-free constants wraps a step as it stands;
+    # the step is conjugated through the rest, innermost first
+    steps = []    # (shape, pos, linear part, wrap, rest, wrap^-1)
+    prefix, merges = [], []
     den_cap = lowest = 0
     for atom in word.atoms:
         if not isinstance(atom, ABCDAtom):
@@ -248,58 +259,54 @@ def dilate(base_ring, s, n, word):
         den_cap = max(den_cap, b0[1], max((v[1] for _, v in bp), default=0))
         lowest = max([lowest] + [-(-v[1] // (d + 1)) for (d,), v in bp])
         if bp:
-            steps.append((atom.shape, atom.pos, list(prefix), bp))
-        if not Rs.is_zero(b0):
-            prefix.append(ABCDAtom(atom.shape, atom.pos, b0))
-            while len(prefix) >= 2 and prefix[-1].shape == prefix[-2].shape \
-                    and prefix[-1].pos == prefix[-2].pos:
-                b, c = prefix[-2:]
-                merged = Rs.add(b.e, c.e)
-                prefix[-2:] = [] if Rs.is_zero(merged) else [ABCDAtom(b.shape, b.pos, merged)]
-
+            pre = [b._map(graded) for b in prefix]
+            lead = next((idx for idx, b in enumerate(pre) if b.e[0]), len(pre))
+            wrap = pre[:lead]
+            steps.append((atom.shape, atom.pos, bp, wrap, pre[lead:],
+                          [b._inverse(G) for b in reversed(wrap)]))
+        _push_shape(Rs, n, prefix, ABCDAtom(atom.shape, atom.pos, b0), merges)
+    if prefix and not same_value(Rs, n, prefix, ()):
+        raise NotHomotopy("word does not evaluate to the identity at X = 0")
     if lowest > DEFAULT_FUEL:
         raise ExponentTooSmall(f"dilation needs m >= {lowest}; dilate tries m up to "
                                f"{DEFAULT_FUEL}")
-    G = _Graded(RX)
-    graded = lambda b: (-b[1], RX.const(b[0]))  # b = num/s^k in R_s -> (-k, num)
-    for m in range(lowest, DEFAULT_FUEL + 1):
+
+    def dilated(m):
+        """The checked output at X -> s^m X, or None where m does not clear:
+        a parameter keeps a denominator, a chain exponent is too small, a
+        chain outgrows MAX_ATOMS or a negative exponent survives."""
         smx = RsX.mul(RsX.const(Rs.embed(base_ring.pow_int(s, m))), RsX.var(Xvar))
-        try:
-            out_atoms = []
-            for (shape, pos, pre, bp) in steps:
-                param = RsX.mul(smx, RsX.subst(bp, {Xvar: smx}))
-                got = _param_valuation(Rs, param, m + den_cap + 4)
-                if got is None:
-                    raise ExponentTooSmall("parameter does not clear")
-                # the prefix's leading run of denominator-free constants
-                # wraps the step as it stands; conjugate through the rest,
-                # innermost first
-                pre = [b._map(graded) for b in pre]
-                lead = next((idx for idx, b in enumerate(pre) if b.e[0]), len(pre))
-                chain = [ABCDAtom(shape, pos, got)]
-                for b in reversed(pre[lead:]):
-                    new_chain = []
-                    for z in chain:
-                        if z.e[0] <= -b.e[0] and not (idn.commutes(b.shape, b.pos, z.shape, z.pos)
-                                                  or RX.is_zero(z.e[1])):
-                            raise ExponentTooSmall("chain exponent too small")
-                        new_chain.extend(_conj_decompose_ctx(RX, s_num, n, b, z))
-                    chain = new_chain
-                    if len(chain) > MAX_ATOMS:
-                        raise StepBudgetExceeded("dilation chain too long")
-                wrap = pre[:lead]
-                out_atoms.extend(wrap + chain + [b._inverse(G) for b in reversed(wrap)])
-            # all parameters must land in R[X]
-            if any(a.e[0] < 0 for a in out_atoms):
-                raise ExponentTooSmall("negative exponent survives")
-            final = [a._map(lambda p: RX.mul(RX.const(base_ring.pow_int(s, p[0])), p[1]))
-                     for a in out_atoms]
-            out, _ = simplify_shape_word(Word(RX, n, final))
-            _same(RsX, n, "dilate", word.map_params(lambda p: RsX.subst(p, {Xvar: smx})).atoms,
-                  out.map_params(lambda p: _embed_poly(RsX, p), RsX).atoms)
+        out_atoms = []
+        for shape, pos, bp, wrap, rest, unwrap in steps:
+            got = _param_valuation(Rs, RsX.mul(smx, RsX.subst(bp, {Xvar: smx})), m + den_cap + 4)
+            if got is None:
+                return None
+            chain = [ABCDAtom(shape, pos, got)]
+            for b in reversed(rest):
+                new_chain = []
+                for z in chain:
+                    if z.e[0] <= -b.e[0] and not (idn.commutes(b.shape, b.pos, z.shape, z.pos)
+                                              or RX.is_zero(z.e[1])):
+                        return None
+                    new_chain.extend(_conj_decompose_ctx(RX, s_num, n, b, z))
+                chain = new_chain
+                if len(chain) > MAX_ATOMS:
+                    return None
+            out_atoms.extend(wrap + chain + unwrap)
+        # all parameters must land in R[X]
+        if any(a.e[0] < 0 for a in out_atoms):
+            return None
+        final = [a._map(lambda p: RX.mul(RX.const(base_ring.pow_int(s, p[0])), p[1]))
+                 for a in out_atoms]
+        out, _ = simplify_shape_word(Word(RX, n, final))
+        _same(RsX, n, "dilate", word.map_params(lambda p: RsX.subst(p, {Xvar: smx})).atoms,
+              out.map_params(lambda p: _embed_poly(RsX, p), RsX).atoms)
+        return out
+
+    for m in range(lowest, DEFAULT_FUEL + 1):
+        out = dilated(m)
+        if out is not None:
             return m, out
-        except (ExponentTooSmall, StepBudgetExceeded):
-            continue
     raise ExponentTooSmall(f"no dilation exponent found up to {DEFAULT_FUEL}; "
                            f"dilation needs m > {DEFAULT_FUEL}")
 
@@ -466,6 +473,7 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
     # two-variable tower: R[Y] as the spectator base, then localize, then [X]
     yvar = "Y" if Xvar != "Y" else "W"
     RY = PolyRing(base_ring, (yvar,))
+    over_rx = PolyRing(RX, (yvar,))  # evaluates polynomials with R[X] coefficients
 
     factors = []
     for idx, ((s, c, _, _), local) in enumerate(zip(cover.entries, local_words)):
@@ -473,20 +481,11 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
         RYs = Localized(RY, RY.const(s))
         RYsX = PolyRing(RYs, (Xvar,))
 
-        def lift(p):  # R_s[X] -> (R[Y])_s[X]
-            return tuple((e, (RY.const(v[0]), v[1])) for e, v in p)
-
+        # R_s[X] -> (R[Y])_s[X], then X -> x
+        w_lift = local.map_params(lambda p: tuple((e, (RY.const(v[0]), v[1])) for e, v in p), RYsX)
+        at = lambda x: w_lift.map_params(lambda p: RYsX.subst(p, {Xvar: x}))
         y_const = RYsX.const(RYs.embed(RY.var(yvar)))
-        x_plus_y = RYsX.add(RYsX.var(Xvar), y_const)
-
-        def at_xy(p):
-            return RYsX.subst(p, {Xvar: x_plus_y})
-
-        def at_y(p):
-            return RYsX.subst(p, {Xvar: y_const})
-
-        w_lift = local.map_params(lift, RYsX)
-        beta = w_lift.map_params(at_xy).concat(w_lift.map_params(at_y).inverse())
+        beta = at(RYsX.add(RYsX.var(Xvar), y_const)).concat(at(y_const).inverse())
 
         try:
             m, w_global = dilate(RY, RY.const(s), n, beta)
@@ -500,14 +499,10 @@ def _dilated_factors(base_ring, n, alpha, cover, local_words):
             T = RX.add(T, RX.mul(RX.const(base_ring.mul(c2, b2)), RX.var(Xvar)))
         cvx = RX.mul(RX.const(base_ring.mul(c, v)), RX.var(Xvar))
 
-        def to_global(p):  # (R[Y])[X] -> R[X] with X -> cvX, Y -> T
-            out = RX.zero
-            for (e,), coeff_y in p:  # coeff_y in R[Y]
-                cy = RX.zero
-                for (ey,), cc in coeff_y:
-                    cy = RX.add(cy, RX.mul(RX.const(cc), RX.pow_int(T, ey)))
-                out = RX.add(out, RX.mul(cy, RX.pow_int(cvx, e)))
-            return out
+        def to_global(p):  # (R[Y])[X] -> R[X]: Y -> T in each coefficient, then X -> cvX
+            return over_rx.eval_at(tuple(
+                (e, over_rx.eval_at(tuple((ey, RX.const(cc)) for ey, cc in cy), T)) for e, cy in p),
+                cvx)
 
         factors.append(w_global.map_params(to_global, RX))
     return factors

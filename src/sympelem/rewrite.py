@@ -218,25 +218,31 @@ class DecompositionCertificate:
                 f"steps={len(self.trace)}, verified={self.verified}")
 
 
+def _push_shape(ring, n, atoms, a, trace):
+    """Append ``a`` to the merged list ``atoms``: a zero shape atom is
+    dropped, and one at the last atom's shape and position merges into
+    it, the merge checked as ``merge-adjacent``."""
+    prev = atoms[-1] if atoms else None
+    if not isinstance(a, ABCDAtom):
+        atoms.append(a)
+    elif ring.is_zero(a.e):
+        return
+    elif isinstance(prev, ABCDAtom) and (prev.shape, prev.pos) == (a.shape, a.pos):
+        merged = prev._map(lambda e: ring.add(e, a.e))
+        after = [] if ring.is_zero(merged.e) else [merged]
+        _check(ring, n, "merge-adjacent", [prev, a], after, trace)
+        atoms[-1:] = after
+    else:
+        atoms.append(a)
+
+
 def simplify_shape_word(word, trace=None):
     """Merge adjacent same-shape same-position atoms and drop zeros."""
-    ring, n = word.ring, word.n
     trace = [] if trace is None else trace
     atoms = []
     for a in word.atoms:
-        if isinstance(a, ABCDAtom) and ring.is_zero(a.e):
-            continue
-        if atoms and isinstance(a, ABCDAtom) and isinstance(atoms[-1], ABCDAtom) \
-                and atoms[-1].shape == a.shape and atoms[-1].pos == a.pos:
-            prev = atoms.pop()
-            merged = prev._map(lambda e: ring.add(e, a.e))
-            _check(ring, n, "merge-adjacent", [prev, a],
-                   [merged] if not ring.is_zero(merged.e) else [], trace)
-            if not ring.is_zero(merged.e):
-                atoms.append(merged)
-        else:
-            atoms.append(a)
-    return Word(ring, n, atoms), trace
+        _push_shape(word.ring, word.n, atoms, a, trace)
+    return Word(word.ring, word.n, atoms), trace
 
 
 def eliminate_units_inplace(word, trace=None):

@@ -669,6 +669,16 @@ class Localized(Ring):
             return self.normalize(self.base.mul(num, self.base.pow_int(self.s, e)), k)
         return self.normalize(num, k - e)
 
+    def try_exact_div(self, a, d):
+        """q with q*d == a, or None. (na/s^ka) / (nd/s^kd) is
+        (na/nd) * s^(kd - ka) where nd divides na in the base, which lets
+        a localization over a localization divide out its own s; else it
+        is a times the inverse of d."""
+        q = self.base.try_exact_div(a[0], d[0])
+        if q is None:
+            return super().try_exact_div(a, d)
+        return self.s_power_mul((q, 0), d[1] - a[1])
+
     def valuation_floor(self, a, cap):
         """Largest e <= cap with a in s^e * (base embedded); None for zero.
         The cap also bounds the search when s is a unit, where every

@@ -88,7 +88,7 @@ def atom_terms_instance(ring, n, kind, x, t, u):
     against its dense definition. The commutator families compare words,
     so a sign slip in an atom's ``_terms`` would otherwise go unseen."""
     pairs = ATOM_KINDS[kind](ring, n, x, _det1_witness(ring, t, u))
-    return idn.IdentityInstance(f"atom-terms:{kind}", ring, n,
+    return idn.IdentityInstance(ring, n,
                                 tuple(Word(ring, n, [a]).eval() for a, _ in pairs),
                                 tuple(m for _, m in pairs), {"x": x, "t": t, "u": u})
 

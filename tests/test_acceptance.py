@@ -137,12 +137,14 @@ def test_criterion_04_unit_and_composite_tables():
                 if checked % 2 == 0:
                     Ys = rng.choice("BC")
                     j = rng.randint(1, n)
+                    name = f"unit-commutator:{Xs}{i},{Ys}@{j}"
                     inst = idn.unit_commutator_instance(ring, n, Xs, i, x, Ys, j, y)
                 else:
                     z = ring.sample(rng)
                     pair = rng.choice((("A", "D"), ("B", "C"), ("D", "A"), ("C", "B")))
+                    name = f"composite:{pair[0]}{pair[1]}@{i}"
                     inst = idn.composite_instance(ring, n, pair[0], pair[1], i, y, z)
-                assert inst.holds(), (ring.descriptor(), inst.name, inst.bindings_str())
+                assert inst.holds(), (ring.descriptor(), name, inst.bindings_str())
                 checked += 1
 
 

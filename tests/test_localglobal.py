@@ -348,6 +348,52 @@ def test_dilate_catches_a_wrong_conjugation(monkeypatch):
     assert calls
 
 
+def test_dilate_reads_x_at_zero_off_its_merged_prefix(monkeypatch):
+    # on the Q[t] example cover each beta(0, Y) = w(Y) w(Y)^-1 cancels as
+    # dilate merges its prefix, one or two atoms a check, so no word over
+    # (R[Y])_s is evaluated whole
+    cover = lg.CoverData.from_text(QT, (EXAMPLES / "cover_qt.txt").read_text())
+    gamma = word_from_text(QT, 2, (EXAMPLES / "gamma_qt.txt").read_text())
+    h = word_from_text(QT, 2, (EXAMPLES / "h_qt.txt").read_text())
+    sizes = []
+    _count_evaluations(monkeypatch, lambda ring, atoms: sizes.append(
+        (ring.descriptor().startswith("loc:poly:poly:q:t:Y:"), len(atoms))))
+    out = lg.normality_demo(QT, 2, gamma, h, cover)
+    assert (out.digest(), len(out)) == ("9a593ddfbf422932", 43)
+    over_rys = [size for over, size in sizes if over]
+    assert over_rys and max(over_rys) <= 2
+
+
+@pytest.mark.parametrize("a, accepted", [(2, True), (3, False)])
+def test_dilate_evaluates_a_prefix_that_merging_leaves(a, accepted):
+    # [A(1), B(2)] [A(2), B(1)]^-1 is I, as both brackets are the same
+    # unit, yet no two of its atoms merge: the merged prefix is evaluated
+    text = f"A 2 1\nB 2 2\nA 2 -1\nB 2 -2\nB 2 1\nA 2 {a}\nB 2 -1\nA 2 {-a}\nC 2 X/t\n"
+    w = word_from_text(_rsx(), 2, text)
+    if accepted:
+        m, out = lg.dilate(QT, T, 2, w)
+        assert (m, len(out)) == (1, 15)
+    else:
+        with pytest.raises(NotHomotopy):
+            lg.dilate(QT, T, 2, w)
+
+
+def test_dilate_checks_each_merge_of_its_prefix(monkeypatch):
+    # A(1/t) A(1/t) merges to A(2/t) in the prefix B(X) is conjugated
+    # through; a merge that slips to A(-2/t) fails its check
+    w = word_from_text(_rsx(), 3, "A 2 1/t\nA 2 1/t\nB 3 X\nA 2 -2/t")
+    assert lg.dilate(QT, T, 3, w)[1].to_text() == "B 3 X\n"
+    real = ABCDAtom._map
+
+    def slipped(self, f):
+        out = real(self, f)
+        return real(out, RT.neg) if "_push_shape" in f.__qualname__ else out
+
+    monkeypatch.setattr(ABCDAtom, "_map", slipped)
+    with pytest.raises(StepVerificationFailed, match="rule 'merge-adjacent'"):
+        lg.dilate(QT, T, 3, w)
+
+
 def _z15_cover():
     return lg.CoverData([(2, 1, 2, 1), (4, 11, 4, 1)])
 
@@ -540,9 +586,10 @@ def test_patch_evaluates_an_equal_pulled_back_word_once(monkeypatch):
     monkeypatch.setattr(lg, "simplify_shape_word",
                         lambda word: events.append("simplify") or real_simplify(word))
     out = lg.patch(Z15, 2, alpha, cover, locs)
-    # alpha(0) and the empty word over Z/15, then alpha and the first
-    # pulled-back word over Z/15[X]; the merged word is that word again
-    assert events == ["zmod:15"] * 2 + ["poly:zmod:15:X"] * 2 + ["simplify"]
+    # alpha(0) = A(0) merges away, so nothing is evaluated over Z/15;
+    # then alpha and the first pulled-back word over Z/15[X]; the merged
+    # word is that word again
+    assert events == ["poly:zmod:15:X"] * 2 + ["simplify"]
     assert out.to_text() == "A 2 7*X\n"
 
 

@@ -683,3 +683,35 @@ def test_addmul_edge_cases():
     assert zt.addmul(acc, zt.scale_int(3, t), zt.from_int(5)) == acc
     assert zt.addmul(acc, zt.scale_int(3, t), zt.add(zt.from_int(5), t)) == \
         zt.add(acc, zt.scale_int(3, t2))
+
+
+# -- exact division in a localization, over a localization too --
+
+@pytest.mark.parametrize("descriptor", [
+    "loc:zmod:15:s=2", "loc:poly:q:t:s=t", "loc:poly:zmod:15:t:s=3+t",
+    "loc:loc:poly:q:t:s=t:s=t+1", "loc:loc:poly:zmod:15:t:s=t:s=1+t",
+    "loc:poly:loc:poly:q:t:s=t:Y:s=t+1"])
+def test_localized_representations_are_canonical(descriptor):
+    # a localization divides its s out of a numerator through the base's
+    # exact division; over a localization that division must divide the
+    # numerators, or (a s)/s keeps a factor s/s and equal values differ
+    ring = ring_from_descriptor(descriptor)
+    over_s = ring.frac(ring.base.one, 1)
+    elems = st.randoms(use_true_random=False).map(ring.sample)
+
+    @settings(max_examples=150, deadline=None)
+    @given(elems, elems, elems)
+    def check(a, b, c):
+        assert ring.mul(over_s, ring.mul(a, ring.embed(ring.s))) == a
+        assert ring.sub(ring.add(a, c), c) == a
+        assert (a == b) == ring.is_zero(ring.sub(a, b))
+
+    check()
+
+
+def test_a_localization_over_a_localization_parses_a_division_by_its_s():
+    ring = ring_from_descriptor("loc:loc:poly:q:t:s=t:s=t+1")
+    for text in ("1/(t+1)", "t/(t^2+t)"):
+        got = parse_element(ring, text)
+        assert got == ring.frac(ring.base.one, 1)
+        assert ring.show(got) == "1/(t + 1)"
