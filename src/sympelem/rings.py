@@ -18,7 +18,10 @@ construction and safe to share: nothing is cached on a ring object.
 Besides the ring operations, every ring answers ``addmul(acc, lam, v)``,
 acc + lam * v, the one way a sum of products is accumulated here. Its
 default is an ``add`` of a ``mul``; ``Zmod``, ``Rationals`` and
-``PolyRing`` (for a single-term lam) compute it in one step.
+``PolyRing`` (for a single-term lam) compute it in one step, and Q's
+reduces once, by one gcd over the common denominator. ``half(a)``
+defaults to ``mul(inv2, a)``; Q halves by parity, with no gcd, and
+``PolyRing`` halves each coefficient in its base.
 
 ``PolyRing`` stores a monomial x_1^e_1 ... x_v^e_v by its key, the tuple
 (e_1 + ... + e_v, e_1, ..., e_{v-1}); the last exponent is implied by the
@@ -170,7 +173,8 @@ class Rationals(Ring):
     """Q as reduced pairs ``(numerator, denominator)`` of ints with
     denominator > 0, so equal values have equal pairs. Sums and products
     cancel with the gcd steps of ``fractions.Fraction``, and two integers
-    (denominator 1) combine with no gcd at all."""
+    (denominator 1) combine with no gcd at all; ``addmul`` cancels with
+    one gcd, and ``half`` with none."""
 
     def __init__(self):
         self.zero = (0, 1)
@@ -202,13 +206,21 @@ class Rationals(Ring):
         return _q_mul(na, da, nb, db)
 
     def addmul(self, acc, lam, v):
+        """One reduction: an integer product added to a reduced nc/dc
+        keeps it reduced, and only dc = 1 lets it vanish."""
         na, da = lam
         nb, db = v
-        n, d = (na * nb, 1) if da == 1 and db == 1 else _q_mul(na, da, nb, db)
         nc, dc = acc
-        if dc == 1 and d == 1:
-            return (nc + n, 1)
-        return _q_add(nc, dc, n, d)
+        if da == 1 and db == 1:
+            return (nc + na * nb * dc, dc)
+        num, den = nc * da * db + na * nb * dc, dc * da * db
+        g = math.gcd(num, den)
+        return (num // g, den // g)
+
+    def half(self, a):
+        """Reduced by parity alone, with no gcd."""
+        n, d = a
+        return (n, 2 * d) if n & 1 else (n >> 1, d)
 
     def from_int(self, k):
         return (k, 1)
@@ -435,6 +447,11 @@ class PolyRing(Ring):
                 out.append((e, c))
         out.extend(acc[i:])
         return tuple(out)
+
+    def half(self, a):
+        """Each coefficient halved in the base; as 2 is a unit, none vanishes."""
+        half = self.base.half
+        return tuple((e, half(c)) for e, c in a)
 
     def from_int(self, k):
         return self.const(self.base.from_int(k))

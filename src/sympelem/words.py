@@ -12,9 +12,10 @@ P^-1 G P. A term x u w^t becomes (x/2)(P u)(P w)^t, since P^-1 = P/2.
 A sign vector that fills a block has one nonzero entry after P, so each
 shape or unit term updates one column of the running product by a
 multiple of one other; a single entry e_r spreads to the two entries of
-its block. A term adds each column it reads straight into each column it
-writes, one ``addmul`` (acc + lam * v) per nonzero entry, never a dense
-2n x 2n product. The running product is M' = P^-1 M P, started at I.
+its block. A term sums the columns it reads once (an S or corner term
+reads two) and adds that sum into each column it writes, one ``addmul``
+(acc + lam * v) per nonzero entry, never a dense 2n x 2n product. The
+running product is M' = P^-1 M P, started at I.
 
 2 is invertible in every ring here, so M -> M' is injective, and
 ``same_value`` decides eval(a) == eval(b) on the columns of M'. The
@@ -252,13 +253,21 @@ class CornerMatrixAtom:
 def _apply_terms(ring, cols, terms):
     """Replace the matrix with columns ``cols`` by its product with G,
     where G - I is the sum of ``terms`` (both in the basis P): for each
-    term lam u w^t, lam times each nonzero entry of each column of M named
-    in u is added into each column named in w, with the product of the
-    two signs, one ``addmul`` per entry and target column. Every source
-    column is read before any column changes."""
+    term lam u w^t, the columns of M named in u are summed once, each
+    with its sign relative to the first, and lam times each nonzero entry
+    of that sum is added into each column named in w, lam negated where
+    that column's sign differs from the first source's: one ``addmul`` per
+    entry and target column. Every source column is read before any
+    column changes."""
     zero, neg, addmul = ring.zero, ring.neg, ring.addmul
-    updates = [(lam, s0, targets, [(r, v) for r, v in enumerate(cols[c]) if v != zero])
-               for lam, rows, targets in terms for c, s0 in rows]
+    updates = []
+    for lam, ((c0, s0), *rest), targets in terms:
+        src = cols[c0]
+        for c, s in rest:
+            comb = ring.add if s == s0 else ring.sub
+            src = [a if b == zero else (b if s == s0 else neg(b)) if a == zero else comb(a, b)
+                   for a, b in zip(src, cols[c])]
+        updates.append((lam, s0, targets, [(r, v) for r, v in enumerate(src) if v != zero]))
     for lam, s0, targets, entries in updates:
         for c, s in targets:
             col, lam_c = cols[c], lam if s == s0 else neg(lam)

@@ -80,6 +80,8 @@ def test_rationals_pairs_agree_with_fraction(x, y, pairs):
     column = Matrix(q, [[pair(v)] for _, v in pairs])
     results = {"add": (q.add(a, b), x + y), "sub": (q.sub(a, b), x - y),
                "mul": (q.mul(a, b), x * y), "neg": (q.neg(a), -x),
+               "addmul": (q.addmul(a, b, pair(pairs[0][0])), x + y * pairs[0][0]),
+               "half": (q.half(a), x / 2),
                "dot": (row.mul(column).rows[0][0], sum((u * v for u, v in pairs), Fraction(0)))}
     if x:
         results["try_invert"] = (q.try_invert(a), 1 / x)
@@ -650,13 +652,41 @@ def test_addmul_agrees_with_add_and_mul(descriptor):
         acc, lam, v = elem(seed, n_acc), elem(seed + 1, n_lam), elem(seed + 2, n_v)
         got = ring.addmul(acc, lam, v)
         assert got == ring.add(acc, ring.mul(lam, v)), (acc, lam, v)
-        if isinstance(ring, PolyRing):
-            _assert_canonical(ring, got)
+        half = ring.half(acc)
+        assert half == ring.mul(ring.inv2, acc), acc
+        for a in (got, half):
+            _assert_reduced(ring, a)
 
     check()
 
 
+def _assert_reduced(ring, a):
+    """Polynomials in canonical order, and every pair of Q in a, through
+    coefficients and localized numerators, reduced over a positive
+    denominator."""
+    if isinstance(ring, PolyRing):
+        _assert_canonical(ring, a)
+        for _, c in a:
+            _assert_reduced(ring.base, c)
+    elif isinstance(ring, Localized):
+        _assert_reduced(ring.base, a[0])
+    elif isinstance(ring, Rationals):
+        _assert_canonical_pair(a)
+
+
 def test_addmul_edge_cases():
+    # over Q: an integer lam * v into a fractional acc stays over acc's
+    # denominator, and sums that cancel give (0, 1)
+    q = Rationals()
+    for acc, lam, v, want in [((1, 2), (3, 1), (-4, 1), (-23, 2)),
+                              ((-5, 6), (2, 1), (1, 1), (7, 6)),
+                              ((6, 1), (2, 1), (-3, 1), (0, 1)),
+                              ((1, 6), (1, 2), (-1, 3), (0, 1)),
+                              ((-3, 4), (3, 2), (1, 2), (0, 1)),
+                              ((1, 6), (1, 2), (1, 3), (1, 3))]:
+        got = q.addmul(acc, lam, v)
+        assert got == want == q.add(acc, q.mul(lam, v)), (acc, lam, v)
+        _assert_canonical_pair(got)
     for descriptor in ("poly:q:t", "poly:zmod:15:t"):
         ring = ring_from_descriptor(descriptor)
         t = ring.var("t")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympelem import words
 from sympelem.errors import BadIndices, ParseError
 from sympelem.matrices import Matrix
 from sympelem.rings import Localized, PolyRing, Rationals, Zmod, ring_from_descriptor
@@ -308,3 +309,47 @@ def test_a_kernel_slip_fails_the_independent_routes(monkeypatch):
         with pytest.raises(StepVerificationFailed, match="corner-to-shapes"):
             decompose_full(word)
     assert not failed(Z15, [2, 3])
+
+    # the summed sources of a two-row term (S and corner atoms): the
+    # second taken with the wrong sign
+    real_apply = words._apply_terms
+
+    def second_source_flipped(ring, cols, terms):
+        real_apply(ring, cols, [(lam, rows[:1] + tuple((c, -s) for c, s in rows[1:]), targets)
+                                for lam, rows, targets in terms])
+
+    with monkeypatch.context() as m:
+        m.setattr(words, "_apply_terms", second_source_flipped)
+        names = failed(Z15, [2, 3])
+        assert {"atom-terms:S", "atom-terms:E12", "atom-terms:E21"} & set(names), names
+        qt = ring_from_descriptor("poly:q:t")
+        with pytest.raises(StepVerificationFailed):
+            decompose_full(word_from_text(qt, 3, "S 1 3 2+t\nS 3 5 -1\nE12 t"))
+
+    # Q's one-gcd multiply-add without its reduction: equal values no
+    # longer have equal pairs. Sampled rationals show it; the symbolic
+    # items over Q[x, y] do not, as no unreduced pair survives to the end
+    # of any of their evaluations
+    def unreduced(self, acc, lam, v):
+        (nc, dc), (na, da), (nb, db) = acc, lam, v
+        return (nc * da * db + na * nb * dc, dc * da * db)
+
+    q = Rationals()
+    with monkeypatch.context() as m:
+        m.setattr(Rationals, "addmul", unreduced)
+        assert failed(q, [2, 3])
+    assert not failed(q, [2, 3])
+
+
+def test_a_two_row_term_sums_its_sources_once(monkeypatch):
+    # an S or corner term reads two columns and writes two: summing the
+    # sources first makes one addmul pass per target column, not one per
+    # (source, target) pair
+    calls = []
+    real = Zmod.addmul
+    monkeypatch.setattr(Zmod, "addmul", lambda self, *args: calls.append(1) or real(self, *args))
+    prefix = "A 2 1\nB 2 2\nC 2 3\nD 2 4\n"
+    words._eval_cols(Z15, 2, word_from_text(Z15, 2, prefix).atoms)
+    before = len(calls)
+    words._eval_cols(Z15, 2, word_from_text(Z15, 2, prefix + "S 1 3 5\nE12 7").atoms)
+    assert len(calls) - 2 * before == 24
