@@ -36,6 +36,8 @@ MAX_TRIALS = 1000
 
 
 def _check_n(n, text):
+    if n < 2:
+        raise err.ParseError(f"--n {text} includes n < 2; every n must be >= 2")
     if n > MAX_N:
         raise err.ParseError(f"--n {text} goes above n = {MAX_N}, the largest n accepted")
 
@@ -48,8 +50,7 @@ def _parse_n_range(text):
         raise err.ParseError(f"--n {text} is neither an integer nor a range lo..hi") from None
     if hi < lo:
         raise err.ParseError(f"--n {text} is an empty range")
-    if lo < 2:
-        raise err.ParseError(f"--n {text} includes n < 2; every n must be >= 2")
+    _check_n(lo, text)
     _check_n(hi, text)
     return list(range(lo, hi + 1))
 

@@ -18,8 +18,9 @@ construction and safe to share: nothing is cached on a ring object.
 Besides the ring operations, every ring answers ``addmul(acc, lam, v)``,
 acc + lam * v, the one way a sum of products is accumulated here. Its
 default is an ``add`` of a ``mul``; ``Zmod``, ``Rationals`` and
-``PolyRing`` (for a single-term lam) compute it in one step, and Q's
-reduces once, by one gcd over the common denominator. ``half(a)``
+``PolyRing`` (for a single-term lam) compute it in one step. Q's is the
+one place Q reduces, by one gcd over the common denominator: every
+rational sum and product is an ``addmul``. ``half(a)``
 defaults to ``mul(inv2, a)``; Q halves by parity, with no gcd, and
 ``PolyRing`` halves each coefficient in its base.
 
@@ -171,10 +172,11 @@ class Zmod(Ring):
 
 class Rationals(Ring):
     """Q as reduced pairs ``(numerator, denominator)`` of ints with
-    denominator > 0, so equal values have equal pairs. Sums and products
-    cancel with the gcd steps of ``fractions.Fraction``, and two integers
-    (denominator 1) combine with no gcd at all; ``addmul`` cancels with
-    one gcd, and ``half`` with none."""
+    denominator > 0, so equal values have equal pairs. Every sum and
+    product reduces once, in ``addmul``: ``add`` and ``sub`` add b times
+    1 or -1, and ``mul`` adds a times b to 0. That costs one gcd, none
+    when both factors are integers (denominator 1), and ``half`` takes
+    none."""
 
     def __init__(self):
         self.zero = (0, 1)
@@ -182,28 +184,16 @@ class Rationals(Ring):
         self.inv2 = (1, 2)
 
     def add(self, a, b):
-        na, da = a
-        nb, db = b
-        if da == 1 and db == 1:
-            return (na + nb, 1)
-        return _q_add(na, da, nb, db)
+        return self.addmul(a, (1, 1), b)
 
     def sub(self, a, b):
-        na, da = a
-        nb, db = b
-        if da == 1 and db == 1:
-            return (na - nb, 1)
-        return _q_add(na, da, -nb, db)
+        return self.addmul(a, (-1, 1), b)
 
     def neg(self, a):
         return (-a[0], a[1])
 
     def mul(self, a, b):
-        na, da = a
-        nb, db = b
-        if da == 1 and db == 1:
-            return (na * nb, 1)
-        return _q_mul(na, da, nb, db)
+        return self.addmul((0, 1), a, b)
 
     def addmul(self, acc, lam, v):
         """One reduction: an integer product added to a reduced nc/dc
@@ -237,9 +227,7 @@ class Rationals(Ring):
     def sample(self, rng, small=False):
         if small:
             return (rng.randint(-3, 3), 1)
-        n, d = rng.randint(-9, 9), rng.randint(1, 9)
-        g = math.gcd(n, d)
-        return (n // g, d // g)
+        return self.mul((rng.randint(-9, 9), 1), (1, rng.randint(1, 9)))
 
     def show(self, a):
         n, d = a
@@ -247,34 +235,6 @@ class Rationals(Ring):
 
     def descriptor(self):
         return "q"
-
-
-def _q_add(na, da, nb, db):
-    """na/da + nb/db reduced, for reduced operands: a common factor of the
-    sum can only divide g = gcd(da, db), so only g is searched."""
-    g = math.gcd(da, db)
-    if g == 1:
-        return (na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return (t, s * db)
-    return (t // g2, s * (db // g2))
-
-
-def _q_mul(na, da, nb, db):
-    """na/da * nb/db reduced, for reduced operands: cancel each numerator
-    against the other denominator first."""
-    g1 = math.gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = math.gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return (na * nb, da * db)
 
 
 def monomial_key(exps):

@@ -170,6 +170,8 @@ class CornerAtom(_OneParam):
     e: object
 
     def _terms(self, ring, n):
+        if n < 1:
+            raise BadIndices(f"corner atoms act on rows 1 and 2; n={n} has no block")
         if self.kind not in ("E12", "E21"):
             raise BadIndices(f"unknown corner kind {self.kind!r}")
         if self.e == ring.zero:
@@ -232,6 +234,8 @@ class CornerMatrixAtom:
     def _terms(self, ring, n):
         """One single-entry term per nonzero entry of P^-1 (G - I) P, where
         G - I fills the top-left 2x2 block."""
+        if n < 1:
+            raise BadIndices(f"a CORNER block acts on rows 1 and 2; n={n} has no block")
         (a, b), (c, d) = self.rows
         if not ring.is_one(ring.sub(ring.mul(a, d), ring.mul(b, c))):
             raise NonZeroDet("corner block must have determinant 1")

@@ -427,6 +427,35 @@ def test_verify_tables_that_checks_nothing_is_a_parse_error(args, capsys):
     assert args[1] in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-2"])
+@pytest.mark.parametrize("command", ["verify-tables", "decompose", "conj", "dilate", "patch",
+                                     "normality-demo"])
+def test_every_n_below_2_is_a_usage_error(command, n, tmp_path, capsys):
+    # refused before the words are read: empty words give dilate and
+    # patch nothing else to refuse n by, and a CORNER gamma at n = 0 has
+    # no block to act on
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    corner = tmp_path / "corner.txt"
+    corner.write_text("CORNER 1 1 0 1\n")
+    z15 = ["--ring", "zmod:15", "--n", n]
+    argv = {
+        "verify-tables": ["verify-tables", *z15],
+        "decompose": ["decompose", *z15, "--in", str(EXAMPLES / "word_z15.txt")],
+        "conj": ["conj", "--ring", "poly:q:t", "--s", "t", "--n", n, "--xshape", "A", "--i", "2",
+                 "--a", "1", "--k", "1", "--yshape", "D", "--j", "2", "--m", "3", "--x", "1"],
+        "dilate": ["dilate", *z15, "--s", "2", "--in", str(empty)],
+        "patch": ["patch", *z15, "--cover", str(EXAMPLES / "cover_z15.txt"), "--alpha", str(empty),
+                  "--locals", str(empty), str(empty)],
+        "normality-demo": ["normality-demo", *z15, "--gamma", str(corner), "--h", str(empty),
+                           "--cover", str(EXAMPLES / "cover_z15.txt")],
+    }[command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--n {n} " in captured.err and "n < 2" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_trials_over_a_polynomial_ring_is_a_parse_error(capsys):
     assert run(["verify-tables", "--ring", "poly:q:x,y", "--n", "2", "--trials", "1"]) == 2
     captured = capsys.readouterr()

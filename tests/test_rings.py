@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympelem import rings
 from sympelem.errors import EvenModulus, ParseError, ZeroDivisorS
 from sympelem.matrices import Matrix
 from sympelem.rings import (
@@ -96,6 +98,34 @@ def test_rationals_pairs_agree_with_fraction(x, y, pairs):
         assert got == pair(want), (op, x, y)
     assert q.show(a) == str(x)
     assert q.is_zero(a) == (x == 0)
+
+
+def test_every_rational_operation_reduces_once(monkeypatch):
+    # Q reduces in one place, addmul, so a sum or product costs at most
+    # one gcd, and none when every operand is an integer
+    calls = []
+
+    def gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(rings, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    q = Rationals()
+    ops = {"add": q.add, "sub": q.sub, "mul": q.mul, "addmul": lambda a, b: q.addmul(a, b, a)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(_FRACTIONS, _FRACTIONS)
+    def check(x, y):
+        a, b = (x.numerator, x.denominator), (y.numerator, y.denominator)
+        integers = a[1] == b[1] == 1
+        for name, op in ops.items():
+            calls.clear()
+            op(a, b)
+            assert len(calls) <= (0 if integers else 1), (name, a, b, calls)
+
+    check()
+    calls.clear()
+    assert q.mul((2, 3), (9, 4)) == (3, 2) and len(calls) == 1
 
 
 @pytest.mark.parametrize("ring", all_test_rings(), ids=lambda r: r.descriptor())

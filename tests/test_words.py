@@ -186,6 +186,18 @@ def test_parse_rejects_bad_indices():
         assert msg.startswith("line 2:") and text in msg and "n=2" in msg
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_corner_atoms_need_a_block(n):
+    # rows 1 and 2 exist only for n >= 1, whatever the parameter
+    for text in ("CORNER 1 1 0 1", "E12 4", "E21 0"):
+        with pytest.raises(ParseError, match=f"n={n}"):
+            word_from_text(Z15, n, text)
+    for atom in (CornerAtom("E12", 0), CornerMatrixAtom(((1, 0), (0, 1)))):
+        with pytest.raises(BadIndices):
+            atom._terms(Z15, n)
+    assert Word(Z15, 1, [CornerAtom("E21", 4)]).eval() == gen_matrix(Z15, 1, CornerAtom("E21", 4))
+
+
 def test_text_round_trip():
     ring = PolyRing(Rationals(), ("t",))
     t = ring.var("t")
@@ -327,18 +339,21 @@ def test_a_kernel_slip_fails_the_independent_routes(monkeypatch):
             decompose_full(word_from_text(qt, 3, "S 1 3 2+t\nS 3 5 -1\nE12 t"))
 
     # Q's one-gcd multiply-add without its reduction: equal values no
-    # longer have equal pairs. Sampled rationals show it; the symbolic
-    # items over Q[x, y] do not, as no unreduced pair survives to the end
-    # of any of their evaluations
+    # longer have equal pairs. Every rational sum and product is an
+    # addmul, so both the sampled items over Q and the symbolic items over
+    # Q[x, y], whose coefficients it adds and multiplies, show it
     def unreduced(self, acc, lam, v):
         (nc, dc), (na, da), (nb, db) = acc, lam, v
         return (nc * da * db + na * nb * dc, dc * da * db)
 
     q = Rationals()
+    qxy = ring_from_descriptor("poly:q:x,y")
     with monkeypatch.context() as m:
         m.setattr(Rationals, "addmul", unreduced)
         assert failed(q, [2, 3])
+        assert failed(qxy, [2, 3])
     assert not failed(q, [2, 3])
+    assert not failed(qxy, [2, 3])
 
 
 def test_a_two_row_term_sums_its_sources_once(monkeypatch):
